@@ -11,6 +11,7 @@ conditioned on the draw.
 
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -71,6 +72,17 @@ class MixtureProver(ProverStrategy):
         self._scaled, self._scale_total = scale_weights(weights + [self.residual])
         self._reject = RejectNowProver()
         self._active: ProverStrategy = self._reject
+
+    def reseeded(self, seed: int) -> "MixtureProver":
+        """A prover sharing these components but drawing from ``seed``.
+
+        Equal to ``MixtureProver(components, seed, params)`` without
+        rebuilding the components' honest provers.
+        """
+        twin = copy.copy(self)
+        twin._rng = random.Random(seed)
+        twin._active = self._reject
+        return twin
 
     def begin_run(self):
         u = self._rng.randrange(self._scale_total)

@@ -110,12 +110,12 @@ def make_prover_factory(spec: str, dist, params: ProtocolParams, base_dir: str):
             (fraction_from_str(c["weight"]), _dist_from_obj(c["distribution"], base_dir))
             for c in obj["components"]
         ]
-        return lambda seed: adversaries.MixtureProver(components, seed, params)
+        return adversaries.MixtureProver(components, 0, params).reseeded
     if kind == "rejecting":
         if dist is None:
             raise ConfigError("rejecting prover needs a distribution")
         prob = fraction_from_str(arg) if "/" in arg else Fraction(arg)
-        return lambda seed: adversaries.rejecting_prover(dist, prob, seed, params)
+        return adversaries.rejecting_prover(dist, prob, 0, params).reseeded
     if kind == "inflating":
         if dist is None:
             raise ConfigError("inflating prover needs a distribution")

@@ -16,7 +16,7 @@ recorded transcripts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -111,6 +111,11 @@ class HashFunction:
 
     m == 0 yields the empty-string output, represented as the integer 0,
     so every input hashes to the all-zero target.
+
+    Squaring is the Frobenius map, so x -> a*x^2 + b*x is linear over GF(2)
+    and output bit r is the parity of ``x & rows[r]`` xor bit r of c. The
+    row masks are derived once at construction; inputs must lie in
+    [0, 2**n).
     """
 
     n: int
@@ -118,25 +123,51 @@ class HashFunction:
     a: int
     b: int
     c: int
+    rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    c_low: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Column i is the image of the basis element t^i: a*t^(2i) + b*t^i.
+        # Each step multiplies sq by t twice and lin by t once, reducing the
+        # carry out of bit n-1 after every shift.
+        n, poly, top = self.n, IRREDUCIBLE_POLY[self.n], 1 << self.n
+        sq, lin = self.a, self.b
+        cols = []
+        for _ in range(n):
+            cols.append(sq ^ lin)
+            sq <<= 1
+            if sq & top:
+                sq ^= poly
+            sq <<= 1
+            if sq & top:
+                sq ^= poly
+            lin <<= 1
+            if lin & top:
+                lin ^= poly
+        rows = tuple(
+            sum(((col >> r) & 1) << i for i, col in enumerate(cols))
+            for r in range(self.m)
+        )
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "c_low", self.c & ((1 << self.m) - 1))
 
     def __call__(self, x: int) -> int:
         return self.eval(x)
 
     def eval(self, x: int) -> int:
-        n = self.n
-        xsq = gf2n_mul(x, x, n)
-        v = gf2n_mul(self.a, xsq, n) ^ gf2n_mul(self.b, x, n) ^ self.c
-        return v & ((1 << self.m) - 1)
+        v = self.c_low
+        for r, row in enumerate(self.rows):
+            v ^= ((x & row).bit_count() & 1) << r
+        return v
 
     def eval_batch(self, xs: Sequence[int]) -> np.ndarray:
-        """Evaluate on many inputs at once; falls back to scalars for n > 32."""
-        n = self.n
-        if n > 32:
-            return np.array([self.eval(int(x)) for x in xs], dtype=np.uint64)
+        """Evaluate on many inputs at once, as uint64 lanes (any n <= 64)."""
         arr = np.asarray(xs, dtype=np.uint64)
-        xsq = _square_vec(arr, n)
-        v = gf2n_mul_vec(self.a, xsq, n) ^ gf2n_mul_vec(self.b, arr, n) ^ np.uint64(self.c)
-        return v & np.uint64((1 << self.m) - 1)
+        v = np.full(arr.shape, self.c_low, dtype=np.uint64)
+        for r, row in enumerate(self.rows):
+            parity = np.bitwise_count(arr & np.uint64(row)) & np.uint8(1)
+            v ^= parity.astype(np.uint64) << np.uint64(r)
+        return v
 
     def to_json_obj(self) -> dict:
         width = (self.n + 3) // 4
@@ -147,22 +178,6 @@ class HashFunction:
             "b": format(self.b, f"0{width}x"),
             "c": format(self.c, f"0{width}x"),
         }
-
-
-def _square_vec(xs: np.ndarray, n: int) -> np.ndarray:
-    # Squaring is not x*x element-wise with a shared constant, so spread the
-    # bits directly: (sum x_i t^i)^2 = sum x_i t^(2i) over GF(2), then reduce.
-    if n > 32:
-        raise WidthError("vectorized squaring supports n <= 32")
-    poly = np.uint64(IRREDUCIBLE_POLY[n])
-    acc = np.zeros_like(xs, dtype=np.uint64)
-    for i in range(n):
-        bit = (xs >> np.uint64(i)) & np.uint64(1)
-        acc ^= bit << np.uint64(2 * i)
-    for k in range(2 * n - 2, n - 1, -1):
-        mask = (acc >> np.uint64(k)) & np.uint64(1)
-        acc ^= mask * (poly << np.uint64(k - n))
-    return acc
 
 
 def sample_hash(n: int, m: int, rng) -> HashFunction:
@@ -286,9 +301,7 @@ def mixing_experiment(
         if pivot is not None:
             while h.eval(int(pivot)) != 0:
                 h = sample_hash(n, m, rng)
-        count = int(np.count_nonzero(h.eval_batch(arr) == 0)) if n <= 32 else sum(
-            1 for y in bset if h.eval(y) == 0
-        )
+        count = int(np.count_nonzero(h.eval_batch(arr) == 0))
         if not lo <= count <= hi:
             deviations += 1
     return MixingReport(

@@ -16,12 +16,16 @@ global tolerance so an honest prover is never rejected by rounding.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from coinpress.dist import (
     TAU,
@@ -442,7 +446,13 @@ def compute_live_bands(weights: Sequence[Fraction], params: ProtocolParams) -> s
 
 
 class HonestProver(ProverStrategy):
-    """Prover that holds the distribution and follows the protocol exactly."""
+    """Prover that holds the distribution and follows the protocol exactly.
+
+    The support is kept in one uint64 array sorted by (band, element). The
+    k-th nonempty band, ``_bands[k]``, occupies
+    ``_support[_offsets[k]:_offsets[k + 1]]``, so the bands of any interval
+    form one contiguous slice that is hashed in one batch.
+    """
 
     def __init__(self, dist: ExplicitDistribution, params: ProtocolParams):
         if dist.n != params.n:
@@ -450,21 +460,32 @@ class HonestProver(ProverStrategy):
         self.dist = dist
         self.params = params
         self.histogram: Histogram = build_histogram(dist, params.eps, params.t)
-        self._buckets = buckets(dist, params.eps, params.t)
-        self._bucket_sorted = {i: sorted(xs) for i, xs in self._buckets.items()}
+        self._live = compute_live_bands(self.histogram.weights, params)
+        members = buckets(dist, params.eps, params.t)
+        self._bands = sorted(members)
+        self._offsets = [0, *itertools.accumulate(len(members[i]) for i in self._bands)]
+        self._support = np.array(
+            [x for i in self._bands for x in sorted(members[i])], dtype=np.uint64
+        )
 
     def produce_histogram(self) -> Sequence[Fraction]:
         return self.histogram.weights
 
     def produce_sets(self, s, k, f, g, m):
-        live = compute_live_bands(self.histogram.weights, self.params)
         interval = self.params.layout.interval(s, k)
-        out = {}
-        for i in interval:
-            if i not in live:
-                continue
-            members = self._bucket_sorted.get(i, [])
-            out[i] = [x for x in members if f.eval(x) == 0]
+        out = {i: [] for i in interval if i in self._live}
+        if not out:
+            return out
+        bands, offsets = self._bands, self._offsets
+        first = bisect.bisect_left(bands, interval[0])
+        last = bisect.bisect_right(bands, interval[-1])
+        lo = offsets[first]
+        block = self._support[lo:offsets[last]]
+        keep = f.eval_batch(block) == 0
+        for pos in range(first, last):
+            if bands[pos] in out:
+                a, b = offsets[pos] - lo, offsets[pos + 1] - lo
+                out[bands[pos]] = block[a:b][keep[a:b]].tolist()
         return out
 
     def produce_probability(self, j: int, x: int) -> Fraction:
@@ -579,23 +600,13 @@ def choose_challenge(weights, params: ProtocolParams, coins: CoinSource):
     g = params.sampling_gap + frac_part
     if m > params.n:
         return None, REJECT_HASH_WIDTH
-    f = sample_hash(params.n, m, _HashCoins(coins))
+    f = sample_hash(params.n, m, coins)
     active = tuple(sorted(i for i in interval if i in live))
     ctx = ChallengeContext(
         s=s, k=k, live=frozenset(live), interval=interval, active=active,
         g=g, m=m, f=f, band_mass_sum=z,
     )
     return ctx, None
-
-
-class _HashCoins:
-    """Adapter so hash sampling draws through the recorded coin source."""
-
-    def __init__(self, coins: CoinSource):
-        self._coins = coins
-
-    def randrange(self, size: int) -> int:
-        return self._coins.randrange(size)
 
 
 def check_sets(sets, weights, ctx: ChallengeContext, params: ProtocolParams):

@@ -92,6 +92,17 @@ class TestMixtureProver:
             b.begin_run()
             assert a.produce_histogram() == b.produce_histogram()
 
+    def test_reseeded_matches_fresh_prover(self):
+        params = params_n2()
+        base = two_point_mixture(params, seed=0)
+        twin = base.reseeded(11)
+        fresh = two_point_mixture(params, seed=11)
+        assert twin.components is base.components
+        for _ in range(20):
+            twin.begin_run()
+            fresh.begin_run()
+            assert twin.produce_histogram() == fresh.produce_histogram()
+
     def test_mc_marginal_matches_oracle(self):
         params = params_n2()
         prover = two_point_mixture(params, seed=5)

@@ -169,11 +169,31 @@ class TestHashFunction:
 
     def test_eval_batch_matches_eval(self):
         rng = random.Random(9)
-        for n, m in ((3, 2), (12, 6), (16, 5), (40, 8)):
+        for n, m in ((1, 1), (3, 2), (12, 6), (16, 5), (33, 7), (40, 8), (48, 48), (64, 64), (64, 9)):
             h = sample_hash(n, m, rng)
-            xs = [rng.randrange(1 << n) for _ in range(64)]
+            xs = [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(64)]
             batch = h.eval_batch(np.array(xs, dtype=np.uint64))
             assert [int(v) for v in batch] == [h.eval(x) for x in xs]
+
+    @given(st.integers(1, 64), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_eval_matches_field_reference(self, n, data):
+        m = data.draw(st.integers(0, n))
+        a, b, c, x = (data.draw(st.integers(0, (1 << n) - 1)) for _ in range(4))
+        h = HashFunction(n=n, m=m, a=a, b=b, c=c)
+        expected = gf2n_mul(a, gf2n_mul(x, x, n), n) ^ gf2n_mul(b, x, n) ^ c
+        assert h.eval(x) == expected & ((1 << m) - 1)
+
+    def test_derived_fields_ignored(self):
+        h = HashFunction(n=12, m=3, a=0xABC, b=1, c=0x5)
+        twin = HashFunction(n=12, m=3, a=0xABC, b=1, c=0x5)
+        object.__setattr__(twin, "rows", ())
+        object.__setattr__(twin, "c_low", 0)
+        assert h == twin
+        assert hash(h) == hash(twin)
+        assert h.to_json_obj() == twin.to_json_obj()
+        assert repr(h) == "HashFunction(n=12, m=3, a=2748, b=1, c=5)"
+        assert len(h.rows) == 3 and h.c_low == 0x5
 
     def test_json_shape(self):
         h = HashFunction(n=12, m=3, a=0xABC, b=1, c=0)

@@ -1,5 +1,6 @@
 """Parameter derivation, verifier rounds, full runs, replay, and fallback."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinpress.dist import ExplicitDistribution, build_histogram
-from coinpress.hashing import HashFunction
+from coinpress.dist import ExplicitDistribution, buckets, build_histogram
+from coinpress.hashing import HashFunction, sample_hash
 from coinpress.protocol import (
     MODE_RAW,
     MODE_TRIVIAL,
@@ -442,8 +443,6 @@ class TestHonestProver:
         dist = tiny_dist()
         prover = honest_prover(dist, params)
         rng = random.Random(2)
-        from coinpress.hashing import sample_hash
-
         for _ in range(30):
             f = sample_hash(3, 1, rng)
             sets = prover.produce_sets(-1, 1, f, 1.0, 1)
@@ -453,6 +452,45 @@ class TestHonestProver:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
             honest_prover(ExplicitDistribution.point(4, 0), tiny_params())
+
+    def test_sets_match_scalar_filter_at_n16(self):
+        # Three mass levels land in bands 18, 21 and 22. With intervals of
+        # two bands, many intervals hold no members, one holds bands 21 and
+        # 22, and every member band ends some interval.
+        rng = random.Random(3)
+        support = rng.sample(range(1 << 16), 1152)
+        mass = {x: Fraction(1, 512) for x in support[:256]}
+        mass.update({x: Fraction(1, 1536) for x in support[256:640]})
+        mass.update({x: Fraction(1, 2048) for x in support[640:]})
+        dist = ExplicitDistribution(n=16, mass=mass)
+        params = ProtocolParams.raw(n=16, eps=0.5, delta=0.5, t=64, gap_size=1, interval_size=2)
+        prover = honest_prover(dist, params)
+        members = buckets(dist, params.eps, params.t)
+        live = compute_live_bands(prover.histogram.weights, params)
+        layout = params.layout
+        for trial in range(40):
+            f = sample_hash(16, trial % 7, rng)
+            for s in layout.shifts:
+                for k in layout.index_range:
+                    interval = layout.interval(s, k)
+                    sets = prover.produce_sets(s, k, f, params.sampling_gap, f.m)
+                    expected = {
+                        i: [x for x in sorted(members.get(i, ())) if f.eval(x) == 0]
+                        for i in interval if i in live
+                    }
+                    assert sets == expected
+                    assert all(type(x) is int for xs in sets.values() for x in xs)
+
+    def test_seeded_n16_transcript_pinned(self):
+        rng = random.Random(5)
+        support = rng.sample(range(1 << 16), 512)
+        mass = {x: Fraction(3, 1024) if i % 2 else Fraction(1, 1024) for i, x in enumerate(support)}
+        dist = ExplicitDistribution(n=16, mass=mass)
+        params = ProtocolParams.raw(n=16, eps=0.5, delta=0.5, t=64, sampling_gap=4.0)
+        tr = run_protocol(params, honest_prover(dist, params), rng=random.Random(1))
+        assert tr.outcome.kind == "output"
+        digest = hashlib.sha256(tr.to_json().encode()).hexdigest()
+        assert digest == "ef4147b74aa32fa6c7fc3b0ca41082827f13cbf1929e0f22bb9e64a096f2f848"
 
 
 class TestTrivialProtocol:
