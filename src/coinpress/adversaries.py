@@ -139,6 +139,9 @@ class InflatingProver(ProverStrategy):
     diagnostics; shift 0 plays exactly honestly.
     """
 
+    # Members and spares are both filtered by f(x) == 0.
+    depends_on_hash_zero_set = True
+
     def __init__(self, dist: ExplicitDistribution, shift: int, params: ProtocolParams):
         if shift < 0:
             raise ValueError("shift must be nonnegative")
@@ -274,7 +277,7 @@ def overlapping_sets_prover(dist: ExplicitDistribution, params: ProtocolParams) 
                     out[i] = sorted(out[i] + [donors[0]])
         return out
 
-    return ScriptedProver(
+    prover = ScriptedProver(
         {
             "histogram": honest.produce_histogram(),
             "sets": sets,
@@ -282,6 +285,9 @@ def overlapping_sets_prover(dist: ExplicitDistribution, params: ProtocolParams) 
             "table": honest.produce_table(),
         }
     )
+    # The sets read f only through the honest prover's filter.
+    prover.depends_on_hash_zero_set = True
+    return prover
 
 
 # ---------------------------------------------------------------------------

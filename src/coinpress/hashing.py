@@ -248,6 +248,31 @@ def verify_kwise_exhaustive(n: int, m: int, k: int = 3) -> KwiseReport:
     )
 
 
+ZERO_SET_MAX_N = 6  # a zero set over 2**n inputs fits one uint64
+
+
+def zero_set_masks(n: int, m: int) -> np.ndarray:
+    """The zero set of every family member, one uint64 bitmask each.
+
+    Entry i belongs to the i-th coefficient triple of ``family(n)``; its bit
+    x is set when that member maps x to the all-zero m-bit target. Built one
+    input column at a time from the field reference, never as the full
+    table of outputs.
+    """
+    if not 1 <= n <= ZERO_SET_MAX_N:
+        raise WidthError(f"zero-set masks need 1 <= n <= {ZERO_SET_MAX_N}, got {n}")
+    size = 1 << n
+    coeffs = np.arange(size, dtype=np.uint64)
+    low = np.uint64((1 << m) - 1)
+    masks = np.zeros((size, size, size), dtype=np.uint64)
+    for x in range(size):
+        sq_part = gf2n_mul_vec(gf2n_mul(x, x, n), coeffs, n)  # a * x^2 for every a
+        lin_part = gf2n_mul_vec(x, coeffs, n)  # b * x for every b
+        value = sq_part[:, None, None] ^ lin_part[None, :, None] ^ coeffs[None, None, :]
+        masks |= ((value & low) == 0).astype(np.uint64) << np.uint64(x)
+    return masks.ravel()
+
+
 @dataclass(frozen=True)
 class MixingReport:
     set_size: int

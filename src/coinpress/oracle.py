@@ -2,11 +2,18 @@
 
 Every random choice the verifier makes has finite support: the shift, the
 interval index, the hash function (the whole coefficient family for the
-instance width), the band index, and the uniform element pick. For n <= 4
-the full family of 2**(3n) hash functions is enumerable, so all output and
+instance width), the band index, and the uniform element pick. For n <= 6
+the family of 2**(3n) hash functions is enumerable, so all output and
 rejection masses come out as exact rationals, along with the conditional
 placement probabilities that the structural sandwich and band-sum checks
 are stated over.
+
+The verifier's checks see a hash function only through its zero set, and
+the family has few distinct zero sets (172 of 4096 functions at n=4, m=2).
+A prover that declares ``depends_on_hash_zero_set`` is therefore asked
+once per zero set, on its first member in family order, and the answer is
+weighted by how many members share it. Other provers are asked once per
+hash function.
 
 Randomized provers are decomposed through ``randomness_support`` and every
 structural statement is checked per deterministic component, mirroring the
@@ -21,21 +28,26 @@ that re-derives every step inline. Tests fail the build if they disagree.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from coinpress.dist import TAU, Histogram, buckets, build_histogram, interval_weights
-from coinpress.hashing import HashFunction
+from coinpress.hashing import ZERO_SET_MAX_N, HashFunction, family, zero_set_masks
 from coinpress.protocol import (
     MODE_TRIVIAL,
     ChallengeContext,
     ProtocolParams,
     ProverStrategy,
     band_mass_sum,
+    challenge_width,
     check_sets,
     compute_live_bands,
     finalize,
+    parse_table,
     validate_histogram_message,
     validate_table,
     REJECT_BAND_NOT_LIVE,
@@ -77,6 +89,10 @@ class ExactConfig:
     def __post_init__(self):
         if self.params.mode == MODE_TRIVIAL:
             return
+        if self.params.n > ZERO_SET_MAX_N:
+            raise EnumerationBudgetError(
+                f"n={self.params.n} exceeds the enumerable width {ZERO_SET_MAX_N}"
+            )
         layout = self.params.layout
         branches = len(layout.shifts) * len(layout.index_range) * (8 ** self.params.n)
         if branches > self.budget:
@@ -93,9 +109,15 @@ class ShiftTables:
     weight: Fraction  # total histogram mass inside this shift's intervals
     interval_weights: dict[int, Fraction]
     # per interval index: (m, g, active bands, band-mass sum, rows); rows is
-    # None for a hash-width rejection, else [(f, passed, reason, sets)] over
-    # the whole hash family.
+    # None for a hash-width rejection, else [(f, count, reason, sets)] with
+    # one row per zero-set pattern (f its first member in family order,
+    # count the members sharing it) or, for provers that read more of f,
+    # one row per hash function with count 1. reason is None when the set
+    # checks pass.
     challenges: dict[int, tuple]
+    # per interval index with rows: {(x, band): number of hash functions
+    # whose checked sets place x in that band}
+    placements: dict[int, dict[tuple[int, int], int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -136,27 +158,17 @@ class ComponentRun:
         j is in a gap or not live."""
         if self.reject_reason is not None:
             return Fraction(0)
-        layout = self.params.layout
-        k = layout.interval_index_of(s, j)
+        k = self.params.layout.interval_index_of(s, j)
         if k is None:
             return Fraction(0)
         st = self.shifts[s]
-        if k not in st.challenges:
+        hits = st.placements.get(k)
+        if hits is None:
             return Fraction(0)
-        _m, _g, active, _z, rows = st.challenges[k]
-        if rows is None or j not in active:
-            return Fraction(0)
-        hits = 0
-        conditioned = 0
-        for f, passed, _why, sets in rows:
-            if f.eval(x) != 0:
-                continue
-            conditioned += 1
-            if passed and x in sets[j]:
-                hits += 1
-        if conditioned == 0:
-            return Fraction(0)
-        return Fraction(hits, conditioned)
+        # For each (a, b) exactly 2**(n - m) values of c send x to zero, so
+        # 8**n / 2**m functions condition on it, whatever x is.
+        m = st.challenges[k][0]
+        return Fraction(hits.get((x, j), 0), (8 ** self.params.n) >> m)
 
 
 def _accumulate(bins: dict, key, mass: Fraction):
@@ -165,15 +177,42 @@ def _accumulate(bins: dict, key, mass: Fraction):
     bins[key] = bins.get(key, Fraction(0)) + mass
 
 
-def _enumerate_family(n: int, m: int):
-    size = 1 << n
-    for a in range(size):
-        for b in range(size):
-            for c in range(size):
-                yield HashFunction(n=n, m=m, a=a, b=b, c=c)
+class HashFamily:
+    """The width-n hash family, as (f, count) rows for one output width m.
+
+    ``patterns(m)`` has one row per distinct zero set: its first member in
+    family order and how many members share it. It is computed once per m
+    and kept for the lifetime of this object (one oracle pass).
+    ``members(m)`` yields every member with count 1.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._patterns: dict[int, list[tuple[HashFunction, int]]] = {}
+
+    def patterns(self, m: int) -> list[tuple[HashFunction, int]]:
+        rows = self._patterns.get(m)
+        if rows is None:
+            _masks, first, counts = np.unique(
+                zero_set_masks(self.n, m), return_index=True, return_counts=True
+            )
+            order = np.argsort(first)
+            size = 1 << self.n
+            rows = []
+            for idx, count in zip(first[order].tolist(), counts[order].tolist()):
+                a, rest = divmod(idx, size * size)
+                b, c = divmod(rest, size)
+                rows.append((HashFunction(n=self.n, m=m, a=a, b=b, c=c), count))
+            self._patterns[m] = rows
+        return rows
+
+    def members(self, m: int):
+        return ((HashFunction(n=self.n, m=m, a=a, b=b, c=c), 1) for a, b, c in family(self.n))
 
 
-def _build_component(params: ProtocolParams, q: Fraction, strat: ProverStrategy) -> ComponentRun:
+def _build_component(
+    params: ProtocolParams, q: Fraction, strat: ProverStrategy, hash_family: HashFamily,
+) -> ComponentRun:
     raw = strat.produce_histogram()
     reason = validate_histogram_message(raw, params)
     if reason is not None:
@@ -190,34 +229,44 @@ def _build_component(params: ProtocolParams, q: Fraction, strat: ProverStrategy)
         q=q, strategy=strat, params=params, weights=weights,
         reject_reason=None, live=live,
     )
+    live_set = frozenset(live)
     for s in layout.shifts:
         per_interval, total = interval_weights(hist, layout, s)
         challenges: dict[int, tuple] = {}
+        placements: dict[int, dict[tuple[int, int], int]] = {}
         for k in layout.index_range:
             if per_interval[k] == 0:
                 continue
             interval = layout.interval(s, k)
             z = band_mass_sum(weights, interval, params.eps)
-            level = math.log2(z)
-            m = max(0, math.floor(level - params.sampling_gap))
-            frac_part = (level - params.sampling_gap) - math.floor(level - params.sampling_gap)
-            g = params.sampling_gap + frac_part
+            m, g = challenge_width(weights, interval, z, params)
             if m > params.n:
                 challenges[k] = (m, g, (), z, None)
                 continue
             active = tuple(sorted(i for i in interval if i in live))
+            if strat.depends_on_hash_zero_set:
+                source = hash_family.patterns(m)
+            else:
+                source = hash_family.members(m)
             rows = []
-            for f in _enumerate_family(params.n, m):
+            hits: dict[tuple[int, int], int] = {}
+            for f, count in source:
                 ctx = ChallengeContext(
-                    s=s, k=k, live=frozenset(live), interval=interval,
+                    s=s, k=k, live=live_set, interval=interval,
                     active=active, g=g, m=m, f=f, band_mass_sum=z,
                 )
                 sets = strat.produce_sets(s, k, f, g, m)
                 normalized, why = check_sets(sets, weights, ctx, params)
-                rows.append((f, why is None, why, normalized))
+                rows.append((f, count, why, normalized))
+                if why is None:
+                    for j, members in normalized.items():
+                        for x in members:
+                            hits[(x, j)] = hits.get((x, j), 0) + count
             challenges[k] = (m, g, active, z, rows)
+            placements[k] = hits
         comp.shifts[s] = ShiftTables(
             weight=total, interval_weights=per_interval, challenges=challenges,
+            placements=placements,
         )
     comp.shift_total = sum((st.weight for st in comp.shifts.values()), Fraction(0))
     _fill_component_distribution(comp)
@@ -244,9 +293,9 @@ def _fill_component_distribution(comp: ComponentRun):
                 continue
             interval = params.layout.interval(s, k)
             interval_mass = st.interval_weights[k]
-            for f, passed, why, sets in rows:
-                f_prob = k_prob * family_size
-                if not passed:
+            for _f, count, why, sets in rows:
+                f_prob = k_prob * count * family_size
+                if why is not None:
                     _accumulate(s_rejects, why, f_prob)
                     continue
                 for j in interval:
@@ -274,8 +323,7 @@ def _fill_component_distribution(comp: ComponentRun):
 
 def _build_trivial_component(params: ProtocolParams, q: Fraction, strat: ProverStrategy) -> ComponentRun:
     comp = ComponentRun(q=q, strategy=strat, params=params, weights=None, reject_reason=None)
-    entries = strat.produce_table()
-    table = [(x, Fraction(p)) for x, p in entries] if entries is not None else None
+    table = parse_table(strat.produce_table())
     reason = validate_table(table, params)
     if reason is not None:
         comp.reject_reason = reason
@@ -329,13 +377,14 @@ class OracleRun:
         self.cfg = cfg
         self.params = cfg.params
         self.components: list[ComponentRun] = []
+        hash_family = HashFamily(cfg.params.n)
         for q, strat in cfg.prover.randomness_support():
             if q == 0:
                 continue
             if cfg.params.mode == MODE_TRIVIAL:
                 self.components.append(_build_trivial_component(cfg.params, Fraction(q), strat))
             else:
-                self.components.append(_build_component(cfg.params, Fraction(q), strat))
+                self.components.append(_build_component(cfg.params, Fraction(q), strat, hash_family))
         total_q = sum((c.q for c in self.components), Fraction(0))
         if total_q != 1:
             raise ValueError(f"prover support probabilities sum to {total_q}, expected 1")
@@ -384,6 +433,9 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
     Shares nothing with the engine beyond the layout and the hash
     primitive: histogram validation, liveness, challenge arithmetic, the
     set checks, and probability substitution are re-implemented inline.
+    It asks the prover about every hash function, whatever the prover
+    declares; within one challenge, identical outcomes are counted first
+    and their masses computed once.
     Returns (outputs keyed by (x, band, p), total reject mass).
     """
     outputs: dict[OutputKey, Fraction] = {}
@@ -394,9 +446,18 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
         q = Fraction(q)
         if params.mode == MODE_TRIVIAL:
             entries = strat.produce_table()
-            ok = entries is not None
+            try:
+                pairs = [tuple(item) for item in entries]
+            except TypeError:
+                pairs = None
+            ok = pairs is not None and all(
+                len(pair) == 2
+                and isinstance(pair[0], int)
+                and isinstance(pair[1], (int, Fraction))
+                for pair in pairs
+            )
             if ok:
-                table = [(x, Fraction(p)) for x, p in entries]
+                table = [(x, Fraction(p)) for x, p in pairs]
                 ok = (
                     all(
                         isinstance(x, int) and 0 <= x < (1 << params.n) and 0 < p <= 1
@@ -445,7 +506,17 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
                     continue
                 pr_k = pr_s * wk / shift_w[s]
                 z = sum((2.0 ** (i * params.eps)) * float(h[i]) for i in members)
-                level = math.log2(z)
+                if z > 0:
+                    level = math.log2(z)
+                else:
+                    # float underflow: combine exact per-band logs instead
+                    logs = [
+                        i * params.eps + math.log2(h[i].numerator) - math.log2(h[i].denominator)
+                        for i in members
+                        if h[i] > 0
+                    ]
+                    top = max(logs)
+                    level = top + math.log2(sum(2.0 ** (lg - top) for lg in logs))
                 m = max(0, math.floor(level - params.sampling_gap))
                 g = params.sampling_gap + (level - params.sampling_gap) - math.floor(
                     level - params.sampling_gap
@@ -454,37 +525,47 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
                     reject += pr_k
                     continue
                 act = sorted(i for i in members if i in live)
+                # outcome -> number of hash functions: None for a reject,
+                # else the checked sets of the active bands in order
+                tally: dict = {}
                 for a in range(size):
                     for b in range(size):
                         for c in range(size):
                             f = HashFunction(n=params.n, m=m, a=a, b=b, c=c)
-                            pr_f = pr_k / size**3
                             sets = strat.produce_sets(s, k, f, g, m)
                             ok, norm = _flat_check(sets, h, act, f, m, g, z, params)
-                            if not ok:
-                                reject += pr_f
-                                continue
-                            for j in members:
-                                if h[j] == 0:
-                                    continue
-                                pr_j = pr_f * h[j] / wk
-                                if j not in act or not norm[j]:
-                                    reject += pr_j
-                                    continue
-                                for x in norm[j]:
-                                    p_msg = strat.produce_probability(j, x)
-                                    pv = _flat_final(j, p_msg, params)
-                                    _accumulate(outputs, (x, j, pv), pr_j / len(norm[j]))
+                            key = tuple(tuple(norm[i]) for i in act) if ok else None
+                            tally[key] = tally.get(key, 0) + 1
+                for key, count in tally.items():
+                    pr_f = pr_k * count / size**3
+                    if key is None:
+                        reject += pr_f
+                        continue
+                    norm = dict(zip(act, key))
+                    for j in members:
+                        if h[j] == 0:
+                            continue
+                        pr_j = pr_f * h[j] / wk
+                        if j not in act or not norm[j]:
+                            reject += pr_j
+                            continue
+                        for x in norm[j]:
+                            p_msg = strat.produce_probability(j, x)
+                            pv = _flat_final(j, p_msg, params)
+                            _accumulate(outputs, (x, j, pv), pr_j / len(norm[j]))
     return outputs, reject
 
 
 def _flat_check(sets, h, active, f, m, g, z, params):
-    if sets is None or set(sets.keys()) != set(active):
+    if not isinstance(sets, Mapping) or set(sets.keys()) != set(active):
         return False, None
     norm = {}
     total = 0
     for i in active:
-        xs = list(sets[i])
+        try:
+            xs = list(sets[i])
+        except TypeError:
+            return False, None
         if any((not isinstance(x, int)) or x < 0 or x >= (1 << params.n) for x in xs):
             return False, None
         if len(set(xs)) != len(xs):

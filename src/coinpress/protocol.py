@@ -21,9 +21,10 @@ import hashlib
 import itertools
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -374,10 +375,12 @@ def _message_json(msg: tuple):
         return {"kind": kind, "s": s, "k": k, "f": f.to_json_obj() if f else None}
     if kind == "sets":
         n = msg[2]
+        if msg[1] is None:
+            return {"kind": kind, "sets": None}
         return {
             "kind": kind,
             "sets": {
-                str(i): [element_to_hex(x, n) for x in xs]
+                str(i): [_element_json(x, n) for x in xs]
                 for i, xs in sorted(msg[1].items())
             },
         }
@@ -387,11 +390,20 @@ def _message_json(msg: tuple):
         return {"kind": kind, "p": probability_json(msg[1])}
     if kind == "table":
         n = msg[2]
+        if msg[1] is None:
+            return {"kind": kind, "entries": None}
         return {
             "kind": kind,
             "entries": [[element_to_hex(x, n), probability_json(p)] for x, p in msg[1]],
         }
     raise ValueError(f"unknown message kind {kind}")
+
+
+def _element_json(x, n: int):
+    # A malformed sets message may list non-integers; keep only their type.
+    if isinstance(x, int):
+        return element_to_hex(x, n)
+    return {"malformed": type(x).__name__}
 
 
 def _outcome_json(outcome: Outcome):
@@ -412,6 +424,12 @@ class ProverStrategy:
     history; strategies that flip their own coins draw them in
     ``begin_run`` so the exact oracle can enumerate the draw.
     """
+
+    # True when ``produce_sets`` reads the hash f only through its zero set
+    # {x in [0, 2**n) : f(x) = 0}. The exact oracle then asks once per
+    # distinct zero set, weighted by how many hash functions share it,
+    # instead of once per hash function.
+    depends_on_hash_zero_set = False
 
     def begin_run(self) -> None:
         """Called once at the start of each protocol run."""
@@ -453,6 +471,8 @@ class HonestProver(ProverStrategy):
     ``_support[_offsets[k]:_offsets[k + 1]]``, so the bands of any interval
     form one contiguous slice that is hashed in one batch.
     """
+
+    depends_on_hash_zero_set = True
 
     def __init__(self, dist: ExplicitDistribution, params: ProtocolParams):
         if dist.n != params.n:
@@ -547,6 +567,30 @@ def band_mass_sum(weights, interval: Sequence[int], eps: float) -> float:
     return sum((2.0 ** (i * eps)) * float(weights[i]) for i in interval)
 
 
+def challenge_width(weights, interval: Sequence[int], z: float, params: ProtocolParams):
+    """Hash output width m and centring g for an interval whose band-mass
+    sum is z (``band_mass_sum`` of the same weights and interval).
+
+    The level is log2(z). When the float sum underflows to 0, the level is
+    taken from exact logs of the rational weights instead, so tiny masses
+    give a small level rather than a domain error.
+    """
+    if z > 0:
+        level = math.log2(z)
+    else:
+        logs = [
+            i * params.eps + math.log2(w.numerator) - math.log2(w.denominator)
+            for i in interval
+            if (w := Fraction(weights[i])) > 0
+        ]
+        top = max(logs)
+        level = top + math.log2(sum(2.0 ** (lg - top) for lg in logs))
+    shifted = level - params.sampling_gap
+    m = max(0, math.floor(shifted))
+    g = params.sampling_gap + (shifted - math.floor(shifted))
+    return m, g
+
+
 def _challenge_tables(weights_key: tuple, params: ProtocolParams):
     """Pure function of (histogram, params): liveness, per-shift interval
     weights, and per-interval band-mass sums. Memoized on the params object
@@ -594,10 +638,7 @@ def choose_challenge(weights, params: ProtocolParams, coins: CoinSource):
         return None, REJECT_DEGENERATE
     interval = layout.interval(s, k)
     z = zsums[(s, k)]
-    level = math.log2(z)
-    m = max(0, math.floor(level - params.sampling_gap))
-    frac_part = (level - params.sampling_gap) - math.floor(level - params.sampling_gap)
-    g = params.sampling_gap + frac_part
+    m, g = challenge_width(weights_key, interval, z, params)
     if m > params.n:
         return None, REJECT_HASH_WIDTH
     f = sample_hash(params.n, m, coins)
@@ -617,12 +658,15 @@ def check_sets(sets, weights, ctx: ChallengeContext, params: ProtocolParams):
     set's cardinality lies in the band-mass window, and (c) the sets are
     pairwise disjoint. Real-valued bounds in (b) are widened by TAU.
     """
-    if sets is None or set(sets.keys()) != set(ctx.active):
+    if not isinstance(sets, Mapping) or set(sets.keys()) != set(ctx.active):
         return None, REJECT_MALFORMED_SETS
     normalized = {}
     total = 0
     for i in ctx.active:
-        xs = list(sets[i])
+        try:
+            xs = list(sets[i])
+        except TypeError:
+            return None, REJECT_MALFORMED_SETS
         if any((not isinstance(x, int)) or x < 0 or (x >> params.n) for x in xs):
             return None, REJECT_MALFORMED_SETS
         if len(set(xs)) != len(xs):
@@ -726,7 +770,7 @@ def run_protocol(
     messages.append(("challenge", ctx.s, ctx.k, ctx.f))
 
     raw_sets = prover.produce_sets(ctx.s, ctx.k, ctx.f, ctx.g, ctx.m)
-    messages.append(("sets", {i: tuple(xs) for i, xs in raw_sets.items()} if raw_sets is not None else None, params.n))
+    messages.append(("sets", _sets_record(raw_sets), params.n))
     sets, reason = check_sets(raw_sets, weights, ctx, params)
     if reason is not None:
         return _finish(params, messages, coins, Outcome.reject(reason), trial)
@@ -743,6 +787,20 @@ def run_protocol(
     return _finish(params, messages, coins, outcome, trial)
 
 
+def _sets_record(raw_sets):
+    """The sets message as a transcript keeps it: {band: tuple of elements},
+    or None when it is not a mapping from int bands to iterables."""
+    if not isinstance(raw_sets, Mapping):
+        return None
+    try:
+        record = {i: tuple(xs) for i, xs in raw_sets.items()}
+    except TypeError:
+        return None
+    if not all(isinstance(i, int) for i in record):
+        return None
+    return record
+
+
 def _finish(params, messages, coins, outcome, trial) -> Transcript:
     return Transcript(
         params_digest=params.digest(),
@@ -753,24 +811,32 @@ def _finish(params, messages, coins, outcome, trial) -> Transcript:
     )
 
 
-def validate_table(entries, params: ProtocolParams) -> Optional[str]:
-    if entries is None:
+def parse_table(entries) -> Optional[list[tuple[int, Fraction]]]:
+    """The fallback table as (element, Fraction) pairs, or None unless it is
+    an iterable of (int, int or Fraction) pairs. Types are checked before
+    anything is converted, so a float or string probability is refused."""
+    try:
+        pairs = [tuple(item) for item in entries]
+    except TypeError:
+        return None
+    for pair in pairs:
+        if len(pair) != 2 or not isinstance(pair[0], int) or not isinstance(pair[1], (int, Fraction)):
+            return None
+    return [(x, Fraction(p)) for x, p in pairs]
+
+
+def validate_table(table, params: ProtocolParams) -> Optional[str]:
+    """None when a parsed table lists distinct n-bit elements with
+    probabilities in (0, 1] summing to exactly 1, else the reject reason."""
+    if table is None:
         return REJECT_MALFORMED_TABLE
     seen = set()
     total = Fraction(0)
-    for item in entries:
-        try:
-            x, p = item
-        except (TypeError, ValueError):
-            return REJECT_MALFORMED_TABLE
-        if not isinstance(x, int) or x < 0 or (x >> params.n):
-            return REJECT_MALFORMED_TABLE
-        if x in seen:
-            return REJECT_MALFORMED_TABLE
-        if not isinstance(p, (int, Fraction)) or not 0 < Fraction(p) <= 1:
+    for x, p in table:
+        if x < 0 or (x >> params.n) or x in seen or not 0 < p <= 1:
             return REJECT_MALFORMED_TABLE
         seen.add(x)
-        total += Fraction(p)
+        total += p
     if total != 1:
         return REJECT_MALFORMED_TABLE
     return None
@@ -791,8 +857,7 @@ def trivial_protocol(
     coins = CoinSource(rng=rng, replay=replay_coins)
     messages: list = []
     prover.begin_run()
-    entries = prover.produce_table()
-    table = [(x, Fraction(p)) for x, p in entries] if entries is not None else None
+    table = parse_table(prover.produce_table())
     messages.append(("table", table, params.n))
     reason = validate_table(table, params)
     if reason is not None:

@@ -1,18 +1,22 @@
 """Exact-enumeration oracle: cross-validation, conservation, diagnostics."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from coinpress.adversaries import (
     MixtureProver,
+    ScriptedProver,
     inflating_prover,
     overlapping_sets_prover,
 )
 from coinpress.dist import ExplicitDistribution
+from coinpress.hashing import HashFunction, family, zero_set_masks
 from coinpress.oracle import (
     EnumerationBudgetError,
     ExactConfig,
+    HashFamily,
     OracleRun,
     completeness_diagnostics,
     exact_output_distribution,
@@ -22,7 +26,17 @@ from coinpress.oracle import (
     verify_band_sandwich,
     verify_band_sums,
 )
-from coinpress.protocol import ProtocolParams, derive_params, honest_prover
+from coinpress.protocol import (
+    HonestProver,
+    ProtocolParams,
+    ProverStrategy,
+    compute_live_bands,
+    derive_params,
+    honest_prover,
+    replay,
+    run_protocol,
+    scale_weights,
+)
 
 
 def raw_params(n=3, t=6, gap_size=1, interval_size=2, sampling_gap=4.0, eps=1.0):
@@ -319,3 +333,305 @@ class TestCompletenessDiagnostics:
         diag = completeness_diagnostics(run, dist)
         for (x, _band, _p) in run.distribution.outputs:
             assert x in diag.covered
+
+
+# ---------------------------------------------------------------------------
+# Enumeration by zero set
+
+
+class FullEnumeration(ProverStrategy):
+    """Delegates every message to ``inner`` but does not declare the
+    zero-set contract, so the oracle asks it about every hash function."""
+
+    def __init__(self, inner: ProverStrategy):
+        self.inner = inner
+
+    def begin_run(self):
+        self.inner.begin_run()
+
+    def produce_histogram(self):
+        return self.inner.produce_histogram()
+
+    def produce_sets(self, s, k, f, g, m):
+        return self.inner.produce_sets(s, k, f, g, m)
+
+    def produce_probability(self, j, x):
+        return self.inner.produce_probability(j, x)
+
+    def produce_table(self):
+        return self.inner.produce_table()
+
+    def randomness_support(self):
+        return [(q, FullEnumeration(strat)) for q, strat in self.inner.randomness_support()]
+
+
+# Masses of the four-prover n=4 instances: all above 2**-4, so the one-band
+# inflation still fits under t=8 at eps=0.5.
+N4_MASSES = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 6), Fraction(1, 8), Fraction(1, 8))
+
+
+def n4_provers(eps):
+    params = ProtocolParams.raw(
+        n=4, eps=eps, delta=0.5, t=8, gap_size=1, interval_size=2, sampling_gap=1.0,
+    )
+    rng = random.Random(7)
+    main, other = (
+        ExplicitDistribution(n=4, mass=dict(zip(rng.sample(range(16), 5), N4_MASSES)))
+        for _ in range(2)
+    )
+    return params, {
+        "honest": HonestProver(main, params),
+        "mixture": MixtureProver(
+            [(Fraction(1, 2), main), (Fraction(1, 4), other)], seed=11, params=params,
+        ),
+        "inflating": inflating_prover(main, 1, params),
+        "overlapping": overlapping_sets_prover(main, params),
+    }
+
+
+def branches(run):
+    return [
+        len(ch[4])
+        for comp in run.components
+        for st in comp.shifts.values()
+        for ch in st.challenges.values()
+        if ch[4] is not None
+    ]
+
+
+class TestZeroSetPatterns:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_patterns_are_first_members_of_distinct_zero_sets(self, n):
+        for m in range(n + 1):
+            masks = zero_set_masks(n, m).tolist()
+            first = {}
+            for idx, mask in enumerate(masks):
+                first.setdefault(mask, idx)
+            rows = HashFamily(n).patterns(m)
+            assert sum(count for _f, count in rows) == 8**n
+            triples = list(family(n))
+            assert [(f.a, f.b, f.c) for f, _ in rows] == [triples[i] for i in sorted(first.values())]
+            for f, count in rows:
+                assert count == masks.count(masks[triples.index((f.a, f.b, f.c))])
+
+    def test_masks_match_hash_evaluation(self):
+        for m in range(4):
+            masks = zero_set_masks(3, m).tolist()
+            for idx, (a, b, c) in enumerate(family(3)):
+                f = HashFunction(n=3, m=m, a=a, b=b, c=c)
+                assert masks[idx] == sum(1 << x for x in range(8) if f.eval(x) == 0)
+
+    def test_opted_in_sets_depend_only_on_zero_set(self):
+        # For every hash function f, each opted-in prover answers exactly as
+        # it does for the first member of f's zero-set pattern.
+        params = raw_params(sampling_gap=1.0)
+        dist = skewed_dist()
+        mix = provers_for(dist, params)["mixture"]
+        provers = [
+            honest_prover(dist, params),
+            inflating_prover(dist, 0, params),
+            inflating_prover(dist, 1, params),
+            overlapping_sets_prover(dist, params),
+        ] + [strat for _q, strat in mix.randomness_support() if isinstance(strat, HonestProver)]
+        layout = params.layout
+        triples = list(family(3))
+        for prover in provers:
+            assert prover.depends_on_hash_zero_set
+            for m in range(4):
+                masks = zero_set_masks(3, m).tolist()
+                first = {}
+                for idx, mask in enumerate(masks):
+                    first.setdefault(mask, idx)
+                for s in layout.shifts:
+                    for k in layout.index_range:
+                        expected = {}
+                        for idx, (a, b, c) in enumerate(triples):
+                            rep = first[masks[idx]]
+                            if rep not in expected:
+                                ra, rb, rc = triples[rep]
+                                f_rep = HashFunction(n=3, m=m, a=ra, b=rb, c=rc)
+                                expected[rep] = prover.produce_sets(s, k, f_rep, 1.5, m)
+                            f = HashFunction(n=3, m=m, a=a, b=b, c=c)
+                            assert prover.produce_sets(s, k, f, 1.5, m) == expected[rep]
+
+    @pytest.mark.parametrize("eps", [1.0, 0.5])
+    @pytest.mark.parametrize("name", ["honest", "mixture", "inflating", "overlapping"])
+    def test_quotient_equals_full_enumeration_and_flat(self, eps, name):
+        params, provers = n4_provers(eps)
+        prover = provers[name]
+        quotient = OracleRun(ExactConfig(params=params, prover=prover))
+        full = OracleRun(ExactConfig(params=params, prover=FullEnumeration(prover)))
+        assert all(rows == 8**4 for rows in branches(full))
+        assert sum(branches(quotient)) < sum(branches(full))
+        exact, exact_full = quotient.distribution, full.distribution
+        assert exact.outputs == exact_full.outputs
+        assert exact.reject_by_reason == exact_full.reject_by_reason
+        flat_out, flat_rej = exact_output_distribution_flat(params, prover)
+        assert exact.outputs == flat_out and exact.reject_mass == flat_rej
+        assert exact.total_mass() == 1
+        for comp, comp_full in zip(quotient.components, full.components):
+            for s in params.layout.shifts:
+                for x in range(16):
+                    for j in range(params.t + 1):
+                        assert comp.placement_probability(s, x, j) == comp_full.placement_probability(s, x, j)
+        for check in (verify_band_sandwich, verify_band_sums):
+            a, b = check(quotient), check(full)
+            assert (a.checked, a.violations, a.indeterminate) == (b.checked, b.violations, b.indeterminate)
+            assert not a.violations and not a.indeterminate
+
+    def test_scripted_prover_enumerates_every_function(self):
+        params = raw_params(sampling_gap=1.0)
+        honest = honest_prover(skewed_dist(), params)
+        scripted = ScriptedProver(
+            {
+                "histogram": honest.produce_histogram(),
+                "sets": honest.produce_sets,
+                "probability": honest.produce_probability,
+            }
+        )
+        assert not scripted.depends_on_hash_zero_set
+        run = OracleRun(ExactConfig(params=params, prover=scripted))
+        assert branches(run) and all(rows == 8**3 for rows in branches(run))
+        honest_run = OracleRun(ExactConfig(params=params, prover=honest))
+        assert run.distribution.outputs == honest_run.distribution.outputs
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_structural_checks_at_wider_instances(self, n):
+        params = ProtocolParams.raw(
+            n=n, eps=0.5, delta=0.5, t=2 * n, gap_size=1, interval_size=2, sampling_gap=1.0,
+        )
+        support = random.Random(n).sample(range(1 << n), len(N4_MASSES))
+        dist = ExplicitDistribution(n=n, mass=dict(zip(support, N4_MASSES)))
+        run = OracleRun(ExactConfig(params=params, prover=honest_prover(dist, params)))
+        sandwich = verify_band_sandwich(run)
+        sums = verify_band_sums(run)
+        assert not sandwich.violations and not sandwich.indeterminate
+        assert not sums.violations
+        assert run.distribution.total_mass() == 1
+
+    def test_width_beyond_masks_refused(self):
+        params = ProtocolParams.raw(n=7, eps=1.0, delta=0.5, t=14, gap_size=1, interval_size=2)
+        dist = ExplicitDistribution.point(7, 0)
+        with pytest.raises(EnumerationBudgetError):
+            ExactConfig(params=params, prover=honest_prover(dist, params))
+
+
+# ---------------------------------------------------------------------------
+# Messages that used to crash the verifier or the oracles
+
+
+def assert_oracles_agree(params, prover):
+    exact = OracleRun(ExactConfig(params=params, prover=prover)).distribution
+    flat_out, flat_rej = exact_output_distribution_flat(params, prover)
+    assert exact.outputs == flat_out
+    assert exact.reject_mass == flat_rej
+    assert exact.total_mass() == 1
+    return exact
+
+
+def scripted_sets_prover(params, sets):
+    honest = honest_prover(skewed_dist(), params)
+    return ScriptedProver(
+        {
+            "histogram": honest.produce_histogram(),
+            "sets": sets,
+            "probability": honest.produce_probability,
+        }
+    )
+
+
+class TestMalformedMessages:
+    def check_run(self, params, prover, reason):
+        tr = run_protocol(params, prover, rng=random.Random(0))
+        assert tr.outcome.reason == reason
+        assert replay(params, prover, tr).to_json() == tr.to_json()
+
+    def test_list_shaped_sets(self):
+        params = raw_params()
+        prover = scripted_sets_prover(params, lambda s, k, f, g, m: [[0], [3, 5]])
+        self.check_run(params, prover, "malformed-sets")
+        exact = assert_oracles_agree(params, prover)
+        assert exact.reject_by_reason == {"malformed-sets": Fraction(1)}
+
+    @pytest.mark.parametrize("entry", [5, None, ["a"], [1.5]])
+    def test_non_integer_set_entry(self, entry):
+        params = raw_params()
+        live = compute_live_bands(honest_prover(skewed_dist(), params).produce_histogram(), params)
+
+        def sets(s, k, f, g, m):
+            return {i: entry for i in params.layout.interval(s, k) if i in live}
+
+        prover = scripted_sets_prover(params, sets)
+        self.check_run(params, prover, "malformed-sets")
+        exact = assert_oracles_agree(params, prover)
+        assert exact.reject_by_reason == {"malformed-sets": Fraction(1)}
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [(0, "abc"), (1, Fraction(1, 2))],
+            [(0, 0.5), (1, 0.5)],
+            [(0, "1/2"), (1, "1/2")],
+            [(0.0, Fraction(1, 2)), (1, Fraction(1, 2))],
+            [0, 1],
+            7,
+        ],
+    )
+    def test_fallback_table_types(self, table):
+        params = derive_params(8, 0.5, 0.5)
+        prover = ScriptedProver({"table": table})
+        self.check_run(params, prover, "malformed-table")
+        exact = assert_oracles_agree(params, prover)
+        assert exact.reject_by_reason == {"malformed-table": Fraction(1)}
+
+
+class TestHashWidthUnderflow:
+    # Band 6 holds 2**-1200, alone in its interval for shifts 0 and 1, so the
+    # float band-mass sum of that interval underflows to 0.
+    TINY = Fraction(1, 2**1200)
+    WEIGHTS = [0, Fraction(1, 2), Fraction(1, 2) - TINY, 0, 0, 0, TINY]
+
+    def prover(self, params):
+        live = compute_live_bands(self.WEIGHTS, params)
+        members = {1: [0], 2: [3, 5]}
+        return ScriptedProver(
+            {
+                "histogram": self.WEIGHTS,
+                "sets": lambda s, k, f, g, m: {
+                    i: [x for x in members[i] if f.eval(x) == 0]
+                    for i in params.layout.interval(s, k)
+                    if i in live
+                },
+                "probability": lambda j, x: Fraction(1, 2) if x == 0 else Fraction(1, 4),
+            }
+        )
+
+    @pytest.mark.parametrize("sampling_gap", [4.0, 0.5])
+    def test_oracles_agree(self, sampling_gap):
+        params = raw_params(sampling_gap=sampling_gap)
+        exact = assert_oracles_agree(params, self.prover(params))
+        assert exact.reject_by_reason["band-not-live"] > 0
+
+    def test_replay_through_tiny_interval(self):
+        params = raw_params()
+        layout = params.layout
+        w = self.WEIGHTS
+
+        def offset(weights, index):
+            scaled, _total = scale_weights(weights)
+            return sum(scaled[:index])
+
+        shift_totals = [sum((w[j] for iv in layout.intervals[s] for j in iv), Fraction(0)) for s in layout.shifts]
+        interval_totals = [sum((w[j] for j in layout.interval(1, k)), Fraction(0)) for k in layout.index_range]
+        assert layout.interval(1, 2) == (6,)
+        coins = [
+            offset(shift_totals, layout.shifts.index(1)),
+            offset(interval_totals, 2),
+            0, 0, 0,  # the hash coefficients a, b, c of an m=0 hash
+            0,  # the only band of the interval
+        ]
+        prover = self.prover(params)
+        tr = run_protocol(params, prover, replay_coins=coins)
+        assert tr.outcome.reason == "band-not-live"
+        assert tr.coins == coins
+        assert replay(params, prover, tr).to_json() == tr.to_json()

@@ -19,6 +19,8 @@ from coinpress.protocol import (
     DegenerateChoiceError,
     ProtocolParams,
     ProverStrategy,
+    band_mass_sum,
+    challenge_width,
     check_sets,
     choose_challenge,
     choose_element,
@@ -491,6 +493,40 @@ class TestHonestProver:
         assert tr.outcome.kind == "output"
         digest = hashlib.sha256(tr.to_json().encode()).hexdigest()
         assert digest == "ef4147b74aa32fa6c7fc3b0ca41082827f13cbf1929e0f22bb9e64a096f2f848"
+
+
+class TestChallengeWidth:
+    def test_matches_float_formula_without_underflow(self):
+        rng = random.Random(4)
+        for _ in range(200):
+            params = tiny_params(
+                eps=rng.choice([1.0, 0.5, 0.3]), sampling_gap=rng.choice([0.5, 1.0, 2.7, 4.0])
+            )
+            weights = [Fraction(rng.randrange(50), rng.randrange(1, 400)) for _ in range(params.t + 1)]
+            for s in params.layout.shifts:
+                for k in params.layout.index_range:
+                    interval = params.layout.interval(s, k)
+                    z = band_mass_sum(weights, interval, params.eps)
+                    if z == 0:
+                        continue
+                    level = math.log2(z)
+                    m = max(0, math.floor(level - params.sampling_gap))
+                    frac_part = (level - params.sampling_gap) - math.floor(level - params.sampling_gap)
+                    assert challenge_width(weights, interval, z, params) == (
+                        m, params.sampling_gap + frac_part
+                    )
+
+    def test_underflow_uses_exact_logs(self):
+        params = tiny_params()
+        weights = [Fraction(0)] * 7
+        weights[5] = Fraction(1, 2**1201)
+        weights[6] = Fraction(1, 2**1201)
+        z = band_mass_sum(weights, (5, 6), params.eps)
+        assert z == 0
+        # level = log2(2**5 / 2**1201 + 2**6 / 2**1201) = log2(3) - 1196
+        m, g = challenge_width(weights, (5, 6), z, params)
+        assert m == 0
+        assert g == pytest.approx(params.sampling_gap + (math.log2(3) - 1196 - params.sampling_gap) % 1)
 
 
 class TestTrivialProtocol:
