@@ -21,6 +21,8 @@ from coinpress.protocol import (
     HonestProver,
     ProtocolParams,
     ProverStrategy,
+    band_mass_sum,
+    check_b_window,
     compute_live_bands,
     pick_by_offset,
     scale_weights,
@@ -28,7 +30,7 @@ from coinpress.protocol import (
 
 
 class RejectNowProver(ProverStrategy):
-    """Sends an all-zero histogram, which fails the round-1 mass check."""
+    """Sends no histogram (None), which round 1 rejects as malformed."""
 
     def produce_histogram(self):
         return None
@@ -181,21 +183,14 @@ class InflatingProver(ProverStrategy):
         # Spare pool: everything hashing to the zero target, used to pad
         # sets up to the cardinality window's lower edge.
         pool = [x for x in range(1 << params.n) if f.eval(x) == 0]
-        z = sum((2.0 ** (i * params.eps)) * float(self.claimed_weights[i]) for i in interval)
+        z = band_mass_sum(self.claimed_weights, interval, params.eps)
         used: set[int] = set()
         out = {}
         for i in active:
             members = [
                 x for x in self._true_buckets.get(i - self.shift, []) if f.eval(x) == 0
             ]
-            w_f = float(self.claimed_weights[i])
-            if m == 0:
-                lo = (2.0 ** (i * params.eps)) * w_f
-                hi = (2.0 ** ((i + 1) * params.eps)) * w_f
-            else:
-                base = (2.0 ** g) / z
-                lo = (2.0 ** (-params.eps)) * base * (2.0 ** (i * params.eps)) * w_f
-                hi = (2.0 ** params.eps) * base * (2.0 ** ((i + 1) * params.eps)) * w_f
+            lo, hi = check_b_window(i, float(self.claimed_weights[i]), m, g, z, params.eps)
             want_lo = max(0, int(-(-lo // 1)))
             want_hi = int(hi // 1)
             chosen = [x for x in members if x not in used][: max(want_hi, want_lo)]

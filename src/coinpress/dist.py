@@ -268,19 +268,15 @@ class IntervalLayout:
         return self.intervals[s][i]
 
     def interval_index_of(self, s: int, j: int) -> Optional[int]:
-        """Index i with j in interval i of shift s, or None when j is in a gap."""
-        return self._member_index[s].get(j)
-
-    @property
-    def _member_index(self) -> dict[int, dict[int, int]]:
-        idx = getattr(self, "_member_index_cache", None)
-        if idx is None:
-            idx = {
-                s: {j: i for i, members in enumerate(ivs) for j in members}
-                for s, ivs in self.intervals.items()
-            }
-            object.__setattr__(self, "_member_index_cache", idx)
-        return idx
+        """Index i with j in interval i of shift s, or None when j is in a gap
+        or outside 0..t."""
+        if not 0 <= j <= self.t:
+            return None
+        if j <= s:
+            return 0
+        # Past the stub, each period is a gap of gap_size then an interval.
+        q, r = divmod(j - s - 1, self.gap_size + self.interval_size)
+        return None if r < self.gap_size else q + 1
 
 
 def interval_layout(t: int, gap_size: int, interval_size: int) -> IntervalLayout:

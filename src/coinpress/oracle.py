@@ -21,29 +21,28 @@ fact that those statements are per-deterministic-prover guarantees; the
 public output distribution is the support-weighted mixture.
 
 Two enumerators are kept deliberately separate: a structured one that
-reuses the protocol engine's own check and finalize code, and a flat one
-that re-derives every step inline. Tests fail the build if they disagree.
+reuses the protocol engine's own tables (``VerifierTables``), check and
+finalize code, and a flat one that re-derives every step inline. Tests
+fail the build if they disagree.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from coinpress.dist import TAU, Histogram, buckets, build_histogram, interval_weights
+from coinpress.dist import TAU, buckets, build_histogram
 from coinpress.hashing import ZERO_SET_MAX_N, HashFunction, family, zero_set_masks
 from coinpress.protocol import (
     MODE_TRIVIAL,
-    ChallengeContext,
     ProtocolParams,
     ProverStrategy,
-    band_mass_sum,
-    challenge_width,
+    VerifierTables,
     check_sets,
     compute_live_bands,
     finalize,
@@ -106,8 +105,6 @@ OutputKey = tuple  # (x, band, p)
 
 @dataclass
 class ShiftTables:
-    weight: Fraction  # total histogram mass inside this shift's intervals
-    interval_weights: dict[int, Fraction]
     # per interval index: (m, g, active bands, band-mass sum, rows); rows is
     # None for a hash-width rejection, else [(f, count, reason, sets)] with
     # one row per zero-set pattern (f its first member in family order,
@@ -127,9 +124,8 @@ class ComponentRun:
     q: Fraction
     strategy: ProverStrategy
     params: ProtocolParams
-    weights: Optional[list[Fraction]]
+    tables: Optional[VerifierTables]  # None when the component rejects in round 1
     reject_reason: Optional[str]
-    live: set[int] = field(default_factory=set)
     shift_total: Fraction = Fraction(0)
     shifts: dict[int, ShiftTables] = field(default_factory=dict)
     outputs: dict[OutputKey, Fraction] = field(default_factory=dict)
@@ -140,12 +136,12 @@ class ComponentRun:
     def shift_prob(self, s: int) -> Fraction:
         if self.shift_total == 0:
             return Fraction(0)
-        return self.shifts[s].weight / self.shift_total
+        return self.tables.shift_weights[s] / self.shift_total
 
     def shift_weight(self, s: int) -> Fraction:
         if self.reject_reason is not None or s not in self.shifts:
             return Fraction(0)
-        return self.shifts[s].weight
+        return self.tables.shift_weights[s]
 
     def shift_conditional(self, s: int) -> dict[OutputKey, Fraction]:
         blob = self.per_shift.get(s)
@@ -213,37 +209,22 @@ class HashFamily:
 def _build_component(
     params: ProtocolParams, q: Fraction, strat: ProverStrategy, hash_family: HashFamily,
 ) -> ComponentRun:
-    raw = strat.produce_histogram()
-    reason = validate_histogram_message(raw, params)
+    tables, reason = validate_histogram_message(strat.produce_histogram(), params)
+    comp = ComponentRun(q=q, strategy=strat, params=params, tables=tables, reject_reason=reason)
     if reason is not None:
-        comp = ComponentRun(
-            q=q, strategy=strat, params=params, weights=None, reject_reason=reason,
-        )
         comp.rejects = {reason: Fraction(1)}
         return comp
-    weights = [Fraction(w) for w in raw]
-    live = compute_live_bands(weights, params)
-    layout = params.layout
-    hist = Histogram(eps=params.eps, t=params.t, weights=tuple(weights))
-    comp = ComponentRun(
-        q=q, strategy=strat, params=params, weights=weights,
-        reject_reason=None, live=live,
-    )
-    live_set = frozenset(live)
-    for s in layout.shifts:
-        per_interval, total = interval_weights(hist, layout, s)
+    for s in params.layout.shifts:
         challenges: dict[int, tuple] = {}
         placements: dict[int, dict[tuple[int, int], int]] = {}
-        for k in layout.index_range:
-            if per_interval[k] == 0:
+        for k in params.layout.index_range:
+            pending = tables.challenges.get((s, k))
+            if pending is None:  # an interval of zero mass is never drawn
                 continue
-            interval = layout.interval(s, k)
-            z = band_mass_sum(weights, interval, params.eps)
-            m, g = challenge_width(weights, interval, z, params)
+            m, g = pending.m, pending.g
             if m > params.n:
-                challenges[k] = (m, g, (), z, None)
+                challenges[k] = (m, g, (), pending.band_mass_sum, None)
                 continue
-            active = tuple(sorted(i for i in interval if i in live))
             if strat.depends_on_hash_zero_set:
                 source = hash_family.patterns(m)
             else:
@@ -251,24 +232,17 @@ def _build_component(
             rows = []
             hits: dict[tuple[int, int], int] = {}
             for f, count in source:
-                ctx = ChallengeContext(
-                    s=s, k=k, live=live_set, interval=interval,
-                    active=active, g=g, m=m, f=f, band_mass_sum=z,
-                )
                 sets = strat.produce_sets(s, k, f, g, m)
-                normalized, why = check_sets(sets, weights, ctx, params)
+                normalized, why = check_sets(sets, tables.floats, replace(pending, f=f), params)
                 rows.append((f, count, why, normalized))
                 if why is None:
                     for j, members in normalized.items():
                         for x in members:
                             hits[(x, j)] = hits.get((x, j), 0) + count
-            challenges[k] = (m, g, active, z, rows)
+            challenges[k] = (m, g, pending.active, pending.band_mass_sum, rows)
             placements[k] = hits
-        comp.shifts[s] = ShiftTables(
-            weight=total, interval_weights=per_interval, challenges=challenges,
-            placements=placements,
-        )
-    comp.shift_total = sum((st.weight for st in comp.shifts.values()), Fraction(0))
+        comp.shifts[s] = ShiftTables(challenges=challenges, placements=placements)
+    comp.shift_total = sum(tables.shift_weights.values(), Fraction(0))
     _fill_component_distribution(comp)
     return comp
 
@@ -278,21 +252,22 @@ def _fill_component_distribution(comp: ComponentRun):
     if comp.shift_total == 0:
         comp.rejects = {REJECT_DEGENERATE: Fraction(1)}
         return
-    weights = comp.weights
+    weights = comp.tables.weights
     family_size = Fraction(1, 8 ** params.n)
     for s, st in comp.shifts.items():
-        if st.weight == 0:
+        w_s, per_interval = comp.tables.shift_weights[s], comp.tables.interval_weights[s]
+        if w_s == 0:
             continue
         s_prob = comp.shift_prob(s)
         s_outputs: dict[OutputKey, Fraction] = {}
         s_rejects: dict[str, Fraction] = {}
         for k, (m, g, active, z, rows) in st.challenges.items():
-            k_prob = st.interval_weights[k] / st.weight
+            k_prob = per_interval[k] / w_s
             if rows is None:
                 _accumulate(s_rejects, REJECT_HASH_WIDTH, k_prob)
                 continue
             interval = params.layout.interval(s, k)
-            interval_mass = st.interval_weights[k]
+            interval_mass = per_interval[k]
             for _f, count, why, sets in rows:
                 f_prob = k_prob * count * family_size
                 if why is not None:
@@ -322,7 +297,7 @@ def _fill_component_distribution(comp: ComponentRun):
 
 
 def _build_trivial_component(params: ProtocolParams, q: Fraction, strat: ProverStrategy) -> ComponentRun:
-    comp = ComponentRun(q=q, strategy=strat, params=params, weights=None, reject_reason=None)
+    comp = ComponentRun(q=q, strategy=strat, params=params, tables=None, reject_reason=None)
     table = parse_table(strat.produce_table())
     reason = validate_table(table, params)
     if reason is not None:
@@ -408,13 +383,13 @@ class OracleRun:
         for comp in self.components:
             if comp.reject_reason is not None or comp.shift_total == 0:
                 continue
-            for s, st in comp.shifts.items():
-                if st.weight == 0:
+            for s, w_s in comp.tables.shift_weights.items():
+                if w_s == 0:
                     continue
-                for k, wk in st.interval_weights.items():
+                for k, wk in comp.tables.interval_weights[s].items():
                     if wk == 0:
                         continue
-                    _accumulate(out, (s, k), comp.q * comp.shift_prob(s) * wk / st.weight)
+                    _accumulate(out, (s, k), comp.q * comp.shift_prob(s) * wk / w_s)
         return out
 
 
@@ -473,7 +448,12 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
                     _accumulate(outputs, (x, None, p), q * p)
             continue
         raw = strat.produce_histogram()
-        bad = raw is None or len(raw) != params.t + 1
+        try:
+            len(raw)
+            raw = tuple(raw)
+            bad = len(raw) != params.t + 1
+        except TypeError:
+            bad = True
         if not bad:
             bad = any(not isinstance(w, (int, Fraction)) for w in raw)
         if not bad:

@@ -17,12 +17,14 @@ global tolerance so an honest prover is never rejected by rounding.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import itertools
 import json
 import math
+import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -141,9 +143,9 @@ class ProtocolParams:
             set_cap=set_cap,
         )
 
-    @property
+    @functools.cached_property
     def layout(self) -> IntervalLayout:
-        return _layout_cached(self.t, self.gap_size, self.interval_size)
+        return interval_layout(self.t, self.gap_size, self.interval_size)
 
     @property
     def live_threshold(self) -> Fraction:
@@ -151,6 +153,10 @@ class ProtocolParams:
         return Fraction(self.eps) / (2 * self.t)
 
     def digest(self) -> str:
+        return self._digest
+
+    @functools.cached_property
+    def _digest(self) -> str:
         blob = json.dumps(
             {
                 "n": self.n, "eps": repr(self.eps), "delta": repr(self.delta),
@@ -179,16 +185,6 @@ class ProtocolParams:
             "sampling_gap": self.sampling_gap,
             "num_shifts": self.interval_size // self.gap_size + 1,
         }
-
-
-_LAYOUT_CACHE: dict[tuple[int, int, int], IntervalLayout] = {}
-
-
-def _layout_cached(t: int, g: int, iv: int) -> IntervalLayout:
-    key = (t, g, iv)
-    if key not in _LAYOUT_CACHE:
-        _LAYOUT_CACHE[key] = interval_layout(t, g, iv)
-    return _LAYOUT_CACHE[key]
 
 
 def _sampling_gap(t: int, interval_size_raw: float, eps: float) -> float:
@@ -247,6 +243,12 @@ def scale_weights(weights: Sequence[Fraction]) -> tuple[list[int], int]:
     return scaled, sum(scaled)
 
 
+def cumulative_weights(weights: Sequence[Fraction]) -> tuple[int, ...]:
+    """Running sums of ``scale_weights(weights)``: the table ``CoinSource.pick``
+    draws from."""
+    return tuple(itertools.accumulate(scale_weights(weights)[0]))
+
+
 def pick_by_offset(scaled: Sequence[int], u: int) -> int:
     """Index selected by the integer coin u in [0, sum(scaled))."""
     acc = 0
@@ -283,10 +285,16 @@ class CoinSource:
 
     def weighted_index(self, weights: Sequence[Fraction]) -> int:
         """Index i chosen with probability weights[i] / sum(weights)."""
-        scaled, total = scale_weights(weights)
-        if total == 0:
+        return self.pick(cumulative_weights(weights))
+
+    def pick(self, cumulative: Sequence[int]) -> int:
+        """Index i chosen with probability proportional to its step
+        cumulative[i] - cumulative[i - 1]: one coin u below the total, and
+        the first i with u < cumulative[i] (``pick_by_offset`` by bisection).
+        """
+        if not cumulative or cumulative[-1] == 0:
             raise DegenerateChoiceError("all weights are zero")
-        return pick_by_offset(scaled, self.randrange(total))
+        return bisect.bisect_right(cumulative, self.randrange(cumulative[-1]))
 
 
 def weighted_choice(items: Sequence[tuple], rng) -> object:
@@ -369,7 +377,7 @@ def _message_json(msg: tuple):
     if kind == "histogram":
         if msg[1] is None:
             return {"kind": kind, "weights": None}
-        return {"kind": kind, "weights": [fraction_to_str(Fraction(w)) for w in msg[1]]}
+        return {"kind": kind, "weights": [_weight_json(w) for w in msg[1]]}
     if kind == "challenge":
         s, k, f = msg[1], msg[2], msg[3]
         return {"kind": kind, "s": s, "k": k, "f": f.to_json_obj() if f else None}
@@ -397,6 +405,13 @@ def _message_json(msg: tuple):
             "entries": [[element_to_hex(x, n), probability_json(p)] for x, p in msg[1]],
         }
     raise ValueError(f"unknown message kind {kind}")
+
+
+def _weight_json(w):
+    # A malformed histogram may list floats, strings or junk; keep only their type.
+    if isinstance(w, (int, Fraction)):
+        return fraction_to_str(Fraction(w))
+    return {"malformed": type(w).__name__}
 
 
 def _element_json(x, n: int):
@@ -523,29 +538,40 @@ def honest_prover(dist: ExplicitDistribution, params: ProtocolParams) -> HonestP
 # Verifier rounds
 
 
-def validate_histogram_message(weights, params: ProtocolParams) -> Optional[str]:
-    """None when the histogram message is well-formed, else a reject reason."""
-    if weights is None or len(weights) != params.t + 1:
-        return REJECT_MALFORMED_HISTOGRAM
-    total = Fraction(0)
-    for w in weights:
-        if not isinstance(w, (int, Fraction)):
-            return REJECT_MALFORMED_HISTOGRAM
-        w = Fraction(w)
-        if w < 0:
-            return REJECT_MALFORMED_HISTOGRAM
-        total += w
-    if not (1 - Fraction(1, 2**params.n)) <= total <= 1:
-        return REJECT_HISTOGRAM_SUM
-    return None
+_NUMERATOR = operator.attrgetter("numerator")
+_DENOMINATOR = operator.attrgetter("denominator")
+
+
+def validate_histogram_message(weights, params: ProtocolParams):
+    """Round 1: (tables, None) for a well-formed histogram message, else
+    (None, reject reason).
+
+    The message must be a sized iterable of t+1 int or Fraction entries;
+    ``bool`` is an ``int``, so True and False are the weights 1 and 0. This
+    is the verifier's only per-run pass over it: the entries become one
+    flat int key, numerators then denominators, without building a
+    Fraction, and everything else is looked up in ``verifier_tables``.
+    """
+    weights = _histogram_record(weights)
+    # map() keeps the per-entry work in C: this is most of a cached run.
+    if (
+        weights is None
+        or len(weights) != params.t + 1
+        or not all(map(isinstance, weights, itertools.repeat((int, Fraction))))
+    ):
+        return None, REJECT_MALFORMED_HISTOGRAM
+    tables = verifier_tables(params, (*map(_NUMERATOR, weights), *map(_DENOMINATOR, weights)))
+    if tables.reason is not None:
+        return None, tables.reason
+    return tables, None
 
 
 def verifier_round1(weights, params: ProtocolParams):
     """Check the received histogram; return (live band set, reject reason)."""
-    reason = validate_histogram_message(weights, params)
+    tables, reason = validate_histogram_message(weights, params)
     if reason is not None:
         return None, reason
-    return compute_live_bands(weights, params), None
+    return tables.live, None
 
 
 @dataclass(frozen=True)
@@ -559,8 +585,78 @@ class ChallengeContext:
     active: tuple[int, ...]  # live bands of the chosen interval, sorted
     g: float
     m: int
-    f: HashFunction
+    f: Optional[HashFunction]  # None until the hash is drawn
     band_mass_sum: float  # sum of 2**(i*eps) * h_i over the interval
+
+
+@dataclass(frozen=True)
+class VerifierTables:
+    """Every pure function of (params, histogram) the verifier reads.
+
+    ``reason`` is the round-1 verdict on the entries' values; the other
+    fields are empty unless it is None. ``challenges`` holds, per interval
+    (s, k) of positive mass, the challenge context before the hash is
+    drawn; m > n there marks a hash-width reject. The ``*_draw`` fields are
+    ``cumulative_weights`` tables, so each draw spends exactly the coin
+    ``CoinSource.weighted_index`` would on the same weights.
+    """
+
+    reason: Optional[str]
+    weights: tuple[Fraction, ...] = ()
+    floats: tuple[float, ...] = ()
+    live: frozenset[int] = frozenset()
+    shift_weights: dict[int, Fraction] = field(default_factory=dict)
+    interval_weights: dict[int, dict[int, Fraction]] = field(default_factory=dict)
+    challenges: dict[tuple[int, int], ChallengeContext] = field(default_factory=dict)
+    shift_draw: tuple[int, ...] = ()  # over layout.shifts
+    interval_draw: dict[int, tuple[int, ...]] = field(default_factory=dict)  # over index_range
+    band_draw: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)  # over the interval
+
+
+# Workloads see few distinct histograms (one per prover component, three
+# for the compiled toy protocol); the bound caps the memory that a stream
+# of ever-new histograms can pin.
+TABLES_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=TABLES_CACHE_SIZE)
+def verifier_tables(params: ProtocolParams, key: tuple[int, ...]) -> VerifierTables:
+    """Compile the verifier for one histogram, given as the int key that
+    ``validate_histogram_message`` builds. Later runs on an equal histogram
+    find the result in the cache."""
+    half = len(key) // 2
+    weights = tuple(map(Fraction, key[:half], key[half:]))
+    if any(w < 0 for w in weights):
+        return VerifierTables(REJECT_MALFORMED_HISTOGRAM)
+    if not (1 - Fraction(1, 2**params.n)) <= sum(weights, Fraction(0)) <= 1:
+        return VerifierTables(REJECT_HISTOGRAM_SUM)
+    layout = params.layout
+    floats = tuple(map(float, weights))
+    live = frozenset(compute_live_bands(weights, params))
+    hist = Histogram(eps=params.eps, t=params.t, weights=weights)
+    shift_weights, per_shift, challenges, interval_draw, band_draw = {}, {}, {}, {}, {}
+    for s in layout.shifts:
+        per_interval, shift_weights[s] = interval_weights(hist, layout, s)
+        per_shift[s] = per_interval
+        interval_draw[s] = cumulative_weights([per_interval[k] for k in layout.index_range])
+        for k in layout.index_range:
+            if per_interval[k] == 0:
+                continue
+            interval = layout.interval(s, k)
+            z = band_mass_sum(floats, interval, params.eps)
+            m, g = challenge_width(weights, interval, z, params)
+            challenges[(s, k)] = ChallengeContext(
+                s=s, k=k, live=live, interval=interval,
+                active=tuple(i for i in interval if i in live),
+                g=g, m=m, f=None, band_mass_sum=z,
+            )
+            band_draw[(s, k)] = cumulative_weights([weights[i] for i in interval])
+    return VerifierTables(
+        reason=None, weights=weights, floats=floats, live=live,
+        shift_weights=shift_weights, interval_weights=per_shift, challenges=challenges,
+        shift_draw=cumulative_weights([shift_weights[s] for s in layout.shifts]),
+        interval_draw=interval_draw, band_draw=band_draw,
+    )
 
 
 def band_mass_sum(weights, interval: Sequence[int], eps: float) -> float:
@@ -591,63 +687,32 @@ def challenge_width(weights, interval: Sequence[int], z: float, params: Protocol
     return m, g
 
 
-def _challenge_tables(weights_key: tuple, params: ProtocolParams):
-    """Pure function of (histogram, params): liveness, per-shift interval
-    weights, and per-interval band-mass sums. Memoized on the params object
-    because verifier draws re-derive it for every run."""
-    cache = getattr(params, "_challenge_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(params, "_challenge_cache", cache)
-    entry = cache.get(weights_key)
-    if entry is None:
-        layout = params.layout
-        live = compute_live_bands(weights_key, params)
-        hist = Histogram(eps=params.eps, t=params.t, weights=weights_key)
-        per_shift = {}
-        for s in layout.shifts:
-            per_interval, total = interval_weights(hist, layout, s)
-            per_shift[s] = (per_interval, total)
-        zsums = {
-            (s, k): band_mass_sum(weights_key, layout.interval(s, k), params.eps)
-            for s in layout.shifts
-            for k in layout.index_range
-        }
-        entry = (live, per_shift, zsums)
-        if len(cache) > 64:
-            cache.clear()
-        cache[weights_key] = entry
-    return entry
-
-
-def choose_challenge(weights, params: ProtocolParams, coins: CoinSource):
+def choose_challenge(tables: VerifierTables, params: ProtocolParams, coins: CoinSource):
     """Draw shift, interval, and hash; returns (context, reject reason)."""
     layout = params.layout
-    weights_key = tuple(Fraction(w) for w in weights)
-    live, per_shift, zsums = _challenge_tables(weights_key, params)
-    shift_weights = [per_shift[s][1] for s in layout.shifts]
     try:
-        s = layout.shifts[coins.weighted_index(shift_weights)]
+        s = layout.shifts[coins.pick(tables.shift_draw)]
     except DegenerateChoiceError:
         return None, REJECT_DEGENERATE
-    per_interval, _ = per_shift[s]
-    interval_indexes = list(layout.index_range)
-    try:
-        k = interval_indexes[coins.weighted_index([per_interval[i] for i in interval_indexes])]
-    except DegenerateChoiceError:
-        return None, REJECT_DEGENERATE
-    interval = layout.interval(s, k)
-    z = zsums[(s, k)]
-    m, g = challenge_width(weights_key, interval, z, params)
-    if m > params.n:
+    # Shift s has positive mass, so its interval draw is not degenerate.
+    ctx = tables.challenges[(s, layout.index_range[coins.pick(tables.interval_draw[s])])]
+    if ctx.m > params.n:
         return None, REJECT_HASH_WIDTH
-    f = sample_hash(params.n, m, coins)
-    active = tuple(sorted(i for i in interval if i in live))
-    ctx = ChallengeContext(
-        s=s, k=k, live=frozenset(live), interval=interval, active=active,
-        g=g, m=m, f=f, band_mass_sum=z,
-    )
-    return ctx, None
+    return replace(ctx, f=sample_hash(params.n, ctx.m, coins)), None
+
+
+def check_b_window(i: int, w_f: float, m: int, g: float, z: float, eps: float) -> tuple[float, float]:
+    """Check (b)'s cardinality window [lo, hi], before widening by TAU, for
+    band i of mass w_f under hash width m and centring g, in an interval
+    with band-mass sum z."""
+    if m == 0:
+        lo = (2.0 ** (i * eps)) * w_f
+        hi = (2.0 ** ((i + 1) * eps)) * w_f
+    else:
+        base = (2.0 ** g) / z
+        lo = (2.0 ** (-eps)) * base * (2.0 ** (i * eps)) * w_f
+        hi = (2.0 ** eps) * base * (2.0 ** ((i + 1) * eps)) * w_f
+    return lo, hi
 
 
 def check_sets(sets, weights, ctx: ChallengeContext, params: ProtocolParams):
@@ -679,18 +744,9 @@ def check_sets(sets, weights, ctx: ChallengeContext, params: ProtocolParams):
         for x in normalized[i]:
             if ctx.f.eval(x) != 0:
                 return None, REJECT_CHECK_A
-    eps = params.eps
     for i in ctx.active:
-        w_f = float(weights[i])
-        size = len(normalized[i])
-        if ctx.m == 0:
-            lo = (2.0 ** (i * eps)) * w_f
-            hi = (2.0 ** ((i + 1) * eps)) * w_f
-        else:
-            base = (2.0 ** ctx.g) / ctx.band_mass_sum
-            lo = (2.0 ** (-eps)) * base * (2.0 ** (i * eps)) * w_f
-            hi = (2.0 ** eps) * base * (2.0 ** ((i + 1) * eps)) * w_f
-        if not (lo * (1.0 - TAU) <= size <= hi * (1.0 + TAU)):
+        lo, hi = check_b_window(i, float(weights[i]), ctx.m, ctx.g, ctx.band_mass_sum, params.eps)
+        if not (lo * (1.0 - TAU) <= len(normalized[i]) <= hi * (1.0 + TAU)):
             return None, REJECT_CHECK_B
     seen: set[int] = set()
     for i in ctx.active:
@@ -701,13 +757,10 @@ def check_sets(sets, weights, ctx: ChallengeContext, params: ProtocolParams):
     return normalized, None
 
 
-def choose_element(weights, ctx: ChallengeContext, sets, coins: CoinSource):
+def choose_element(tables: VerifierTables, ctx: ChallengeContext, sets, coins: CoinSource):
     """Draw the band and element; returns ((band, element), reject reason)."""
-    try:
-        pos = coins.weighted_index([Fraction(weights[i]) for i in ctx.interval])
-    except DegenerateChoiceError:
-        return None, REJECT_DEGENERATE
-    j = ctx.interval[pos]
+    # The interval was drawn by its mass, so its band draw is not degenerate.
+    j = ctx.interval[coins.pick(tables.band_draw[(ctx.s, ctx.k)])]
     if j not in ctx.active:
         return None, REJECT_BAND_NOT_LIVE
     members = sets[j]
@@ -757,25 +810,24 @@ def run_protocol(
     messages: list = []
     prover.begin_run()
 
-    raw_weights = prover.produce_histogram()
-    messages.append(("histogram", tuple(raw_weights) if raw_weights is not None else None))
-    reason = validate_histogram_message(raw_weights, params)
+    weights = _histogram_record(prover.produce_histogram())
+    messages.append(("histogram", weights))
+    tables, reason = validate_histogram_message(weights, params)
     if reason is not None:
         return _finish(params, messages, coins, Outcome.reject(reason), trial)
-    weights = [Fraction(w) for w in raw_weights]
 
-    ctx, reason = choose_challenge(weights, params, coins)
+    ctx, reason = choose_challenge(tables, params, coins)
     if reason is not None:
         return _finish(params, messages, coins, Outcome.reject(reason), trial)
     messages.append(("challenge", ctx.s, ctx.k, ctx.f))
 
     raw_sets = prover.produce_sets(ctx.s, ctx.k, ctx.f, ctx.g, ctx.m)
     messages.append(("sets", _sets_record(raw_sets), params.n))
-    sets, reason = check_sets(raw_sets, weights, ctx, params)
+    sets, reason = check_sets(raw_sets, tables.floats, ctx, params)
     if reason is not None:
         return _finish(params, messages, coins, Outcome.reject(reason), trial)
 
-    picked, reason = choose_element(weights, ctx, sets, coins)
+    picked, reason = choose_element(tables, ctx, sets, coins)
     if reason is not None:
         return _finish(params, messages, coins, Outcome.reject(reason), trial)
     j, x = picked
@@ -785,6 +837,16 @@ def run_protocol(
     messages.append(("probability", p_msg))
     outcome = finalize(j, x, p_msg, params)
     return _finish(params, messages, coins, outcome, trial)
+
+
+def _histogram_record(raw):
+    """The histogram message as a transcript keeps it: a tuple of its
+    entries, or None when it is not a sized iterable."""
+    try:
+        len(raw)
+        return tuple(raw)
+    except TypeError:
+        return None
 
 
 def _sets_record(raw_sets):

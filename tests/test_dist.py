@@ -288,6 +288,16 @@ class TestIntervalLayout:
             assert hits == len(layout.shifts) - 1
 
 
+    @given(st.integers(1, 40), st.integers(1, 4), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_interval_index_of_matches_intervals(self, t, g, mult):
+        layout = interval_layout(t, g, g * mult)
+        for s in layout.shifts:
+            expected = {j: i for i, members in enumerate(layout.intervals[s]) for j in members}
+            for j in range(-2, t + 3):
+                assert layout.interval_index_of(s, j) == expected.get(j), (t, g, mult, s, j)
+
+
 class TestIntervalWeights:
     def test_single_loaded_band(self):
         d = ExplicitDistribution.uniform(3, [0, 1, 2, 3])  # all mass in band 2

@@ -1,5 +1,6 @@
 """Private-to-public-coin compiler: conditionals, toy protocol, bounds."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -201,6 +202,21 @@ class TestTransformRun:
         tr = transform_run(toy.spec, None, Saboteur(), mp, cp, random.Random(0))
         assert not tr.accept
         assert tr.sampling_reject_round == 0
+
+    def test_seeded_runs_pinned(self):
+        # 200 seeded runs each on the member and the non-member at eps=0.02
+        # (t=300), with the state of each run's coin stream after the run.
+        runs = []
+        for instance in (MEMBER, NONMEMBER):
+            toy = toy_protocol(instance)
+            prover = HonestTransformProver(toy.spec, None, toy.honest_answer)
+            message_params, coin_params = sampling_params_for(toy.spec, 0.02, 0.25)
+            for seed in range(200):
+                rng = random.Random(seed)
+                am = transform_run(toy.spec, None, prover, message_params, coin_params, rng)
+                runs.append((am, rng.getrandbits(32)))
+        digest = hashlib.sha256(repr(runs).encode()).hexdigest()
+        assert digest == "d3f823da797343a165ac999a714d553520af9360d71a7df4930178fd3628ef53"
 
     def test_width_mismatch_raises(self):
         # three-symbol alphabet: message width 6, coin width 4

@@ -3,7 +3,11 @@
 import random
 from fractions import Fraction
 
+import json
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coinpress.adversaries import (
     MixtureProver,
@@ -566,6 +570,23 @@ class TestMalformedMessages:
         exact = assert_oracles_agree(params, prover)
         assert exact.reject_by_reason == {"malformed-sets": Fraction(1)}
 
+    def test_non_iterable_histogram(self):
+        params = raw_params()
+        prover = ScriptedProver({"histogram": 5})
+        self.check_run(params, prover, "malformed-histogram")
+        exact = assert_oracles_agree(params, prover)
+        assert exact.reject_by_reason == {"malformed-histogram": Fraction(1)}
+
+    @pytest.mark.parametrize("bad", ["1/2", 0.5, None, [1]])
+    def test_rejected_weights_shown_as_malformed(self, bad):
+        params = raw_params()
+        weights = [0, Fraction(1, 2), bad, 0, 0, 0, 0]
+        tr = run_protocol(params, ScriptedProver({"histogram": weights}), rng=random.Random(0))
+        assert tr.outcome.reason == "malformed-histogram"
+        shown = json.loads(tr.to_json())["messages"][0]["weights"]
+        assert shown[:2] == ["0/1", "1/2"]
+        assert shown[2] == {"malformed": type(bad).__name__}
+
     @pytest.mark.parametrize(
         "table",
         [
@@ -635,3 +656,59 @@ class TestHashWidthUnderflow:
         assert tr.outcome.reason == "band-not-live"
         assert tr.coins == coins
         assert replay(params, prover, tr).to_json() == tr.to_json()
+
+
+# ---------------------------------------------------------------------------
+# Histogram intake fuzzing: any value in the histogram slot ends in an Outcome
+
+
+def histogram_values():
+    """Arbitrary values for the ScriptedProver histogram slot of a t=6
+    instance: junk scalars, entries of every type, wrong lengths, nested
+    lists, negative and huge weights, and well-typed histograms (ints,
+    bools and Fractions) whose sum may or may not pass round 1."""
+    junk = st.one_of(
+        st.none(), st.booleans(), st.floats(), st.text(max_size=4),
+        st.integers(-3, 3), st.integers(2**64, 2**80), st.integers(-(2**80), -(2**64)),
+        st.fractions(min_value=-1, max_value=1, max_denominator=50),
+        st.lists(st.integers(0, 1), max_size=2),
+    )
+    exact = st.one_of(
+        st.booleans(), st.integers(0, 2),
+        st.fractions(min_value=0, max_value=1, max_denominator=16),
+    )
+    parts = st.lists(st.integers(0, 4), min_size=7, max_size=7).filter(any)
+    return st.one_of(
+        junk,
+        st.lists(junk, max_size=9),
+        st.lists(exact, min_size=6, max_size=8),
+        st.lists(st.lists(exact, max_size=3), min_size=7, max_size=7),
+        parts.map(lambda c: [Fraction(x, sum(c)) for x in c]),
+        parts.map(lambda c: [Fraction(x, sum(c) + 1) for x in c]),
+        parts.map(lambda c: [x == max(c) for x in c]),
+    )
+
+
+class TestHistogramIntakeFuzz:
+    @given(histogram_values())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_every_histogram_ends_in_an_outcome(self, histogram):
+        """The verifier and both oracles are total over the histogram slot.
+        ``bool`` is an ``int``, so True/False entries are the weights 1/0."""
+        params = raw_params()
+        honest = honest_prover(skewed_dist(), params)
+        prover = ScriptedProver(
+            {"histogram": histogram, "sets": honest.produce_sets,
+             "probability": honest.produce_probability}
+        )
+        tr = run_protocol(params, prover, rng=random.Random(0))
+        assert tr.outcome.kind in ("output", "reject")
+        assert replay(params, prover, tr).to_json() == tr.to_json()
+        assert_oracles_agree(params, prover)
+
+    def test_bool_weights_are_int_weights(self):
+        params = raw_params()
+        weights = [False, True, False, False, False, False, False]
+        tr = run_protocol(params, ScriptedProver({"histogram": weights}), rng=random.Random(0))
+        assert tr.outcome.reason == "malformed-sets"  # round 1 passed
+        assert json.loads(tr.to_json())["messages"][0]["weights"][:2] == ["0/1", "1/1"]

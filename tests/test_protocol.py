@@ -25,6 +25,7 @@ from coinpress.protocol import (
     choose_challenge,
     choose_element,
     compute_live_bands,
+    cumulative_weights,
     derive_params,
     finalize,
     honest_prover,
@@ -33,7 +34,9 @@ from coinpress.protocol import (
     run_protocol,
     scale_weights,
     trivial_protocol,
+    validate_histogram_message,
     verifier_round1,
+    verifier_tables,
     weighted_choice,
 )
 
@@ -42,6 +45,12 @@ def tiny_params(**overrides):
     base = dict(n=3, eps=1.0, delta=0.5, t=6, gap_size=1, interval_size=2, sampling_gap=4.0)
     base.update(overrides)
     return ProtocolParams.raw(**base)
+
+
+def tables_for(weights, params):
+    tables, reason = validate_histogram_message(weights, params)
+    assert reason is None
+    return tables
 
 
 def tiny_dist():
@@ -126,6 +135,45 @@ class TestWeightedChoice:
         assert [replayed.weighted_index([Fraction(1), Fraction(3)]) for _ in range(10)] == picks
 
 
+class TestVerifierTables:
+    @given(st.lists(st.fractions(min_value=0, max_value=3, max_denominator=6), min_size=1, max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_bisect_pick_equals_pick_by_offset(self, weights):
+        scaled, total = scale_weights(weights)
+        cumulative = cumulative_weights(weights)
+        if total == 0:
+            with pytest.raises(DegenerateChoiceError):
+                CoinSource(replay=[0]).pick(cumulative)
+            return
+        assert cumulative[-1] == total
+        for u in range(total):
+            assert CoinSource(replay=[u]).pick(cumulative) == pick_by_offset(scaled, u)
+
+    def test_tables_built_once_per_histogram(self):
+        params = tiny_params()
+        prover = honest_prover(tiny_dist(), params)
+        verifier_tables.cache_clear()
+        before = verifier_tables.cache_info()
+        for seed in range(10):
+            run_protocol(params, prover, rng=random.Random(seed))
+        after = verifier_tables.cache_info()
+        assert after.misses - before.misses == 1
+        assert after.hits - before.hits == 9
+
+    def test_equal_values_share_tables(self):
+        # int and Fraction entries of equal value give one key
+        params = tiny_params()
+        as_ints = [0, 0, 1, 0, 0, 0, 0]
+        as_fractions = [Fraction(w) for w in as_ints]
+        assert tables_for(as_ints, params) is tables_for(as_fractions, params)
+
+    def test_sum_and_sign_verdicts(self):
+        params = tiny_params()
+        assert validate_histogram_message([Fraction(1, 2)] * 7, params) == (None, "histogram-sum")
+        negative = [Fraction(-1, 2), Fraction(3, 2), 0, 0, 0, 0, 0]
+        assert validate_histogram_message(negative, params) == (None, "malformed-histogram")
+
+
 class TestVerifierRound1:
     def test_honest_histogram_continues(self):
         params = tiny_params()
@@ -172,7 +220,7 @@ class TestChooseChallenge:
         w[2] = Fraction(1)
         seen = set()
         for seed in range(40):
-            ctx, reason = choose_challenge(w, params, CoinSource(rng=random.Random(seed)))
+            ctx, reason = choose_challenge(tables_for(w, params), params, CoinSource(rng=random.Random(seed)))
             assert reason is None
             seen.add((ctx.s, ctx.k))
             assert 2 in ctx.interval
@@ -181,7 +229,7 @@ class TestChooseChallenge:
     def test_m_zero_when_gap_large(self):
         params = tiny_params(sampling_gap=10.0)
         w = build_histogram(tiny_dist(), params.eps, params.t).weights
-        ctx, _ = choose_challenge(w, params, CoinSource(rng=random.Random(0)))
+        ctx, _ = choose_challenge(tables_for(w, params), params, CoinSource(rng=random.Random(0)))
         assert ctx.m == 0
         assert params.sampling_gap <= ctx.g < params.sampling_gap + 1
 
@@ -189,7 +237,7 @@ class TestChooseChallenge:
         params = tiny_params(sampling_gap=0.25)
         w = [Fraction(0)] * 7
         w[2] = Fraction(1)
-        ctx, _ = choose_challenge(w, params, CoinSource(rng=random.Random(0)))
+        ctx, _ = choose_challenge(tables_for(w, params), params, CoinSource(rng=random.Random(0)))
         # band-mass sum is 2^2 = 4, level 2: m = floor(2 - 0.25) = 1 and
         # g = 0.25 + frac(1.75) = 1.0, so level - g = m exactly
         assert ctx.m == 1
@@ -210,7 +258,7 @@ class TestChooseChallenge:
                 positions = rng.sample(range(7), 3)
                 for pos, part in zip(positions, parts):
                     w[pos] = Fraction(part, total)
-                ctx, reason = choose_challenge(w, params, CoinSource(rng=random.Random(trial)))
+                ctx, reason = choose_challenge(tables_for(w, params), params, CoinSource(rng=random.Random(trial)))
                 if reason is not None:
                     continue
                 assert isinstance(ctx.m, int) and ctx.m >= 0
@@ -235,7 +283,7 @@ class TestChooseChallenge:
         params = tiny_params(t=40, sampling_gap=0.0, eps=1.0)
         w = [Fraction(0)] * 41
         w[40] = Fraction(1)  # band-mass sum 2^40, m = 40 > n = 3
-        ctx, reason = choose_challenge(w, params, CoinSource(rng=random.Random(0)))
+        ctx, reason = choose_challenge(tables_for(w, params), params, CoinSource(rng=random.Random(0)))
         assert reason == "hash-width"
 
 
@@ -311,7 +359,7 @@ class TestChooseElement:
         w[2] = Fraction(1)
         ctx = m0_context(params, w, -1, 1)
         sets = {2: (6,)}
-        picked, reason = choose_element(w, ctx, sets, CoinSource(rng=random.Random(0)))
+        picked, reason = choose_element(tables_for(w, params), ctx, sets, CoinSource(rng=random.Random(0)))
         assert reason is None and picked == (2, 6)
 
     def test_band_below_threshold_rejects(self):
@@ -324,7 +372,7 @@ class TestChooseElement:
         sets = {2: (3, 5)}  # band 1 is not live, so no set for it
         rejected = False
         for seed in range(60):
-            picked, reason = choose_element(w, ctx, sets, CoinSource(rng=random.Random(seed)))
+            picked, reason = choose_element(tables_for(w, params), ctx, sets, CoinSource(rng=random.Random(seed)))
             if reason is not None:
                 assert reason == "band-not-live"
                 rejected = True
@@ -335,7 +383,7 @@ class TestChooseElement:
         w = [Fraction(0)] * 7
         w[2] = Fraction(1)
         ctx = m0_context(params, w, -1, 1)
-        picked, reason = choose_element(w, ctx, {2: ()}, CoinSource(rng=random.Random(0)))
+        picked, reason = choose_element(tables_for(w, params), ctx, {2: ()}, CoinSource(rng=random.Random(0)))
         assert reason == "empty-set"
 
 
