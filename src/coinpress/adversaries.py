@@ -161,9 +161,11 @@ class InflatingProver(ProverStrategy):
             if i + shift <= params.t:
                 shifted[i + shift] += w
         self.claimed_weights = tuple(shifted)
+        self._live = compute_live_bands(self.claimed_weights, params)
         self._true_buckets = {
             i: sorted(xs) for i, xs in buckets(dist, params.eps, params.t).items()
         }
+        self._plans: dict[tuple, tuple] = {}  # (s, k, m, g) -> _plan(s, k, m, g)
 
     def begin_run(self):
         pass
@@ -176,32 +178,44 @@ class InflatingProver(ProverStrategy):
     def produce_sets(self, s, k, f, g, m):
         if self.shift == 0:
             return self._honest.produce_sets(s, k, f, g, m)
-        params = self.params
-        live = compute_live_bands(self.claimed_weights, params)
-        interval = params.layout.interval(s, k)
-        active = [i for i in interval if i in live]
-        # Spare pool: everything hashing to the zero target, used to pad
-        # sets up to the cardinality window's lower edge.
-        pool = [x for x in range(1 << params.n) if f.eval(x) == 0]
-        z = band_mass_sum(self.claimed_weights, interval, params.eps)
+        plan = self._plans.get((s, k, m, g))
+        if plan is None:
+            plan = self._plans[(s, k, m, g)] = self._plan(s, k, m, g)
+        pool = None
         used: set[int] = set()
         out = {}
-        for i in active:
-            members = [
-                x for x in self._true_buckets.get(i - self.shift, []) if f.eval(x) == 0
-            ]
-            lo, hi = check_b_window(i, float(self.claimed_weights[i]), m, g, z, params.eps)
-            want_lo = max(0, int(-(-lo // 1)))
-            want_hi = int(hi // 1)
+        for i, bucket, want_lo, want_hi in plan:
+            members = [x for x in bucket if f.eval(x) == 0]
             chosen = [x for x in members if x not in used][: max(want_hi, want_lo)]
-            for x in pool:
-                if len(chosen) >= want_lo:
-                    break
-                if x not in used and x not in chosen:
-                    chosen.append(x)
+            if len(chosen) < want_lo:
+                if pool is None:
+                    # Spare pool: everything hashing to the zero target, used
+                    # to pad sets up to the cardinality window's lower edge.
+                    pool = [x for x in range(1 << self.params.n) if f.eval(x) == 0]
+                for x in pool:
+                    if len(chosen) >= want_lo:
+                        break
+                    if x not in used and x not in chosen:
+                        chosen.append(x)
             out[i] = sorted(chosen)
             used.update(chosen)
         return out
+
+    def _plan(self, s, k, m, g):
+        """Per live band of interval (s, k), in order: the true members
+        claimed there, and the smallest and largest set sizes inside its
+        cardinality window under hash width m and centring g."""
+        params = self.params
+        interval = params.layout.interval(s, k)
+        z = band_mass_sum(self.claimed_weights, interval, params.eps)
+        plan = []
+        for i in interval:
+            if i not in self._live:
+                continue
+            lo, hi = check_b_window(i, float(self.claimed_weights[i]), m, g, z, params.eps)
+            bucket = self._true_buckets.get(i - self.shift, [])
+            plan.append((i, bucket, max(0, int(-(-lo // 1))), int(hi // 1)))
+        return tuple(plan)
 
     def produce_probability(self, j, x):
         if self.shift == 0:

@@ -117,10 +117,6 @@ class ExplicitDistribution:
         return cls(n=n, mass=mass)
 
     @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, Fraction]]) -> "ExplicitDistribution":
-        return cls(n=n, mass=dict(pairs))
-
-    @classmethod
     def uniform(cls, n: int, elements: Iterable[int]) -> "ExplicitDistribution":
         elems = list(elements)
         return cls(n=n, mass={x: Fraction(1, len(elems)) for x in elems})
@@ -134,12 +130,6 @@ def load_distribution(path: str) -> ExplicitDistribution:
     """Load a distribution file, failing loudly on any invariant violation."""
     with open(path, "r", encoding="utf-8") as fh:
         return ExplicitDistribution.from_json_obj(json.load(fh))
-
-
-def save_distribution(dist: ExplicitDistribution, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dist.to_json_obj(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _log2_value(p) -> float:

@@ -15,6 +15,7 @@ recorded transcripts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -105,6 +106,39 @@ def gf2n_mul_vec(a: int, xs: np.ndarray, n: int) -> np.ndarray:
     return acc
 
 
+# Family order varies c innermost, so the members sharing (a, b), and with
+# them the rows, come in runs of 2**n; random draws miss the cache and keep
+# at most this many tuples alive.
+ROW_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=ROW_CACHE_SIZE)
+def row_masks(n: int, m: int, a: int, b: int) -> tuple[int, ...]:
+    """The m row masks of x -> a*x^2 + b*x: output bit r is the parity of
+    ``x & rows[r]``. They do not depend on c."""
+    # Column i is the image of the basis element t^i: a*t^(2i) + b*t^i.
+    # Each step multiplies sq by t twice and lin by t once, reducing the
+    # carry out of bit n-1 after every shift.
+    poly, top = IRREDUCIBLE_POLY[n], 1 << n
+    sq, lin = a, b
+    cols = []
+    for _ in range(n):
+        cols.append(sq ^ lin)
+        sq <<= 1
+        if sq & top:
+            sq ^= poly
+        sq <<= 1
+        if sq & top:
+            sq ^= poly
+        lin <<= 1
+        if lin & top:
+            lin ^= poly
+    return tuple(
+        sum(((col >> r) & 1) << i for i, col in enumerate(cols))
+        for r in range(m)
+    )
+
+
 @dataclass(frozen=True)
 class HashFunction:
     """One member of the family: x -> low m bits of a*x^2 + b*x + c.
@@ -114,7 +148,7 @@ class HashFunction:
 
     Squaring is the Frobenius map, so x -> a*x^2 + b*x is linear over GF(2)
     and output bit r is the parity of ``x & rows[r]`` xor bit r of c. The
-    row masks are derived once at construction; inputs must lie in
+    row masks come from ``row_masks`` at construction; inputs must lie in
     [0, 2**n).
     """
 
@@ -127,28 +161,7 @@ class HashFunction:
     c_low: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Column i is the image of the basis element t^i: a*t^(2i) + b*t^i.
-        # Each step multiplies sq by t twice and lin by t once, reducing the
-        # carry out of bit n-1 after every shift.
-        n, poly, top = self.n, IRREDUCIBLE_POLY[self.n], 1 << self.n
-        sq, lin = self.a, self.b
-        cols = []
-        for _ in range(n):
-            cols.append(sq ^ lin)
-            sq <<= 1
-            if sq & top:
-                sq ^= poly
-            sq <<= 1
-            if sq & top:
-                sq ^= poly
-            lin <<= 1
-            if lin & top:
-                lin ^= poly
-        rows = tuple(
-            sum(((col >> r) & 1) << i for i, col in enumerate(cols))
-            for r in range(self.m)
-        )
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", row_masks(self.n, self.m, self.a, self.b))
         object.__setattr__(self, "c_low", self.c & ((1 << self.m) - 1))
 
     def __call__(self, x: int) -> int:
@@ -163,7 +176,8 @@ class HashFunction:
     def eval_batch(self, xs: Sequence[int]) -> np.ndarray:
         """Evaluate on many inputs at once, as uint64 lanes (any n <= 64)."""
         arr = np.asarray(xs, dtype=np.uint64)
-        v = np.full(arr.shape, self.c_low, dtype=np.uint64)
+        v = np.empty(arr.shape, dtype=np.uint64)
+        v.fill(self.c_low)  # np.full costs twice as much on short inputs
         for r, row in enumerate(self.rows):
             parity = np.bitwise_count(arr & np.uint64(row)) & np.uint8(1)
             v ^= parity.astype(np.uint64) << np.uint64(r)

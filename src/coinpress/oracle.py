@@ -409,8 +409,9 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
     primitive: histogram validation, liveness, challenge arithmetic, the
     set checks, and probability substitution are re-implemented inline.
     It asks the prover about every hash function, whatever the prover
-    declares; within one challenge, identical outcomes are counted first
-    and their masses computed once.
+    declares, and checks every answer against constants worked out once
+    per challenge; within one challenge, identical outcomes are counted
+    first and their masses computed once.
     Returns (outputs keyed by (x, band, p), total reject mass).
     """
     outputs: dict[OutputKey, Fraction] = {}
@@ -505,6 +506,17 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
                     reject += pr_k
                     continue
                 act = sorted(i for i in members if i in live)
+                act_set = set(act)
+                # check (b)'s cardinality window of each active band, widened by TAU
+                windows = []
+                for i in act:
+                    if m == 0:
+                        lo = 2.0 ** (i * params.eps) * float(h[i])
+                        hi = 2.0 ** ((i + 1) * params.eps) * float(h[i])
+                    else:
+                        lo = 2.0 ** (-params.eps) * (2.0 ** g) * (2.0 ** (i * params.eps)) * float(h[i]) / z
+                        hi = 2.0 ** params.eps * (2.0 ** g) * (2.0 ** ((i + 1) * params.eps)) * float(h[i]) / z
+                    windows.append((lo * (1 - TAU), hi * (1 + TAU)))
                 # outcome -> number of hash functions: None for a reject,
                 # else the checked sets of the active bands in order
                 tally: dict = {}
@@ -513,8 +525,7 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
                         for c in range(size):
                             f = HashFunction(n=params.n, m=m, a=a, b=b, c=c)
                             sets = strat.produce_sets(s, k, f, g, m)
-                            ok, norm = _flat_check(sets, h, act, f, m, g, z, params)
-                            key = tuple(tuple(norm[i]) for i in act) if ok else None
+                            key = _flat_check(sets, act, act_set, windows, size, f, params.set_cap)
                             tally[key] = tally.get(key, 0) + 1
                 for key, count in tally.items():
                     pr_f = pr_k * count / size**3
@@ -526,7 +537,7 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
                         if h[j] == 0:
                             continue
                         pr_j = pr_f * h[j] / wk
-                        if j not in act or not norm[j]:
+                        if j not in act_set or not norm[j]:
                             reject += pr_j
                             continue
                         for x in norm[j]:
@@ -536,42 +547,38 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
     return outputs, reject
 
 
-def _flat_check(sets, h, active, f, m, g, z, params):
-    if not isinstance(sets, Mapping) or set(sets.keys()) != set(active):
-        return False, None
-    norm = {}
+def _flat_check(sets, active, active_set, windows, size, f, set_cap):
+    """The sets of the active bands in order, each sorted, when every check
+    passes; else None. ``windows`` holds check (b)'s widened bounds per
+    active band, and elements must lie below ``size``."""
+    if not isinstance(sets, Mapping) or set(sets.keys()) != active_set:
+        return None
+    norm = []
     total = 0
     for i in active:
         try:
             xs = list(sets[i])
         except TypeError:
-            return False, None
-        if any((not isinstance(x, int)) or x < 0 or x >= (1 << params.n) for x in xs):
-            return False, None
+            return None
+        if any((not isinstance(x, int)) or x < 0 or x >= size for x in xs):
+            return None
         if len(set(xs)) != len(xs):
-            return False, None
-        norm[i] = sorted(xs)
+            return None
+        norm.append(tuple(sorted(xs)))
         total += len(xs)
-    if total > params.set_cap:
-        return False, None
-    for i in active:
-        for x in norm[i]:
+    if total > set_cap:
+        return None
+    for xs in norm:
+        for x in xs:
             if f.eval(x) != 0:
-                return False, None
-    for i in active:
-        count = len(norm[i])
-        if m == 0:
-            lo = 2.0 ** (i * params.eps) * float(h[i])
-            hi = 2.0 ** ((i + 1) * params.eps) * float(h[i])
-        else:
-            lo = 2.0 ** (-params.eps) * (2.0 ** g) * (2.0 ** (i * params.eps)) * float(h[i]) / z
-            hi = 2.0 ** params.eps * (2.0 ** g) * (2.0 ** ((i + 1) * params.eps)) * float(h[i]) / z
-        if not lo * (1 - TAU) <= count <= hi * (1 + TAU):
-            return False, None
-    all_x = [x for i in active for x in norm[i]]
+                return None
+    for xs, (lo, hi) in zip(norm, windows):
+        if not lo <= len(xs) <= hi:
+            return None
+    all_x = [x for xs in norm for x in xs]
     if len(set(all_x)) != len(all_x):
-        return False, None
-    return True, norm
+        return None
+    return tuple(norm)
 
 
 def _flat_final(j, p_msg, params):

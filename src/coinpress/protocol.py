@@ -484,7 +484,8 @@ class HonestProver(ProverStrategy):
     The support is kept in one uint64 array sorted by (band, element). The
     k-th nonempty band, ``_bands[k]``, occupies
     ``_support[_offsets[k]:_offsets[k + 1]]``, so the bands of any interval
-    form one contiguous slice that is hashed in one batch.
+    form one contiguous slice that is hashed in one batch. The slice and
+    the live bands of each challenge are worked out on its first call.
     """
 
     depends_on_hash_zero_set = True
@@ -502,26 +503,43 @@ class HonestProver(ProverStrategy):
         self._support = np.array(
             [x for i in self._bands for x in sorted(members[i])], dtype=np.uint64
         )
+        self._plans: dict[tuple[int, int], tuple] = {}  # (s, k) -> _plan(s, k)
 
     def produce_histogram(self) -> Sequence[Fraction]:
         return self.histogram.weights
 
     def produce_sets(self, s, k, f, g, m):
-        interval = self.params.layout.interval(s, k)
-        out = {i: [] for i in interval if i in self._live}
+        plan = self._plans.get((s, k))
+        if plan is None:
+            plan = self._plans[(s, k)] = self._plan(s, k)
+        live, lo, hi, cuts = plan
+        out = {i: [] for i in live}
         if not out:
             return out
+        block = self._support[lo:hi]
+        keep = f.eval_batch(block) == 0
+        for i, a, b in cuts:
+            out[i] = block[a:b][keep[a:b]].tolist()
+        return out
+
+    def _plan(self, s, k):
+        """What ``produce_sets`` needs of challenge (s, k) besides f: the
+        live bands of the interval in order, the support slice holding the
+        interval's bands, and each live band's cut of that slice."""
+        interval = self.params.layout.interval(s, k)
+        live = tuple(i for i in interval if i in self._live)
+        if not live:
+            return live, 0, 0, ()
         bands, offsets = self._bands, self._offsets
         first = bisect.bisect_left(bands, interval[0])
         last = bisect.bisect_right(bands, interval[-1])
         lo = offsets[first]
-        block = self._support[lo:offsets[last]]
-        keep = f.eval_batch(block) == 0
-        for pos in range(first, last):
-            if bands[pos] in out:
-                a, b = offsets[pos] - lo, offsets[pos + 1] - lo
-                out[bands[pos]] = block[a:b][keep[a:b]].tolist()
-        return out
+        cuts = tuple(
+            (bands[pos], offsets[pos] - lo, offsets[pos + 1] - lo)
+            for pos in range(first, last)
+            if bands[pos] in live
+        )
+        return live, lo, offsets[last], cuts
 
     def produce_probability(self, j: int, x: int) -> Fraction:
         return self.dist.prob(x)

@@ -1,5 +1,6 @@
 """Cheating-prover behavior, checked against the exact oracle."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -23,7 +24,13 @@ from coinpress.oracle import (
     verify_band_sandwich,
     verify_band_sums,
 )
-from coinpress.protocol import ProtocolParams, honest_prover, run_protocol
+from coinpress.hashing import HashFunction, family
+from coinpress.protocol import (
+    ProtocolParams,
+    honest_prover,
+    run_protocol,
+    validate_histogram_message,
+)
 
 
 def params_n2():
@@ -180,6 +187,30 @@ class TestInflatingProver:
         run = OracleRun(ExactConfig(params=params, prover=infl))
         assert verify_band_sandwich(run).ok
         assert verify_band_sums(run).ok
+
+    def test_n4_sets_pinned(self):
+        """Every answer over the whole n=4 family, at each challenge the
+        verifier can draw; the digest was computed before the per-challenge
+        plans and the lazy spare pool."""
+        masses = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 6), Fraction(1, 8), Fraction(1, 8))
+        digest = hashlib.sha256()
+        for eps in (1.0, 0.5):
+            params = ProtocolParams.raw(
+                n=4, eps=eps, delta=0.5, t=8, gap_size=1, interval_size=2, sampling_gap=1.0,
+            )
+            rng = random.Random(7)
+            dist = ExplicitDistribution(n=4, mass=dict(zip(rng.sample(range(16), 5), masses)))
+            infl = inflating_prover(dist, 1, params)
+            tables, reason = validate_histogram_message(infl.produce_histogram(), params)
+            assert reason is None
+            for (s, k), ctx in sorted(tables.challenges.items()):
+                if ctx.m > params.n:
+                    continue
+                for a, b, c in family(params.n):
+                    f = HashFunction(n=params.n, m=ctx.m, a=a, b=b, c=c)
+                    sets = infl.produce_sets(s, k, f, ctx.g, ctx.m)
+                    digest.update(repr((s, k, a, b, c, list(sets.items()))).encode())
+        assert digest.hexdigest() == "ca27eb0a8c035214a781c19e48aa6d42deca740b23ca33201e1fd3a8ee42ddd9"
 
     def test_large_shift_rejects_everything(self):
         # shifting past the top band drops all mass: round-1 sum check fires

@@ -11,10 +11,12 @@ from coinpress.hashing import (
     IRREDUCIBLE_POLY,
     HashFunction,
     WidthError,
+    family,
     gf2n_inv,
     gf2n_mul,
     gf2n_mul_vec,
     mixing_experiment,
+    row_masks,
     sample_hash,
     verify_kwise_exhaustive,
 )
@@ -194,6 +196,27 @@ class TestHashFunction:
         assert h.to_json_obj() == twin.to_json_obj()
         assert repr(h) == "HashFunction(n=12, m=3, a=2748, b=1, c=5)"
         assert len(h.rows) == 3 and h.c_low == 0x5
+
+    def test_cached_rows_match_fresh_derivation(self):
+        """Members built in shuffled (m, a, b, c) order, so the row cache
+        both hits and evicts, carry the rows of their own coefficients."""
+        n = 3
+        members = [(m, a, b, c) for m in range(n + 1) for a, b, c in family(n)]
+        random.Random(3).shuffle(members)
+        row_masks.cache_clear()
+        for m, a, b, c in members:
+            h = HashFunction(n=n, m=m, a=a, b=b, c=c)
+            # bit i of row r is bit r of the image of x = t^i
+            images = [
+                gf2n_mul(a, gf2n_mul(1 << i, 1 << i, n), n) ^ gf2n_mul(b, 1 << i, n)
+                for i in range(n)
+            ]
+            assert h.rows == tuple(
+                sum(((image >> r) & 1) << i for i, image in enumerate(images)) for r in range(m)
+            )
+            assert h.c_low == c & ((1 << m) - 1)
+        info = row_masks.cache_info()
+        assert info.hits > 0 and info.misses > info.maxsize
 
     def test_json_shape(self):
         h = HashFunction(n=12, m=3, a=0xABC, b=1, c=0)

@@ -1,9 +1,9 @@
 """Exact-enumeration oracle: cross-validation, conservation, diagnostics."""
 
+import json
 import random
 from fractions import Fraction
-
-import json
+from types import MappingProxyType
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,6 +32,7 @@ from coinpress.oracle import (
 )
 from coinpress.protocol import (
     HonestProver,
+    Outcome,
     ProtocolParams,
     ProverStrategy,
     compute_live_bands,
@@ -712,3 +713,114 @@ class TestHistogramIntakeFuzz:
         tr = run_protocol(params, ScriptedProver({"histogram": weights}), rng=random.Random(0))
         assert tr.outcome.reason == "malformed-sets"  # round 1 passed
         assert json.loads(tr.to_json())["messages"][0]["weights"][:2] == ["0/1", "1/1"]
+
+
+# ---------------------------------------------------------------------------
+# Sets intake fuzzing: any value in the sets slot ends in an Outcome
+
+
+def set_elements():
+    """Elements to smuggle into a set: in range (inside or outside the zero
+    set), negative, huge, bool and float."""
+    return st.one_of(
+        st.integers(0, 7), st.integers(-(2**70), -1), st.integers(8, 2**70),
+        st.booleans(), st.floats(),
+    )
+
+
+def sets_mutations():
+    """Edits applied to the honest sets of one challenge; ``pos`` picks a
+    band of the message by position."""
+    pos = st.integers(0, 3)
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("drop"), pos),
+            st.tuples(st.just("extra"), st.integers(-1, 7)),
+            st.tuples(st.just("bool-key"), pos),
+            st.tuples(
+                st.just("entry"), pos,
+                st.one_of(st.none(), st.integers(), st.floats(), st.text(max_size=2)),
+            ),
+            st.tuples(st.just("add"), pos, set_elements()),
+            st.tuples(st.just("repeat"), pos),  # another band's element
+            st.tuples(st.just("outside"), pos),  # an element f does not zero
+            st.tuples(st.just("dup"), pos),
+        ),
+        max_size=2,
+    )
+
+
+def apply_sets_mutations(honest_sets, mutations, f):
+    out = {i: list(xs) for i, xs in honest_sets.items()}
+    for op, *args in mutations:
+        if op == "extra":
+            out.setdefault(args[0], [])
+            continue
+        if not out:
+            continue
+        keys = list(out)
+        band = keys[args[0] % len(keys)]
+        if op == "drop":
+            del out[band]
+        elif op == "bool-key":
+            if band in (0, 1):  # True == 1 and False == 0 as dict keys
+                out[bool(band)] = out.pop(band)
+        elif op == "entry":
+            out[band] = args[1]
+        elif not isinstance(out[band], list):
+            continue
+        elif op == "add":
+            out[band].append(args[1])
+        elif op == "repeat":
+            donors = [x for i in keys if i != band and isinstance(out[i], list) for x in out[i]]
+            out[band].extend(donors[:1])
+        elif op == "outside":  # in place of the band's first element, if any
+            out[band][:1] = [x for x in range(8) if f.eval(x) != 0][:1]
+        elif op == "dup":
+            out[band].extend(out[band][:1])
+    return out
+
+
+# At sampling gap 0.5 one interval hashes to m = 1, so some elements fall
+# outside the zero set.
+SETS_FUZZ_PARAMS = raw_params(sampling_gap=0.5)
+
+
+def sets_values():
+    """Arbitrary values for the ScriptedProver sets slot of the n=3
+    instance: junk constants, and callables that edit the honest sets
+    (missing, extra or bool keys, non-iterable entries, bad elements,
+    overlaps, elements outside the zero set) and may hand the result over
+    as a dict, a read-only mapping or a list."""
+    junk = st.one_of(
+        st.none(), st.integers(-3, 3), st.floats(), st.text(max_size=3),
+        st.lists(st.lists(st.integers(0, 7), max_size=3), max_size=3),
+        st.dictionaries(st.integers(0, 6), st.lists(set_elements(), max_size=3), max_size=3),
+    )
+    wraps = st.sampled_from([dict, dict, MappingProxyType, lambda d: list(d.values())])
+    honest = honest_prover(skewed_dist(), SETS_FUZZ_PARAMS)
+
+    def recipe(mutations, wrap):
+        def sets(s, k, f, g, m):
+            return wrap(apply_sets_mutations(honest.produce_sets(s, k, f, g, m), mutations, f))
+        return sets
+
+    edited = st.builds(recipe, sets_mutations(), wraps)
+    # one_of would flatten junk's branches and draw an edit one time in seven
+    return st.booleans().flatmap(lambda edit: edited if edit else junk)
+
+
+class TestSetsIntakeFuzz:
+    @given(sets_values())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_every_sets_message_ends_in_an_outcome(self, sets):
+        """The verifier and both oracles are total over the sets slot and
+        agree exactly on what every message is worth."""
+        params = SETS_FUZZ_PARAMS
+        prover = scripted_sets_prover(params, sets)
+        for seed in range(3):
+            tr = run_protocol(params, prover, rng=random.Random(seed))
+            assert isinstance(tr.outcome, Outcome)
+            assert tr.outcome.kind in ("output", "reject")
+            assert replay(params, prover, tr).to_json() == tr.to_json()
+        assert_oracles_agree(params, prover)
