@@ -113,10 +113,6 @@ class MixtureProver(ProverStrategy):
         return support
 
 
-def mixture_prover(components, seed: int, params: ProtocolParams) -> MixtureProver:
-    return MixtureProver(components, seed, params)
-
-
 def rejecting_prover(
     dist: ExplicitDistribution,
     reject_prob: Fraction,
@@ -166,9 +162,6 @@ class InflatingProver(ProverStrategy):
             i: sorted(xs) for i, xs in buckets(dist, params.eps, params.t).items()
         }
         self._plans: dict[tuple, tuple] = {}  # (s, k, m, g) -> _plan(s, k, m, g)
-
-    def begin_run(self):
-        pass
 
     def produce_histogram(self):
         if self.shift == 0:

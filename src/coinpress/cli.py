@@ -25,7 +25,14 @@ from coinpress.dist import (
     fraction_from_str,
     load_distribution,
 )
-from coinpress.protocol import MODE_TRIVIAL, ProtocolParams, derive_params, honest_prover
+from coinpress.protocol import (
+    MODE_TRIVIAL,
+    ProtocolParams,
+    derive_params,
+    honest_prover,
+    probability_bin_key,
+    run_protocol,
+)
 
 
 class ConfigError(ValueError):
@@ -80,7 +87,7 @@ class RunConfig:
         return make_prover_factory(self.prover_spec, self.dist, self.params, self.base_dir)
 
 
-def _scripted_from_obj(obj: dict, n: int) -> adversaries.ScriptedProver:
+def _scripted_from_obj(obj: dict) -> adversaries.ScriptedProver:
     responses = {}
     if "histogram" in obj:
         h = obj["histogram"]
@@ -122,7 +129,7 @@ def make_prover_factory(spec: str, dist, params: ProtocolParams, base_dir: str):
         shared = adversaries.inflating_prover(dist, int(arg), params)
         return lambda seed: shared
     if kind == "scripted":
-        shared = _scripted_from_obj(_load_json(os.path.join(base_dir, arg)), params.n)
+        shared = _scripted_from_obj(_load_json(os.path.join(base_dir, arg)))
         return lambda seed: shared
     raise ConfigError(f"unknown prover spec {spec!r}")
 
@@ -160,16 +167,11 @@ def cmd_sample(args) -> int:
     cfg = RunConfig(args.config)
     factory = cfg.prover_factory()
     seed = harness.split_seed(args.seed, 0)
-    from coinpress.protocol import run_protocol
-
     tr = run_protocol(cfg.params, factory(seed), rng=random.Random(seed), trial=0)
     _emit((tr.to_json() + "\n").encode(), args.out)
     if tr.outcome.kind == "output":
-        from coinpress.protocol import probability_json
-
-        pj = probability_json(tr.outcome.p)
-        ps = pj if isinstance(pj, str) else "~" + pj["real"]
-        print(f"output x={tr.outcome.x:0{(cfg.params.n + 3) // 4}x} p={ps}")
+        p = probability_bin_key(tr.outcome.p)
+        print(f"output x={tr.outcome.x:0{(cfg.params.n + 3) // 4}x} p={p}")
     else:
         print(f"reject reason={tr.outcome.reason}")
     return 0
@@ -295,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials_default=None):
+    def common(p):
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--out", help="write the report to this path")
 

@@ -18,25 +18,21 @@ import hashlib
 import io
 import json
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from coinpress.dist import fraction_to_str
 from coinpress.protocol import (
     ProtocolParams,
     ProverStrategy,
     Transcript,
-    probability_json,
+    probability_bin_key,
     run_protocol,
 )
 
 ProverFactory = Callable[[int], ProverStrategy]
-
-THREADS_ENV = "COINPRESS_THREADS"
 
 
 def required_samples(eps_stat: float, alpha: float, range_width: float = 1.0) -> int:
@@ -68,13 +64,6 @@ def split_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:16], "big")
 
 
-def probability_bin_key(p) -> str:
-    """Canonical aggregation key: exact "num/den" for rationals, a decimal
-    of 12 significant digits for tagged reals."""
-    pj = probability_json(p)
-    return pj if isinstance(pj, str) else "~" + pj["real"]
-
-
 @dataclass
 class TrialRecord:
     """One trial's outcome, reproducible from (master seed, trial index)."""
@@ -94,8 +83,7 @@ def collect_trial_records(
     master_seed: int,
 ) -> list[TrialRecord]:
     records: list[TrialRecord] = []
-
-    def consume(idx: int, tr: Transcript):
+    for idx, tr in _transcripts(params, prover_factory, n_trials, master_seed):
         out = tr.outcome
         records.append(
             TrialRecord(
@@ -107,8 +95,6 @@ def collect_trial_records(
                 reject_reason=out.reason,
             )
         )
-
-    _run_trials(params, prover_factory, n_trials, master_seed, consume)
     return records
 
 
@@ -162,39 +148,17 @@ class EstimateReport:
         return buf.getvalue()
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
-def _run_trials(
+def _transcripts(
     params: ProtocolParams,
     prover_factory: ProverFactory,
     n_trials: int,
     master_seed: int,
-    consume: Callable[[int, Transcript], None],
-) -> None:
-    """Run trials and feed transcripts to ``consume`` in trial order."""
-
-    def one(idx: int) -> Transcript:
+) -> Iterator[tuple[int, Transcript]]:
+    """Run the seeded trials one after another; yields (index, transcript)
+    in index order."""
+    for idx in range(n_trials):
         seed = split_seed(master_seed, idx)
-        prover = prover_factory(seed)
-        rng = random.Random(seed)
-        return run_protocol(params, prover, rng=rng, trial=idx)
-
-    workers = _worker_count()
-    if workers == 1:
-        for idx in range(n_trials):
-            consume(idx, one(idx))
-        return
-    chunk = 256
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for start in range(0, n_trials, chunk):
-            idxs = range(start, min(start + chunk, n_trials))
-            for idx, tr in zip(idxs, pool.map(one, idxs)):
-                consume(idx, tr)
+        yield idx, run_protocol(params, prover_factory(seed), rng=random.Random(seed), trial=idx)
 
 
 def estimate_output_distribution(
@@ -211,17 +175,15 @@ def estimate_output_distribution(
     per_x: dict[str, int] = {}
     rejects: dict[str, int] = {}
     hexw = (params.n + 3) // 4
-
-    def consume(_idx: int, tr: Transcript):
-        if tr.outcome.kind == "reject":
-            rejects[tr.outcome.reason] = rejects.get(tr.outcome.reason, 0) + 1
-            return
-        xh = format(tr.outcome.x, f"0{hexw}x")
-        key = (xh, probability_bin_key(tr.outcome.p))
+    for _, tr in _transcripts(params, prover_factory, n_trials, master_seed):
+        out = tr.outcome
+        if out.kind == "reject":
+            rejects[out.reason] = rejects.get(out.reason, 0) + 1
+            continue
+        xh = format(out.x, f"0{hexw}x")
+        key = (xh, probability_bin_key(out.p))
         bins[key] = bins.get(key, 0) + 1
         per_x[xh] = per_x.get(xh, 0) + 1
-
-    _run_trials(params, prover_factory, n_trials, master_seed, consume)
     return EstimateReport(
         n_trials=n_trials, master_seed=master_seed, params_digest=params.digest(),
         alpha=alpha, half_width=hoeffding_half_width(n_trials, alpha),
@@ -281,21 +243,16 @@ def estimate_soundness_sum(
     total = Fraction(0)
     below = 0
     reject = 0
-
-    def consume(_idx: int, tr: Transcript):
-        nonlocal total, below, reject
-        if tr.outcome.kind == "reject":
+    for _, tr in _transcripts(params, prover_factory, n_trials, master_seed):
+        out = tr.outcome
+        if out.kind == "reject":
             reject += 1
-            return
-        if tr.outcome.x != x:
-            return
-        p = Fraction(tr.outcome.p)
-        if p < p_min:
-            below += 1
-        else:
-            total += 1 / p
-
-    _run_trials(params, prover_factory, n_trials, master_seed, consume)
+        elif out.x == x:
+            p = Fraction(out.p)
+            if p < p_min:
+                below += 1
+            else:
+                total += 1 / p
     return SoundnessSumReport(
         x=x, n_trials=n_trials, master_seed=master_seed, p_min=p_min,
         estimate=float(total / n_trials), below_floor_frequency=below / n_trials,
@@ -308,7 +265,8 @@ def default_soundness_floor(dist, params: ProtocolParams) -> Fraction:
     """Floor used when the true distribution is known: its smallest mass
     scaled down by the worst band substitution factor."""
     smallest = min(dist.mass.values())
-    scale = Fraction(2) ** params.gap_size if params.eps * params.gap_size == int(params.eps * params.gap_size) else Fraction(2.0 ** (params.gap_size * params.eps))
+    exponent = params.gap_size * params.eps
+    scale = Fraction(2) ** int(exponent) if exponent == int(exponent) else Fraction(2.0**exponent)
     return smallest / scale
 
 
@@ -321,10 +279,8 @@ def write_transcripts_jsonl(
 ) -> None:
     """One JSON object per line: {trial, params_digest, coins, messages, outcome}."""
     with open(path, "w", encoding="utf-8") as fh:
-        _run_trials(
-            params, prover_factory, n_trials, master_seed,
-            lambda _idx, tr: fh.write(tr.to_json() + "\n"),
-        )
+        for _, tr in _transcripts(params, prover_factory, n_trials, master_seed):
+            fh.write(tr.to_json() + "\n")
 
 
 def report_to_bytes(report, fmt: str) -> bytes:

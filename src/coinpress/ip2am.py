@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from coinpress.dist import ExplicitDistribution
+from coinpress.harness import split_seed
 from coinpress.protocol import (
     HonestProver,
     ProtocolParams,
@@ -453,8 +454,6 @@ def estimate_acceptance(
     delta: float,
 ) -> float:
     """Accept frequency of the compiled protocol over seeded trials."""
-    from coinpress.harness import split_seed
-
     message_params, coin_params = sampling_params_for(spec, eps, delta)
     hits = 0
     for idx in range(n_trials):

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from coinpress.dist import TAU, buckets, build_histogram
+from coinpress.dist import TAU, buckets, build_histogram, fraction_to_str
 from coinpress.hashing import ZERO_SET_MAX_N, HashFunction, family, zero_set_masks
 from coinpress.protocol import (
     MODE_TRIVIAL,
@@ -47,6 +47,7 @@ from coinpress.protocol import (
     compute_live_bands,
     finalize,
     parse_table,
+    probability_bin_key,
     validate_histogram_message,
     validate_table,
     REJECT_BAND_NOT_LIVE,
@@ -83,7 +84,6 @@ class ExactConfig:
 
     params: ProtocolParams
     prover: ProverStrategy
-    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if self.params.mode == MODE_TRIVIAL:
@@ -94,9 +94,9 @@ class ExactConfig:
             )
         layout = self.params.layout
         branches = len(layout.shifts) * len(layout.index_range) * (8 ** self.params.n)
-        if branches > self.budget:
+        if branches > DEFAULT_BUDGET:
             raise EnumerationBudgetError(
-                f"{branches} branches exceed the budget of {self.budget}"
+                f"{branches} branches exceed the budget of {DEFAULT_BUDGET}"
             )
 
 
@@ -707,9 +707,6 @@ class SoundnessDiagnostics:
     bad_probability: Fraction
     conditional_sums: dict[int, Fraction]
 
-    def max_conditional_sum(self) -> Fraction:
-        return max(self.conditional_sums.values(), default=Fraction(0))
-
 
 def soundness_diagnostics(run: OracleRun, component: int = 0) -> SoundnessDiagnostics:
     """Exact cutoffs, band memberships, bad-event mass, and mass/p sums.
@@ -845,14 +842,9 @@ def completeness_diagnostics(run: OracleRun, dist) -> CompletenessDiagnostics:
 
 
 def distribution_report(exact: ExactDistribution) -> dict:
-    from coinpress.dist import fraction_to_str
-    from coinpress.protocol import probability_json
-
     def key_str(key: OutputKey) -> str:
         x, band, p = key
-        pj = probability_json(p)
-        ps = pj if isinstance(pj, str) else f"~{pj['real']}"
-        return f"{x:x}|{band if band is not None else '-'}|{ps}"
+        return f"{x:x}|{band if band is not None else '-'}|{probability_bin_key(p)}"
 
     return {
         "params_digest": exact.params_digest,

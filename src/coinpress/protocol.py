@@ -297,18 +297,6 @@ class CoinSource:
         return bisect.bisect_right(cumulative, self.randrange(cumulative[-1]))
 
 
-def weighted_choice(items: Sequence[tuple], rng) -> object:
-    """Value drawn with probability proportional to its weight.
-
-    ``items`` is a sequence of (weight, value) pairs with nonnegative
-    rational weights. Raises DegenerateChoiceError when every weight is
-    zero, which protocol callers translate into a verifier rejection.
-    """
-    coins = CoinSource(rng=rng)
-    idx = coins.weighted_index([w for w, _ in items])
-    return items[idx][1]
-
-
 # ---------------------------------------------------------------------------
 # Messages, transcripts, prover interface
 
@@ -370,6 +358,13 @@ def probability_json(p: ProbabilityValue):
     if isinstance(p, Fraction):
         return fraction_to_str(p)
     return {"real": format(float(p), ".12g")}
+
+
+def probability_bin_key(p: ProbabilityValue) -> str:
+    """Canonical aggregation key: exact "num/den" for rationals, a decimal
+    of 12 significant digits for tagged reals."""
+    pj = probability_json(p)
+    return pj if isinstance(pj, str) else "~" + pj["real"]
 
 
 def _message_json(msg: tuple):
@@ -582,14 +577,6 @@ def validate_histogram_message(weights, params: ProtocolParams):
     if tables.reason is not None:
         return None, tables.reason
     return tables, None
-
-
-def verifier_round1(weights, params: ProtocolParams):
-    """Check the received histogram; return (live band set, reject reason)."""
-    tables, reason = validate_histogram_message(weights, params)
-    if reason is not None:
-        return None, reason
-    return tables.live, None
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Sample sizing, Monte Carlo estimation versus the oracle, reproducibility."""
 
+import hashlib
 import math
-import os
 import random
 from fractions import Fraction
 
@@ -87,9 +87,7 @@ class TestEstimateOutputDistribution:
         )
         d0 = ExplicitDistribution.uniform(2, [0, 3])
         d1 = ExplicitDistribution.point(2, 0)
-        factory = lambda seed: MixtureProver(
-            [(Fraction(1, 2), d0), (Fraction(1, 2), d1)], seed, params
-        )
+        factory = MixtureProver([(Fraction(1, 2), d0), (Fraction(1, 2), d1)], 0, params).reseeded
         report = estimate_output_distribution(params, factory, 10000, master_seed=3)
         assert report.x_frequency("0") == pytest.approx(0.75, abs=0.02)
 
@@ -112,15 +110,47 @@ class TestEstimateOutputDistribution:
         assert report_to_bytes(a, "json") == report_to_bytes(b, "json")
         assert report_to_bytes(a, "csv") == report_to_bytes(b, "csv")
 
-    def test_thread_count_does_not_change_results(self):
-        params, dist, factory = tiny_setup()
-        baseline = estimate_output_distribution(params, factory, 400, master_seed=2)
-        os.environ["COINPRESS_THREADS"] = "4"
-        try:
-            threaded = estimate_output_distribution(params, factory, 400, master_seed=2)
-        finally:
-            del os.environ["COINPRESS_THREADS"]
-        assert report_to_bytes(baseline, "json") == report_to_bytes(threaded, "json")
+class TestPinnedHarnessBytes:
+    """SHA-256 of harness output, recorded before the trial loop became one
+    serial generator; any change to trial order, seeding or aggregation
+    shows here."""
+
+    DIGESTS = {
+        "honest": {
+            "json": "32ab73271e324a1c2cb799144b4739c54d23e4d6bacce1d4967f893acc72ac24",
+            "csv": "be510015bfb61008f7d87f571fa3bd49a70c9fdbc083f74d3722be6fd45d3aff",
+            "sum": "14dc42202e5b4d2dcc6bfa34e9d14e3c0fc4b313dbd3adbdca8cbe1616d30155",
+            "jsonl": "8c5ee2c129e24f97788409d8327efbbc976a219d257f681f1cf070e9eb064153",
+        },
+        "mixture": {
+            "json": "e05165bc772d606a889d20c735ec61877f3b3b23f387eeeff16a21a77099017e",
+            "csv": "2723c6e94c2818ba8d0d5ea324193c9b17caf521df928b9aba4b5d9df0bf8fcd",
+            "sum": "2641506c2dd45da1649a3399eb4438422965d4bb219f1ce965a9b91aee28c6e6",
+            "jsonl": "5d404f959759e1342fc5067581149d282e58aefb337d6b26f0b79ef1e057c860",
+        },
+    }
+
+    @pytest.mark.parametrize("prover", ["honest", "mixture"])
+    def test_digests(self, prover, tmp_path):
+        # sampling gap 0.5 makes some runs reject, so both outcome kinds count
+        params, dist, honest = tiny_setup(sampling_gap=0.5)
+        if prover == "honest":
+            factory = honest
+        else:
+            components = [(Fraction(1, 2), dist), (Fraction(1, 4), ExplicitDistribution.point(3, 6))]
+            factory = MixtureProver(components, 0, params).reseeded
+        report = estimate_output_distribution(params, factory, 400, master_seed=17)
+        soundness = estimate_soundness_sum(params, factory, 0, 400, 17, Fraction(1, 8))
+        path = tmp_path / "runs.jsonl"
+        write_transcripts_jsonl(params, factory, 40, 17, str(path))
+        blobs = {
+            "json": report_to_bytes(report, "json"),
+            "csv": report_to_bytes(report, "csv"),
+            "sum": report_to_bytes(soundness, "json"),
+            "jsonl": path.read_bytes(),
+        }
+        digests = {k: hashlib.sha256(b).hexdigest() for k, b in blobs.items()}
+        assert digests == self.DIGESTS[prover]
 
 
 class TestSoundnessSumEstimate:
@@ -137,11 +167,20 @@ class TestSoundnessSumEstimate:
         )
         d0 = ExplicitDistribution.uniform(2, [0, 3])
         d1 = ExplicitDistribution.point(2, 0)
-        factory = lambda seed: MixtureProver(
-            [(Fraction(1, 2), d0), (Fraction(1, 2), d1)], seed, params
-        )
+        factory = MixtureProver([(Fraction(1, 2), d0), (Fraction(1, 2), d1)], 0, params).reseeded
         report = estimate_soundness_sum(params, factory, 0, 20000, 5, Fraction(1, 4))
         assert report.estimate == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("eps", [1.0, 0.75, 0.5, 0.25])
+    def test_default_floor_scales_by_worst_band_factor(self, eps):
+        _, dist, _ = tiny_setup()
+        params = ProtocolParams.raw(n=3, eps=eps, delta=0.5)
+        smallest = min(dist.mass.values())
+        exponent = params.gap_size * eps
+        floor = default_soundness_floor(dist, params)
+        assert float(floor) == pytest.approx(float(smallest) / 2**exponent, rel=1e-12)
+        if exponent == int(exponent):
+            assert floor == smallest / 2 ** int(exponent)
 
     def test_absent_element_sums_to_zero(self):
         params, dist, factory = tiny_setup()

@@ -130,9 +130,10 @@ class TestExactDistribution:
             }
 
     def test_budget_guard(self):
-        params = raw_params()
-        with pytest.raises(EnumerationBudgetError):
-            ExactConfig(params=params, prover=honest_prover(skewed_dist(), params), budget=10)
+        # 8001 intervals x 8^6 hash functions: about 2.1e9 branches
+        params = ProtocolParams.raw(n=6, eps=1.0, delta=0.5, t=8000, gap_size=1, interval_size=1)
+        with pytest.raises(EnumerationBudgetError, match="exceed the budget"):
+            ExactConfig(params=params, prover=ScriptedProver({}))
 
     def test_frozen_reject_mass_at_positive_hash_width(self):
         # regression pin for the skewed distribution at sampling_gap 0.5:

@@ -35,9 +35,7 @@ from coinpress.protocol import (
     scale_weights,
     trivial_protocol,
     validate_histogram_message,
-    verifier_round1,
     verifier_tables,
-    weighted_choice,
 )
 
 
@@ -115,18 +113,18 @@ class TestWeightedChoice:
         assert scaled == [2, 1, 3] and total == 6
 
     def test_single_item(self):
-        assert weighted_choice([(Fraction(1), "only")], random.Random(0)) == "only"
+        assert CoinSource(rng=random.Random(0)).weighted_index([Fraction(1)]) == 0
 
     def test_degenerate_rejects(self):
         with pytest.raises(DegenerateChoiceError):
-            weighted_choice([(Fraction(0), "a"), (0, "b")], random.Random(0))
+            CoinSource(rng=random.Random(0)).weighted_index([Fraction(0), 0])
 
     def test_distribution_matches(self):
-        rng = random.Random(5)
-        counts = {"a": 0, "b": 0, "c": 0}
+        coins = CoinSource(rng=random.Random(5))
+        counts = [0, 0, 0]
         for _ in range(4000):
-            counts[weighted_choice([(2, "a"), (1, "b"), (1, "c")], rng)] += 1
-        assert counts["a"] / 4000 == pytest.approx(0.5, abs=0.05)
+            counts[coins.weighted_index([2, 1, 1])] += 1
+        assert counts[0] / 4000 == pytest.approx(0.5, abs=0.05)
 
     def test_replay_consistency(self):
         live = CoinSource(rng=random.Random(3))
@@ -178,29 +176,28 @@ class TestVerifierRound1:
     def test_honest_histogram_continues(self):
         params = tiny_params()
         h = build_histogram(tiny_dist(), params.eps, params.t)
-        live, reason = verifier_round1(h.weights, params)
+        tables, reason = validate_histogram_message(h.weights, params)
         assert reason is None
-        assert live == {1, 2}
+        assert tables.live == {1, 2}
 
     def test_all_zero_rejects(self):
         params = tiny_params()
-        live, reason = verifier_round1([Fraction(0)] * 7, params)
-        assert reason == "histogram-sum"
+        assert validate_histogram_message([Fraction(0)] * 7, params) == (None, "histogram-sum")
 
     def test_boundary_sum_inclusive(self):
         params = tiny_params()
         w = [Fraction(0)] * 7
         w[1] = 1 - Fraction(1, 2**params.n)  # exactly the lower edge
-        live, reason = verifier_round1(w, params)
+        tables, reason = validate_histogram_message(w, params)
         assert reason is None
+        assert tables.live == {1}
 
     def test_malformed_shapes(self):
         params = tiny_params()
-        assert verifier_round1([Fraction(1)] * 3, params)[1] == "malformed-histogram"
         bad = [Fraction(1, 2)] * 2 + [Fraction(-1, 2)] + [Fraction(1, 2)] * 4
-        assert verifier_round1(bad, params)[1] == "malformed-histogram"
         floats = [0.5, 0, 0, 0, 0, 0, 0.5]
-        assert verifier_round1(floats, params)[1] == "malformed-histogram"
+        for weights in ([Fraction(1)] * 3, bad, floats):
+            assert validate_histogram_message(weights, params) == (None, "malformed-histogram")
 
     def test_liveness_threshold(self):
         params = tiny_params()
