@@ -22,7 +22,9 @@ public output distribution is the support-weighted mixture.
 
 Two enumerators are kept deliberately separate: a structured one that
 reuses the protocol engine's own tables (``VerifierTables``), check and
-finalize code, and a flat one that re-derives every step inline. Tests
+finalize code, and a flat one that re-derives every step inline. The flat
+one asks about every hash function whatever the prover declares, sweeping
+the family once per hash width for all challenges of that width. Tests
 fail the build if they disagree.
 """
 
@@ -32,6 +34,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -408,10 +411,12 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
     Shares nothing with the engine beyond the layout and the hash
     primitive: histogram validation, liveness, challenge arithmetic, the
     set checks, and probability substitution are re-implemented inline.
-    It asks the prover about every hash function, whatever the prover
-    declares, and checks every answer against constants worked out once
-    per challenge; within one challenge, identical outcomes are counted
-    first and their masses computed once.
+    Each challenge's constants are worked out first. The challenges are
+    then grouped by hash width m, and the family is swept once per group:
+    each hash function is built once and the prover is asked about it for
+    every challenge of the group, whatever the prover declares. Every
+    answer goes through every check. Within one challenge, identical
+    outcomes are counted first and their masses computed once.
     Returns (outputs keyed by (x, band, p), total reject mass).
     """
     outputs: dict[OutputKey, Fraction] = {}
@@ -476,6 +481,11 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
             reject += q
             continue
         size = 1 << params.n
+        # per challenge, in layout order: (pr_k, members, wk, act, act_set,
+        # tally); per hash width m: the (s, k, g, act, act_set, windows,
+        # tally) rows that one family sweep answers
+        challenges = []
+        by_width: dict[int, list] = {}
         for s in layout.shifts:
             if shift_w[s] == 0:
                 continue
@@ -520,38 +530,62 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
                 # outcome -> number of hash functions: None for a reject,
                 # else the checked sets of the active bands in order
                 tally: dict = {}
-                for a in range(size):
-                    for b in range(size):
-                        for c in range(size):
-                            f = HashFunction(n=params.n, m=m, a=a, b=b, c=c)
-                            sets = strat.produce_sets(s, k, f, g, m)
-                            key = _flat_check(sets, act, act_set, windows, size, f, params.set_cap)
-                            tally[key] = tally.get(key, 0) + 1
-                for key, count in tally.items():
-                    pr_f = pr_k * count / size**3
-                    if key is None:
-                        reject += pr_f
+                challenges.append((pr_k, members, wk, act, act_set, tally))
+                by_width.setdefault(m, []).append((s, k, g, act, act_set, windows, tally))
+        for m, group in by_width.items():
+            _flat_sweep(strat, params.n, m, group, params.set_cap)
+        for pr_k, members, wk, act, act_set, tally in challenges:
+            for key, count in tally.items():
+                pr_f = pr_k * count / size**3
+                if key is None:
+                    reject += pr_f
+                    continue
+                norm = dict(zip(act, key))
+                for j in members:
+                    if h[j] == 0:
                         continue
-                    norm = dict(zip(act, key))
-                    for j in members:
-                        if h[j] == 0:
-                            continue
-                        pr_j = pr_f * h[j] / wk
-                        if j not in act_set or not norm[j]:
-                            reject += pr_j
-                            continue
-                        for x in norm[j]:
-                            p_msg = strat.produce_probability(j, x)
-                            pv = _flat_final(j, p_msg, params)
-                            _accumulate(outputs, (x, j, pv), pr_j / len(norm[j]))
+                    pr_j = pr_f * h[j] / wk
+                    if j not in act_set or not norm[j]:
+                        reject += pr_j
+                        continue
+                    for x in norm[j]:
+                        p_msg = strat.produce_probability(j, x)
+                        pv = _flat_final(j, p_msg, params)
+                        _accumulate(outputs, (x, j, pv), pr_j / len(norm[j]))
     return outputs, reject
 
 
-def _flat_check(sets, active, active_set, windows, size, f, set_cap):
+def _flat_sweep(strat, n, m, group, set_cap):
+    """Ask ``strat`` about every member of the width-n family at hash width
+    m, for each challenge of ``group``, and tally the checked outcomes."""
+    size = 1 << n
+    low = (1 << m) - 1
+    inputs = range(size)
+    for a in range(size):
+        for b in range(size):
+            # c only flips the low m output bits, so f(x) = 0 exactly when
+            # the c = 0 member maps x to c & low: one zero set per c & low.
+            f0 = HashFunction(n=n, m=m, a=a, b=b, c=0)
+            values = [f0.eval(x) for x in inputs]
+            zero_sets = [
+                frozenset(x for x in inputs if values[x] == target) for target in range(low + 1)
+            ]
+            for c in range(size):
+                f = HashFunction(n=n, m=m, a=a, b=b, c=c)
+                zeros = zero_sets[c & low]
+                for s, k, g, act, act_set, windows, tally in group:
+                    sets = strat.produce_sets(s, k, f, g, m)
+                    key = _flat_check(sets, act, act_set, windows, size, zeros, set_cap)
+                    tally[key] = tally.get(key, 0) + 1
+
+
+def _flat_check(sets, active, active_set, windows, size, zeros, set_cap):
     """The sets of the active bands in order, each sorted, when every check
     passes; else None. ``windows`` holds check (b)'s widened bounds per
-    active band, and elements must lie below ``size``."""
-    if not isinstance(sets, Mapping) or set(sets.keys()) != active_set:
+    active band, elements must lie below ``size``, and check (a) asks that
+    they all lie in ``zeros``, the hash function's zero set."""
+    # dict first: the Mapping ABC check costs several times a type test
+    if not (type(sets) is dict or isinstance(sets, Mapping)) or set(sets.keys()) != active_set:
         return None
     norm = []
     total = 0
@@ -560,23 +594,22 @@ def _flat_check(sets, active, active_set, windows, size, f, set_cap):
             xs = list(sets[i])
         except TypeError:
             return None
-        if any((not isinstance(x, int)) or x < 0 or x >= size for x in xs):
+        if not all(map(isinstance, xs, repeat(int))):
             return None
-        if len(set(xs)) != len(xs):
+        xs.sort()
+        if xs and (xs[0] < 0 or xs[-1] >= size) or len(set(xs)) != len(xs):
             return None
-        norm.append(tuple(sorted(xs)))
+        norm.append(tuple(xs))
         total += len(xs)
     if total > set_cap:
         return None
     for xs in norm:
-        for x in xs:
-            if f.eval(x) != 0:
-                return None
+        if not zeros.issuperset(xs):
+            return None
     for xs, (lo, hi) in zip(norm, windows):
         if not lo <= len(xs) <= hi:
             return None
-    all_x = [x for xs in norm for x in xs]
-    if len(set(all_x)) != len(all_x):
+    if len(set().union(*norm)) != total:
         return None
     return tuple(norm)
 

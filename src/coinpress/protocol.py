@@ -390,7 +390,7 @@ def _message_json(msg: tuple):
     if kind == "element":
         return {"kind": kind, "band": msg[1], "x": element_to_hex(msg[2], msg[3])}
     if kind == "probability":
-        return {"kind": kind, "p": probability_json(msg[1])}
+        return {"kind": kind, "p": _claim_json(msg[1])}
     if kind == "table":
         n = msg[2]
         if msg[1] is None:
@@ -414,6 +414,17 @@ def _element_json(x, n: int):
     if isinstance(x, int):
         return element_to_hex(x, n)
     return {"malformed": type(x).__name__}
+
+
+def _claim_json(p):
+    # A malformed probability message may be a string or junk, or an int
+    # too large for a float; keep only its type.
+    if isinstance(p, (int, float, Fraction)):
+        try:
+            return probability_json(p)
+        except OverflowError:
+            pass
+    return {"malformed": type(p).__name__}
 
 
 def _outcome_json(outcome: Outcome):
@@ -512,6 +523,10 @@ class HonestProver(ProverStrategy):
         if not out:
             return out
         block = self._support[lo:hi]
+        if not f.rows:  # m = 0: every input hashes to the zero target
+            for i, a, b in cuts:
+                out[i] = block[a:b].tolist()
+            return out
         keep = f.eval_batch(block) == 0
         for i, a, b in cuts:
             out[i] = block[a:b][keep[a:b]].tolist()

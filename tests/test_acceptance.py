@@ -11,6 +11,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from coinpress.adversaries import (
     MixtureProver,
     inflating_prover,
@@ -175,6 +177,7 @@ def test_honest_prover_probability_exactness():
     )
 
 
+@pytest.mark.slow
 def test_oracle_vs_monte_carlo():
     """Estimates agree with exact masses within the Hoeffding half-width."""
     alpha = 1e-3
@@ -211,6 +214,7 @@ def test_oracle_vs_monte_carlo():
     report("oracle-vs-monte-carlo", ok, f"meta-test {passes}/100 within half-width")
 
 
+@pytest.mark.slow
 def test_two_component_mixture_numbers():
     """The uniform-pair/point mixture lands at marginal 3/4 and mass/p sum 1."""
     params = ProtocolParams.raw(

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -41,6 +42,7 @@ from coinpress.protocol import (
     replay,
     run_protocol,
     scale_weights,
+    validate_histogram_message,
 )
 
 
@@ -376,13 +378,14 @@ class FullEnumeration(ProverStrategy):
 N4_MASSES = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 6), Fraction(1, 8), Fraction(1, 8))
 
 
-def n4_provers(eps):
+def profile_provers(eps, n=4, sampling_gap=1.0):
+    """The four provers of the oracle-n4 mass profile at width n, t=8."""
     params = ProtocolParams.raw(
-        n=4, eps=eps, delta=0.5, t=8, gap_size=1, interval_size=2, sampling_gap=1.0,
+        n=n, eps=eps, delta=0.5, t=8, gap_size=1, interval_size=2, sampling_gap=sampling_gap,
     )
     rng = random.Random(7)
     main, other = (
-        ExplicitDistribution(n=4, mass=dict(zip(rng.sample(range(16), 5), N4_MASSES)))
+        ExplicitDistribution(n=n, mass=dict(zip(rng.sample(range(1 << n), 5), N4_MASSES)))
         for _ in range(2)
     )
     return params, {
@@ -463,7 +466,7 @@ class TestZeroSetPatterns:
     @pytest.mark.parametrize("eps", [1.0, 0.5])
     @pytest.mark.parametrize("name", ["honest", "mixture", "inflating", "overlapping"])
     def test_quotient_equals_full_enumeration_and_flat(self, eps, name):
-        params, provers = n4_provers(eps)
+        params, provers = profile_provers(eps)
         prover = provers[name]
         quotient = OracleRun(ExactConfig(params=params, prover=prover))
         full = OracleRun(ExactConfig(params=params, prover=FullEnumeration(prover)))
@@ -520,6 +523,77 @@ class TestZeroSetPatterns:
         dist = ExplicitDistribution.point(7, 0)
         with pytest.raises(EnumerationBudgetError):
             ExactConfig(params=params, prover=honest_prover(dist, params))
+
+
+# ---------------------------------------------------------------------------
+# The flat enumerator
+
+
+class CountingProver(FullEnumeration):
+    """A deterministic prover that records every sets query it is asked, as
+    (s, k, m, a, b, c), and does not declare the zero-set contract."""
+
+    def __init__(self, inner: ProverStrategy):
+        super().__init__(inner)
+        self.calls = Counter()
+
+    def produce_sets(self, s, k, f, g, m):
+        assert f.m == m
+        self.calls[(s, k, m, f.a, f.b, f.c)] += 1
+        return super().produce_sets(s, k, f, g, m)
+
+    def randomness_support(self):
+        return [(Fraction(1), self)]
+
+
+class TestFlatEnumerator:
+    def assert_asks_every_function_once(self, params, honest):
+        """The flat enumerator asks about every (challenge, hash function)
+        pair with m <= n exactly once, and counting changes nothing.
+        Returns the hash widths of the challenges the verifier can draw."""
+        counting = CountingProver(honest)
+        assert exact_output_distribution_flat(params, counting) == (
+            exact_output_distribution_flat(params, honest)
+        )
+        tables, reason = validate_histogram_message(honest.produce_histogram(), params)
+        assert reason is None
+        expected = {
+            (s, k, ctx.m, a, b, c)
+            for (s, k), ctx in tables.challenges.items()
+            if ctx.m <= params.n
+            for a, b, c in family(params.n)
+        }
+        assert expected and set(counting.calls) == expected
+        assert set(counting.calls.values()) == {1}
+        return {ctx.m for ctx in tables.challenges.values()}
+
+    def test_asks_every_function_once_at_n3(self):
+        widths = set()
+        for sampling_gap in (4.0, 0.5, -1.0, -2.0, -3.0):
+            params = raw_params(sampling_gap=sampling_gap)
+            widths |= self.assert_asks_every_function_once(
+                params, honest_prover(skewed_dist(), params)
+            )
+        assert widths == {0, 1, 2, 3, 4}  # every width up to n, and one past it
+
+    @pytest.mark.parametrize("sampling_gap", [1.0, -1.0])
+    def test_asks_every_function_once_at_n4(self, sampling_gap):
+        params, provers = profile_provers(1.0, sampling_gap=sampling_gap)
+        self.assert_asks_every_function_once(params, provers["honest"])
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", ["honest", "mixture", "inflating", "overlapping"])
+    def test_structured_equals_flat_at_n5(self, name):
+        params, provers = profile_provers(1.0, n=5)
+        prover = provers[name]
+        run = OracleRun(ExactConfig(params=params, prover=prover))
+        exact = run.distribution
+        flat_out, flat_rej = exact_output_distribution_flat(params, prover)
+        assert exact.outputs == flat_out and exact.reject_mass == flat_rej
+        assert exact.total_mass() == 1
+        sandwich = verify_band_sandwich(run)
+        assert not sandwich.violations and not sandwich.indeterminate
+        assert not verify_band_sums(run).violations
 
 
 # ---------------------------------------------------------------------------
@@ -825,3 +899,86 @@ class TestSetsIntakeFuzz:
             assert tr.outcome.kind in ("output", "reject")
             assert replay(params, prover, tr).to_json() == tr.to_json()
         assert_oracles_agree(params, prover)
+
+
+# ---------------------------------------------------------------------------
+# Probability intake fuzzing: any value in the probability slot ends in an
+# output, the same one in the run, its replay and both oracles
+
+
+def probability_claims():
+    """Values for the ScriptedProver probability slot: ints (0 and negatives
+    among them), floats, strings, None, bools, Fractions above 1, huge
+    rationals, and ("edge", shift, factor) recipes that claim factor times
+    the upper edge of band j + shift, for the band j the verifier drew.
+    Factor 1 is on the edge, 3/4 inside the band, 1 +- 10**-d just inside
+    or outside it."""
+    constants = st.one_of(
+        st.integers(-3, 3), st.integers(2**64, 2**80), st.just(10**400),
+        st.floats(), st.text(max_size=4), st.just("1/2"), st.none(), st.booleans(),
+        st.fractions(min_value=1, max_value=4, max_denominator=50),
+        st.integers(60, 3000).map(lambda k: Fraction(2**k + 1, 2 ** (k + 1))),
+        st.integers(60, 3000).map(lambda k: Fraction(1, 2**k)),
+        st.integers(1, 200).map(lambda k: Fraction(3**k, 2 ** (2 * k))),
+    )
+    factors = st.one_of(
+        st.sampled_from([Fraction(1), Fraction(3, 4), Fraction(1, 2)]),
+        st.builds(
+            lambda d, sign: 1 + sign * Fraction(1, 10**d), st.integers(1, 16), st.sampled_from([-1, 1]),
+        ),
+    )
+    edges = st.tuples(st.just("edge"), st.integers(-1, 1), factors)
+    return st.booleans().flatmap(lambda edge: edges if edge else constants)
+
+
+def claim_slot(claim, params):
+    """The probability slot a drawn claim stands for."""
+    if not (isinstance(claim, tuple) and claim[0] == "edge"):
+        return claim
+    _, shift, factor = claim
+
+    def probability(j, x):
+        exponent = (j + shift) * params.eps
+        if exponent == int(exponent):
+            edge = Fraction(2) ** -int(exponent)
+        else:
+            edge = Fraction(2.0 ** -exponent)
+        return edge * factor
+
+    return probability
+
+
+class TestProbabilityIntakeFuzz:
+    @given(st.sampled_from([1.0, 0.5]), probability_claims())
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_every_probability_claim_ends_in_an_output(self, eps, claim):
+        """The honest sets always pass, so each run ends in an output; the
+        claim decides only p. Runs, replays and both oracles agree on it."""
+        params = raw_params(eps=eps)
+        honest = honest_prover(skewed_dist(), params)
+        prover = ScriptedProver(
+            {"histogram": honest.produce_histogram(), "sets": honest.produce_sets,
+             "probability": claim_slot(claim, params)}
+        )
+        prover.depends_on_hash_zero_set = True  # the sets are the honest prover's
+        exact = assert_oracles_agree(params, prover)
+        assert exact.reject_mass == 0
+        for seed in range(3):
+            tr = run_protocol(params, prover, rng=random.Random(seed))
+            assert tr.outcome.kind == "output"
+            assert replay(params, prover, tr).to_json() == tr.to_json()
+            assert exact.outputs.get((tr.outcome.x, tr.outcome.band, tr.outcome.p), 0) > 0
+
+    @pytest.mark.parametrize(
+        "claim", ["1/2", [1], 10**400, object()], ids=["str", "list", "huge-int", "object"],
+    )
+    def test_unshowable_claims_serialise_by_type(self, claim):
+        params = raw_params()
+        honest = honest_prover(skewed_dist(), params)
+        prover = ScriptedProver(
+            {"histogram": honest.produce_histogram(), "sets": honest.produce_sets,
+             "probability": claim}
+        )
+        tr = run_protocol(params, prover, rng=random.Random(0))
+        shown = json.loads(tr.to_json())["messages"][-1]
+        assert shown == {"kind": "probability", "p": {"malformed": type(claim).__name__}}

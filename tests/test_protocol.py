@@ -500,17 +500,21 @@ class TestHonestProver:
         with pytest.raises(ValueError):
             honest_prover(ExplicitDistribution.point(4, 0), tiny_params())
 
-    def test_sets_match_scalar_filter_at_n16(self):
+    @staticmethod
+    def n16_instance(rng):
         # Three mass levels land in bands 18, 21 and 22. With intervals of
         # two bands, many intervals hold no members, one holds bands 21 and
         # 22, and every member band ends some interval.
-        rng = random.Random(3)
         support = rng.sample(range(1 << 16), 1152)
         mass = {x: Fraction(1, 512) for x in support[:256]}
         mass.update({x: Fraction(1, 1536) for x in support[256:640]})
         mass.update({x: Fraction(1, 2048) for x in support[640:]})
         dist = ExplicitDistribution(n=16, mass=mass)
-        params = ProtocolParams.raw(n=16, eps=0.5, delta=0.5, t=64, gap_size=1, interval_size=2)
+        return dist, ProtocolParams.raw(n=16, eps=0.5, delta=0.5, t=64, gap_size=1, interval_size=2)
+
+    def test_sets_match_scalar_filter_at_n16(self):
+        rng = random.Random(3)
+        dist, params = self.n16_instance(rng)
         prover = honest_prover(dist, params)
         members = buckets(dist, params.eps, params.t)
         live = compute_live_bands(prover.histogram.weights, params)
@@ -527,6 +531,40 @@ class TestHonestProver:
                     }
                     assert sets == expected
                     assert all(type(x) is int for xs in sets.values() for x in xs)
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_m_zero_sets_match_scalar_filter(self, n):
+        """At m = 0 the sets skip hashing; they still equal the scalar
+        filter, and editing one answer leaves the next one whole."""
+        rng = random.Random(n)
+        if n == 16:
+            dist, params = self.n16_instance(rng)
+        else:
+            masses = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 6), Fraction(1, 8), Fraction(1, 8))
+            dist = ExplicitDistribution(n=4, mass=dict(zip(rng.sample(range(16), 5), masses)))
+            params = ProtocolParams.raw(
+                n=4, eps=1.0, delta=0.5, t=8, gap_size=1, interval_size=2, sampling_gap=1.0,
+            )
+        prover = honest_prover(dist, params)
+        members = buckets(dist, params.eps, params.t)
+        live = compute_live_bands(prover.histogram.weights, params)
+        layout = params.layout
+        nonempty = 0
+        for s in layout.shifts:
+            for k in layout.index_range:
+                f = sample_hash(n, 0, rng)
+                expected = {
+                    i: [x for x in sorted(members.get(i, ())) if f.eval(x) == 0]
+                    for i in layout.interval(s, k) if i in live
+                }
+                sets = prover.produce_sets(s, k, f, params.sampling_gap, 0)
+                assert sets == expected
+                assert all(type(x) is int for xs in sets.values() for x in xs)
+                for xs in sets.values():
+                    nonempty += bool(xs)
+                    xs.append(-1)
+                assert prover.produce_sets(s, k, f, params.sampling_gap, 0) == expected
+        assert nonempty
 
     def test_seeded_n16_transcript_pinned(self):
         rng = random.Random(5)
