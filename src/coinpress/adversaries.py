@@ -1,12 +1,12 @@
 """Canonical cheating provers and the scripted prover used by tests.
 
-The mixture prover first draws one of several distributions and then plays
-honestly for it; the rejecting prover forces a round-1 rejection with some
+The mixture prover draws one of several distributions and plays honestly
+for it; the rejecting prover forces a round-1 rejection with some
 probability; the inflating prover shifts its reported histogram toward
 smaller claimed probabilities and pads its sets to survive the cardinality
-check. All of them draw their private randomness up front from their own
-seed, so the exact oracle can enumerate them as deterministic provers
-conditioned on the draw.
+check. A randomized prover is its ``randomness_support``, which the exact
+oracle enumerates; a trial draws one strategy up front with
+``reseeded(seed)``. The verifier checks the sets as recorded.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ from typing import Mapping, Sequence
 
 from coinpress.dist import ExplicitDistribution, buckets
 from coinpress.protocol import (
+    CoinSource,
     HonestProver,
     ProtocolParams,
     ProverStrategy,
     band_mass_sum,
     check_b_window,
     compute_live_bands,
-    pick_by_offset,
-    scale_weights,
+    cumulative_weights,
 )
 
 
@@ -46,11 +46,12 @@ class RejectNowProver(ProverStrategy):
 
 
 class MixtureProver(ProverStrategy):
-    """Draws a component distribution per run, then plays honestly for it.
+    """Plays honestly for one component distribution, drawn from ``seed``.
 
     ``components`` is a list of (weight, distribution) pairs whose weights
     sum to at most 1; the residual weight is an outright rejection (the
-    prover sends a histogram that cannot pass round 1).
+    prover sends a histogram that cannot pass round 1). The component is
+    drawn by ``CoinSource.pick`` when the prover is built or ``reseeded``.
     """
 
     def __init__(
@@ -70,10 +71,13 @@ class MixtureProver(ProverStrategy):
             (Fraction(q), HonestProver(dist, params)) for q, dist in components
         ]
         self.residual = 1 - total
-        self._rng = random.Random(seed)
-        self._scaled, self._scale_total = scale_weights(weights + [self.residual])
         self._reject = RejectNowProver()
-        self._active: ProverStrategy = self._reject
+        self._strategies = [strat for _, strat in self.components] + [self._reject]
+        self._draw = cumulative_weights(weights + [self.residual])
+        self._active = self._pick(seed)
+
+    def _pick(self, seed: int) -> ProverStrategy:
+        return self._strategies[CoinSource(rng=random.Random(seed)).pick(self._draw)]
 
     def reseeded(self, seed: int) -> "MixtureProver":
         """A prover sharing these components but drawing from ``seed``.
@@ -82,17 +86,8 @@ class MixtureProver(ProverStrategy):
         rebuilding the components' honest provers.
         """
         twin = copy.copy(self)
-        twin._rng = random.Random(seed)
-        twin._active = self._reject
+        twin._active = self._pick(seed)
         return twin
-
-    def begin_run(self):
-        u = self._rng.randrange(self._scale_total)
-        idx = pick_by_offset(self._scaled, u)
-        if idx == len(self.components):
-            self._active = self._reject
-        else:
-            self._active = self.components[idx][1]
 
     def produce_histogram(self):
         return self._active.produce_histogram()
@@ -239,6 +234,8 @@ class ScriptedProver(ProverStrategy):
 
     def __init__(self, responses: Mapping[str, object]):
         self.responses = dict(responses)
+        # A constant sets answer reads nothing of f.
+        self.depends_on_hash_zero_set = not callable(self.responses.get("sets"))
 
     def _lookup(self, key, args=()):
         if key not in self.responses:

@@ -79,7 +79,7 @@ class RunConfig:
             self.dist = _dist_from_obj(obj["distribution"], base_dir) if "distribution" in obj else None
             self.prover_spec = obj.get("prover", "honest")
             self.trials = int(obj.get("trials", 1000))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid config {path}: {exc}")
         self.base_dir = base_dir
 
@@ -113,10 +113,13 @@ def make_prover_factory(spec: str, dist, params: ProtocolParams, base_dir: str):
         return lambda seed: shared
     if kind == "mixture":
         obj = _load_json(os.path.join(base_dir, arg))
-        components = [
-            (fraction_from_str(c["weight"]), _dist_from_obj(c["distribution"], base_dir))
-            for c in obj["components"]
-        ]
+        try:
+            components = [
+                (fraction_from_str(c["weight"]), _dist_from_obj(c["distribution"], base_dir))
+                for c in obj["components"]
+            ]
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ConfigError(f"invalid mixture file {arg}: {exc!r}")
         return adversaries.MixtureProver(components, 0, params).reseeded
     if kind == "rejecting":
         if dist is None:
@@ -129,7 +132,10 @@ def make_prover_factory(spec: str, dist, params: ProtocolParams, base_dir: str):
         shared = adversaries.inflating_prover(dist, int(arg), params)
         return lambda seed: shared
     if kind == "scripted":
-        shared = _scripted_from_obj(_load_json(os.path.join(base_dir, arg)))
+        try:
+            shared = _scripted_from_obj(_load_json(os.path.join(base_dir, arg)))
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ConfigError(f"invalid scripted file {arg}: {exc!r}")
         return lambda seed: shared
     raise ConfigError(f"unknown prover spec {spec!r}")
 

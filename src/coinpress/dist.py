@@ -110,10 +110,9 @@ class ExplicitDistribution:
     def from_json_obj(cls, obj: dict) -> "ExplicitDistribution":
         try:
             n = int(obj["n"])
-            raw = obj["mass"]
-        except (KeyError, TypeError) as exc:
+            mass = {element_from_hex(k, n): fraction_from_str(v) for k, v in obj["mass"].items()}
+        except (AttributeError, KeyError, TypeError) as exc:
             raise InvalidDistributionError(f"malformed distribution object: {exc}")
-        mass = {element_from_hex(k, n): fraction_from_str(v) for k, v in raw.items()}
         return cls(n=n, mass=mass)
 
     @classmethod

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from typing import Optional
@@ -49,6 +49,7 @@ from coinpress.protocol import (
     check_sets,
     compute_live_bands,
     finalize,
+    parse_sets,
     parse_table,
     probability_bin_key,
     validate_histogram_message,
@@ -133,8 +134,8 @@ class ComponentRun:
     shifts: dict[int, ShiftTables] = field(default_factory=dict)
     outputs: dict[OutputKey, Fraction] = field(default_factory=dict)
     rejects: dict[str, Fraction] = field(default_factory=dict)
-    # per shift: {"prob": Pr[S=s], "outputs": conditionals, "rejects": conditionals}
-    per_shift: dict[int, dict] = field(default_factory=dict)
+    # per shift: the output masses conditioned on that shift
+    per_shift: dict[int, dict[OutputKey, Fraction]] = field(default_factory=dict)
 
     def shift_prob(self, s: int) -> Fraction:
         if self.shift_total == 0:
@@ -147,8 +148,7 @@ class ComponentRun:
         return self.tables.shift_weights[s]
 
     def shift_conditional(self, s: int) -> dict[OutputKey, Fraction]:
-        blob = self.per_shift.get(s)
-        return blob["outputs"] if blob else {}
+        return self.per_shift.get(s, {})
 
     def placement_probability(self, s: int, x: int, j: int) -> Fraction:
         """Probability over the hash draw that all set checks pass and this
@@ -235,8 +235,8 @@ def _build_component(
             rows = []
             hits: dict[tuple[int, int], int] = {}
             for f, count in source:
-                sets = strat.produce_sets(s, k, f, g, m)
-                normalized, why = check_sets(sets, tables.floats, replace(pending, f=f), params)
+                record = parse_sets(strat.produce_sets(s, k, f, g, m))
+                normalized, why = check_sets(record, tables.floats, pending, f, params)
                 rows.append((f, count, why, normalized))
                 if why is None:
                     for j, members in normalized.items():
@@ -292,7 +292,7 @@ def _fill_component_distribution(comp: ComponentRun):
                         p_msg = comp.strategy.produce_probability(j, x)
                         outcome = finalize(j, x, p_msg, params)
                         _accumulate(s_outputs, (x, j, outcome.p), x_prob)
-        comp.per_shift[s] = {"prob": s_prob, "outputs": s_outputs, "rejects": s_rejects}
+        comp.per_shift[s] = s_outputs
         for key, mass in s_outputs.items():
             _accumulate(comp.outputs, key, s_prob * mass)
         for why, mass in s_rejects.items():

@@ -24,7 +24,7 @@ import json
 import math
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -441,9 +441,11 @@ def _outcome_json(outcome: Outcome):
 class ProverStrategy:
     """Behavioral interface every prover implements.
 
-    A strategy must be deterministic given its seed and the message
-    history; strategies that flip their own coins draw them in
-    ``begin_run`` so the exact oracle can enumerate the draw.
+    A strategy answers from the message history alone, so a run is a pure
+    function of the verifier's coins. A randomized prover is its
+    ``randomness_support``; a trial draws one strategy up front with
+    ``reseeded(seed)``. The verifier checks the sets as recorded
+    (``parse_sets``), so set entries may be any iterables.
     """
 
     # True when ``produce_sets`` reads the hash f only through its zero set
@@ -451,9 +453,6 @@ class ProverStrategy:
     # distinct zero set, weighted by how many hash functions share it,
     # instead of once per hash function.
     depends_on_hash_zero_set = False
-
-    def begin_run(self) -> None:
-        """Called once at the start of each protocol run."""
 
     def produce_histogram(self) -> Sequence[Fraction]:
         raise NotImplementedError
@@ -605,7 +604,6 @@ class ChallengeContext:
     active: tuple[int, ...]  # live bands of the chosen interval, sorted
     g: float
     m: int
-    f: Optional[HashFunction]  # None until the hash is drawn
     band_mass_sum: float  # sum of 2**(i*eps) * h_i over the interval
 
 
@@ -668,7 +666,7 @@ def verifier_tables(params: ProtocolParams, key: tuple[int, ...]) -> VerifierTab
             challenges[(s, k)] = ChallengeContext(
                 s=s, k=k, live=live, interval=interval,
                 active=tuple(i for i in interval if i in live),
-                g=g, m=m, f=None, band_mass_sum=z,
+                g=g, m=m, band_mass_sum=z,
             )
             band_draw[(s, k)] = cumulative_weights([weights[i] for i in interval])
     return VerifierTables(
@@ -708,17 +706,17 @@ def challenge_width(weights, interval: Sequence[int], z: float, params: Protocol
 
 
 def choose_challenge(tables: VerifierTables, params: ProtocolParams, coins: CoinSource):
-    """Draw shift, interval, and hash; returns (context, reject reason)."""
+    """Draw shift, interval, and hash; returns (context, hash, reject reason)."""
     layout = params.layout
     try:
         s = layout.shifts[coins.pick(tables.shift_draw)]
     except DegenerateChoiceError:
-        return None, REJECT_DEGENERATE
+        return None, None, REJECT_DEGENERATE
     # Shift s has positive mass, so its interval draw is not degenerate.
     ctx = tables.challenges[(s, layout.index_range[coins.pick(tables.interval_draw[s])])]
     if ctx.m > params.n:
-        return None, REJECT_HASH_WIDTH
-    return replace(ctx, f=sample_hash(params.n, ctx.m, coins)), None
+        return None, None, REJECT_HASH_WIDTH
+    return ctx, sample_hash(params.n, ctx.m, coins), None
 
 
 def check_b_window(i: int, w_f: float, m: int, g: float, z: float, eps: float) -> tuple[float, float]:
@@ -735,23 +733,21 @@ def check_b_window(i: int, w_f: float, m: int, g: float, z: float, eps: float) -
     return lo, hi
 
 
-def check_sets(sets, weights, ctx: ChallengeContext, params: ProtocolParams):
-    """Validate the prover's sets; returns (normalized sets, reject reason).
+def check_sets(sets, weights, ctx: ChallengeContext, f: HashFunction, params: ProtocolParams):
+    """Validate the sets message as ``parse_sets`` records it, under the
+    drawn hash f; returns (normalized sets, reject reason).
 
     The verifier checks, in order: message shape, the total-size guard,
     (a) every listed element hashes to the all-zero target, (b) every
     set's cardinality lies in the band-mass window, and (c) the sets are
     pairwise disjoint. Real-valued bounds in (b) are widened by TAU.
     """
-    if not isinstance(sets, Mapping) or set(sets.keys()) != set(ctx.active):
+    if sets is None or sets.keys() != set(ctx.active):
         return None, REJECT_MALFORMED_SETS
     normalized = {}
     total = 0
     for i in ctx.active:
-        try:
-            xs = list(sets[i])
-        except TypeError:
-            return None, REJECT_MALFORMED_SETS
+        xs = sets[i]
         if any((not isinstance(x, int)) or x < 0 or (x >> params.n) for x in xs):
             return None, REJECT_MALFORMED_SETS
         if len(set(xs)) != len(xs):
@@ -762,7 +758,7 @@ def check_sets(sets, weights, ctx: ChallengeContext, params: ProtocolParams):
         return None, REJECT_OVERSIZE
     for i in ctx.active:
         for x in normalized[i]:
-            if ctx.f.eval(x) != 0:
+            if f.eval(x) != 0:
                 return None, REJECT_CHECK_A
     for i in ctx.active:
         lo, hi = check_b_window(i, float(weights[i]), ctx.m, ctx.g, ctx.band_mass_sum, params.eps)
@@ -828,7 +824,6 @@ def run_protocol(
         return trivial_protocol(params, prover, rng=rng, replay_coins=replay_coins, trial=trial)
     coins = CoinSource(rng=rng, replay=replay_coins)
     messages: list = []
-    prover.begin_run()
 
     weights = _histogram_record(prover.produce_histogram())
     messages.append(("histogram", weights))
@@ -836,14 +831,14 @@ def run_protocol(
     if reason is not None:
         return _finish(params, messages, coins, Outcome.reject(reason), trial)
 
-    ctx, reason = choose_challenge(tables, params, coins)
+    ctx, f, reason = choose_challenge(tables, params, coins)
     if reason is not None:
         return _finish(params, messages, coins, Outcome.reject(reason), trial)
-    messages.append(("challenge", ctx.s, ctx.k, ctx.f))
+    messages.append(("challenge", ctx.s, ctx.k, f))
 
-    raw_sets = prover.produce_sets(ctx.s, ctx.k, ctx.f, ctx.g, ctx.m)
-    messages.append(("sets", _sets_record(raw_sets), params.n))
-    sets, reason = check_sets(raw_sets, tables.floats, ctx, params)
+    record = parse_sets(prover.produce_sets(ctx.s, ctx.k, f, ctx.g, ctx.m))
+    messages.append(("sets", record, params.n))
+    sets, reason = check_sets(record, tables.floats, ctx, f, params)
     if reason is not None:
         return _finish(params, messages, coins, Outcome.reject(reason), trial)
 
@@ -869,9 +864,10 @@ def _histogram_record(raw):
         return None
 
 
-def _sets_record(raw_sets):
-    """The sets message as a transcript keeps it: {band: tuple of elements},
-    or None when it is not a mapping from int bands to iterables."""
+def parse_sets(raw_sets):
+    """The sets message as the transcript records it and the verifier checks
+    it: {band: tuple of elements}, or None unless a mapping from int bands
+    to iterables. Each entry is iterated once."""
     if not isinstance(raw_sets, Mapping):
         return None
     try:
@@ -938,7 +934,6 @@ def trivial_protocol(
     """
     coins = CoinSource(rng=rng, replay=replay_coins)
     messages: list = []
-    prover.begin_run()
     table = parse_table(prover.produce_table())
     messages.append(("table", table, params.n))
     reason = validate_table(table, params)

@@ -28,6 +28,7 @@ from coinpress.hashing import HashFunction, family
 from coinpress.protocol import (
     ProtocolParams,
     honest_prover,
+    replay,
     run_protocol,
     validate_histogram_message,
 )
@@ -92,34 +93,54 @@ class TestMixtureProver:
 
     def test_deterministic_component_sequence(self):
         params = params_n2()
-        a = two_point_mixture(params, seed=11)
-        b = two_point_mixture(params, seed=11)
-        for _ in range(20):
-            a.begin_run()
-            b.begin_run()
+        seen = set()
+        for seed in range(11, 31):
+            a = two_point_mixture(params, seed=seed)
+            b = two_point_mixture(params, seed=seed)
             assert a.produce_histogram() == b.produce_histogram()
+            seen.add(tuple(a.produce_histogram()))
+        assert len(seen) == 2  # both components are drawn
 
     def test_reseeded_matches_fresh_prover(self):
         params = params_n2()
         base = two_point_mixture(params, seed=0)
-        twin = base.reseeded(11)
-        fresh = two_point_mixture(params, seed=11)
-        assert twin.components is base.components
-        for _ in range(20):
-            twin.begin_run()
-            fresh.begin_run()
+        for seed in range(11, 31):
+            twin = base.reseeded(seed)
+            fresh = two_point_mixture(params, seed=seed)
+            assert twin.components is base.components
             assert twin.produce_histogram() == fresh.produce_histogram()
 
     def test_mc_marginal_matches_oracle(self):
         params = params_n2()
-        prover = two_point_mixture(params, seed=5)
+        base = two_point_mixture(params, seed=5)
         rng = random.Random(5)
         hits = 0
         trials = 4000
-        for _ in range(trials):
-            out = run_protocol(params, prover, rng=rng).outcome
+        for trial in range(trials):
+            out = run_protocol(params, base.reseeded(trial), rng=rng).outcome
             hits += out.kind == "output" and out.x == 0
         assert hits / trials == pytest.approx(0.75, abs=0.03)
+
+    @pytest.mark.parametrize("kind", ["mixture", "rejecting"])
+    def test_replay_with_the_producing_prover(self, kind):
+        """A run is a pure function of the verifier's coins: replaying it
+        with the very prover object that produced it gives the same bytes."""
+        params = params_n3(sampling_gap=0.5)
+        dist = ExplicitDistribution(
+            n=3, mass={0: Fraction(1, 2), 3: Fraction(1, 4), 5: Fraction(1, 4)}
+        )
+        if kind == "mixture":
+            other = ExplicitDistribution.uniform(3, [1, 6])
+            base = MixtureProver([(Fraction(1, 2), dist), (Fraction(1, 4), other)], 0, params)
+        else:
+            base = rejecting_prover(dist, Fraction(1, 3), 0, params)
+        outcomes = set()
+        for seed in range(200):
+            prover = base.reseeded(seed)
+            tr = run_protocol(params, prover, rng=random.Random(seed))
+            assert replay(params, prover, tr).to_json() == tr.to_json()
+            outcomes.add(tr.outcome.kind)
+        assert outcomes == {"output", "reject"}
 
 
 class TestRejectingProver:

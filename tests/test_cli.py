@@ -188,3 +188,27 @@ def test_malformed_distribution_exits_nonzero(workspace, capsys):
         )
     )
     assert main(["sample", "--config", str(workspace / "bad.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"distribution": {"n": 3, "mass": [["0", "1/1"]]}},
+        {"distribution": {"n": 3, "mass": {"0": 1}}},
+        {"params": [1, 2]},
+        {"prover": "mixture:no-distribution.json"},
+        {"prover": "scripted:list-sets.json"},
+    ],
+    ids=["mass-list", "mass-number", "params-list", "component-without-distribution",
+         "scripted-list-sets"],
+)
+def test_malformed_config_is_an_error(workspace, capsys, edit):
+    (workspace / "no-distribution.json").write_text(
+        json.dumps({"components": [{"weight": "1/1"}]})
+    )
+    (workspace / "list-sets.json").write_text(json.dumps({"sets": [["0"]]}))
+    cfg = dict(json.loads((workspace / "tiny.json").read_text()), **edit)
+    path = workspace / "malformed.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["estimate", "--config", str(path), "--trials", "10"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -7,7 +7,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from coinpress.adversaries import (
@@ -354,9 +354,6 @@ class FullEnumeration(ProverStrategy):
     def __init__(self, inner: ProverStrategy):
         self.inner = inner
 
-    def begin_run(self):
-        self.inner.begin_run()
-
     def produce_histogram(self):
         return self.inner.produce_histogram()
 
@@ -489,20 +486,36 @@ class TestZeroSetPatterns:
             assert not a.violations and not a.indeterminate
 
     def test_scripted_prover_enumerates_every_function(self):
+        """A callable sets answer may read all of f, so the oracle asks it
+        about every function; a constant one reads nothing of f and is
+        asked once per zero set."""
         params = raw_params(sampling_gap=1.0)
         honest = honest_prover(skewed_dist(), params)
-        scripted = ScriptedProver(
-            {
-                "histogram": honest.produce_histogram(),
-                "sets": honest.produce_sets,
-                "probability": honest.produce_probability,
-            }
-        )
-        assert not scripted.depends_on_hash_zero_set
-        run = OracleRun(ExactConfig(params=params, prover=scripted))
-        assert branches(run) and all(rows == 8**3 for rows in branches(run))
-        honest_run = OracleRun(ExactConfig(params=params, prover=honest))
-        assert run.distribution.outputs == honest_run.distribution.outputs
+        # the honest answer under one m = 0 hash: it passes wherever m = 0
+        constant = honest.produce_sets(0, 1, HashFunction(n=3, m=0, a=0, b=0, c=0), 1.0, 0)
+        for answer in (honest.produce_sets, constant):
+            scripted = ScriptedProver(
+                {
+                    "histogram": honest.produce_histogram(),
+                    "sets": answer,
+                    "probability": honest.produce_probability,
+                }
+            )
+            run = OracleRun(ExactConfig(params=params, prover=scripted))
+            full = OracleRun(ExactConfig(params=params, prover=FullEnumeration(scripted)))
+            assert branches(full) and all(rows == 8**3 for rows in branches(full))
+            assert run.distribution.outputs == full.distribution.outputs
+            assert run.distribution.reject_by_reason == full.distribution.reject_by_reason
+            if answer is constant:
+                assert scripted.depends_on_hash_zero_set
+                assert sum(branches(run)) < sum(branches(full))
+                assert run.distribution.outputs
+                assert_oracles_agree(params, scripted)
+            else:
+                assert not scripted.depends_on_hash_zero_set
+                assert branches(run) == branches(full)
+                honest_run = OracleRun(ExactConfig(params=params, prover=honest))
+                assert run.distribution.outputs == honest_run.distribution.outputs
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_structural_checks_at_wider_instances(self, n):
@@ -859,6 +872,19 @@ def apply_sets_mutations(honest_sets, mutations, f):
 # At sampling gap 0.5 one interval hashes to m = 1, so some elements fall
 # outside the zero set.
 SETS_FUZZ_PARAMS = raw_params(sampling_gap=0.5)
+SETS_FUZZ_HONEST = honest_prover(skewed_dist(), SETS_FUZZ_PARAMS)
+
+
+def one_shot_entries(sets):
+    """The sets with each list entry handed over as its own one-shot iterator."""
+    return {i: iter(xs) if isinstance(xs, list) else xs for i, xs in sets.items()}
+
+
+def edited_sets(mutations, wrap):
+    """A sets slot that edits the honest sets and hands them over through wrap."""
+    def sets(s, k, f, g, m):
+        return wrap(apply_sets_mutations(SETS_FUZZ_HONEST.produce_sets(s, k, f, g, m), mutations, f))
+    return sets
 
 
 def sets_values():
@@ -866,39 +892,45 @@ def sets_values():
     instance: junk constants, and callables that edit the honest sets
     (missing, extra or bool keys, non-iterable entries, bad elements,
     overlaps, elements outside the zero set) and may hand the result over
-    as a dict, a read-only mapping or a list."""
+    as a dict, a read-only mapping, a list, or a dict whose set entries are
+    one-shot iterators."""
     junk = st.one_of(
         st.none(), st.integers(-3, 3), st.floats(), st.text(max_size=3),
         st.lists(st.lists(st.integers(0, 7), max_size=3), max_size=3),
         st.dictionaries(st.integers(0, 6), st.lists(set_elements(), max_size=3), max_size=3),
     )
-    wraps = st.sampled_from([dict, dict, MappingProxyType, lambda d: list(d.values())])
-    honest = honest_prover(skewed_dist(), SETS_FUZZ_PARAMS)
-
-    def recipe(mutations, wrap):
-        def sets(s, k, f, g, m):
-            return wrap(apply_sets_mutations(honest.produce_sets(s, k, f, g, m), mutations, f))
-        return sets
-
-    edited = st.builds(recipe, sets_mutations(), wraps)
+    wraps = st.sampled_from(
+        [dict, dict, MappingProxyType, lambda d: list(d.values()), one_shot_entries]
+    )
+    edited = st.builds(edited_sets, sets_mutations(), wraps)
     # one_of would flatten junk's branches and draw an edit one time in seven
     return st.booleans().flatmap(lambda edit: edited if edit else junk)
 
 
 class TestSetsIntakeFuzz:
     @given(sets_values())
+    # One-shot entries holding an element outside [0, 8): the oracles give
+    # malformed-sets all the mass, while a verifier that read the spent
+    # iterators a second time would see empty sets and reject check-b.
+    @example(edited_sets([("add", 0, 8)], one_shot_entries))
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_every_sets_message_ends_in_an_outcome(self, sets):
         """The verifier and both oracles are total over the sets slot and
-        agree exactly on what every message is worth."""
+        agree exactly on what every message is worth, and every seeded run
+        ends in an outcome the oracles give positive mass."""
         params = SETS_FUZZ_PARAMS
         prover = scripted_sets_prover(params, sets)
+        exact = assert_oracles_agree(params, prover)
         for seed in range(3):
             tr = run_protocol(params, prover, rng=random.Random(seed))
             assert isinstance(tr.outcome, Outcome)
             assert tr.outcome.kind in ("output", "reject")
             assert replay(params, prover, tr).to_json() == tr.to_json()
-        assert_oracles_agree(params, prover)
+            out = tr.outcome
+            if out.kind == "output":
+                assert exact.outputs.get((out.x, out.band, out.p), 0) > 0
+            else:
+                assert exact.reject_by_reason.get(out.reason, 0) > 0
 
 
 # ---------------------------------------------------------------------------

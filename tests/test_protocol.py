@@ -217,7 +217,7 @@ class TestChooseChallenge:
         w[2] = Fraction(1)
         seen = set()
         for seed in range(40):
-            ctx, reason = choose_challenge(tables_for(w, params), params, CoinSource(rng=random.Random(seed)))
+            ctx, _f, reason = choose_challenge(tables_for(w, params), params, CoinSource(rng=random.Random(seed)))
             assert reason is None
             seen.add((ctx.s, ctx.k))
             assert 2 in ctx.interval
@@ -226,7 +226,7 @@ class TestChooseChallenge:
     def test_m_zero_when_gap_large(self):
         params = tiny_params(sampling_gap=10.0)
         w = build_histogram(tiny_dist(), params.eps, params.t).weights
-        ctx, _ = choose_challenge(tables_for(w, params), params, CoinSource(rng=random.Random(0)))
+        ctx, _f, _ = choose_challenge(tables_for(w, params), params, CoinSource(rng=random.Random(0)))
         assert ctx.m == 0
         assert params.sampling_gap <= ctx.g < params.sampling_gap + 1
 
@@ -234,7 +234,7 @@ class TestChooseChallenge:
         params = tiny_params(sampling_gap=0.25)
         w = [Fraction(0)] * 7
         w[2] = Fraction(1)
-        ctx, _ = choose_challenge(tables_for(w, params), params, CoinSource(rng=random.Random(0)))
+        ctx, _f, _ = choose_challenge(tables_for(w, params), params, CoinSource(rng=random.Random(0)))
         # band-mass sum is 2^2 = 4, level 2: m = floor(2 - 0.25) = 1 and
         # g = 0.25 + frac(1.75) = 1.0, so level - g = m exactly
         assert ctx.m == 1
@@ -255,7 +255,7 @@ class TestChooseChallenge:
                 positions = rng.sample(range(7), 3)
                 for pos, part in zip(positions, parts):
                     w[pos] = Fraction(part, total)
-                ctx, reason = choose_challenge(tables_for(w, params), params, CoinSource(rng=random.Random(trial)))
+                ctx, _f, reason = choose_challenge(tables_for(w, params), params, CoinSource(rng=random.Random(trial)))
                 if reason is not None:
                     continue
                 assert isinstance(ctx.m, int) and ctx.m >= 0
@@ -280,7 +280,7 @@ class TestChooseChallenge:
         params = tiny_params(t=40, sampling_gap=0.0, eps=1.0)
         w = [Fraction(0)] * 41
         w[40] = Fraction(1)  # band-mass sum 2^40, m = 40 > n = 3
-        ctx, reason = choose_challenge(tables_for(w, params), params, CoinSource(rng=random.Random(0)))
+        ctx, _f, reason = choose_challenge(tables_for(w, params), params, CoinSource(rng=random.Random(0)))
         assert reason == "hash-width"
 
 
@@ -294,9 +294,11 @@ def m0_context(params, w, s, k):
     return ChallengeContext(
         s=s, k=k, live=frozenset(live), interval=interval,
         active=tuple(sorted(i for i in interval if i in live)),
-        g=params.sampling_gap, m=0,
-        f=HashFunction(n=params.n, m=0, a=0, b=0, c=0), band_mass_sum=z,
+        g=params.sampling_gap, m=0, band_mass_sum=z,
     )
+
+
+M0_HASH = HashFunction(n=3, m=0, a=0, b=0, c=0)
 
 
 class TestCheckSets:
@@ -309,43 +311,43 @@ class TestCheckSets:
 
     def test_honest_buckets_pass(self):
         sets = {1: [0], 2: [3, 5]}
-        normalized, reason = check_sets(sets, self.w, self.ctx, self.params)
+        normalized, reason = check_sets(sets, self.w, self.ctx, M0_HASH, self.params)
         assert reason is None
         assert normalized == {1: (0,), 2: (3, 5)}
 
     def test_duplicate_across_sets_fails_disjointness(self):
         sets = {1: [0, 3], 2: [3, 5]}
-        _, reason = check_sets(sets, self.w, self.ctx, self.params)
+        _, reason = check_sets(sets, self.w, self.ctx, M0_HASH, self.params)
         assert reason == "check-c"
 
     def test_bad_hash_fails_a(self):
         ctx = self.ctx
         ctx = ChallengeContext(
             s=ctx.s, k=ctx.k, live=ctx.live, interval=ctx.interval, active=ctx.active,
-            g=1.0, m=1, f=HashFunction(n=3, m=1, a=0, b=0, c=1),  # h(x)=1 for all x
-            band_mass_sum=ctx.band_mass_sum,
+            g=1.0, m=1, band_mass_sum=ctx.band_mass_sum,
         )
-        _, reason = check_sets({1: [0], 2: [3]}, self.w, ctx, self.params)
+        f = HashFunction(n=3, m=1, a=0, b=0, c=1)  # h(x)=1 for all x
+        _, reason = check_sets({1: [0], 2: [3]}, self.w, ctx, f, self.params)
         assert reason == "check-a"
 
     def test_cardinality_window_fails_b(self):
         sets = {1: [0], 2: []}  # band 2 holds mass 1/2: needs 2^2*h=2 elements
-        _, reason = check_sets(sets, self.w, self.ctx, self.params)
+        _, reason = check_sets(sets, self.w, self.ctx, M0_HASH, self.params)
         assert reason == "check-b"
 
     def test_wrong_keys_malformed(self):
-        _, reason = check_sets({1: [0]}, self.w, self.ctx, self.params)
+        _, reason = check_sets({1: [0]}, self.w, self.ctx, M0_HASH, self.params)
         assert reason == "malformed-sets"
-        _, reason = check_sets({1: [0], 2: [3, 5], 4: []}, self.w, self.ctx, self.params)
+        _, reason = check_sets({1: [0], 2: [3, 5], 4: []}, self.w, self.ctx, M0_HASH, self.params)
         assert reason == "malformed-sets"
 
     def test_duplicate_within_set_malformed(self):
-        _, reason = check_sets({1: [0, 0], 2: [3, 5]}, self.w, self.ctx, self.params)
+        _, reason = check_sets({1: [0, 0], 2: [3, 5]}, self.w, self.ctx, M0_HASH, self.params)
         assert reason == "malformed-sets"
 
     def test_oversize_guard_before_hashing(self):
         params = tiny_params(set_cap=2)
-        _, reason = check_sets({1: [0], 2: [3, 5]}, self.w, self.ctx, params)
+        _, reason = check_sets({1: [0], 2: [3, 5]}, self.w, self.ctx, M0_HASH, params)
         assert reason == "oversize"
 
 
