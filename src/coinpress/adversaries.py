@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from coinpress.dist import ExplicitDistribution, buckets
+from coinpress.dist import ExplicitDistribution, buckets, pow2
 from coinpress.protocol import (
     CoinSource,
     HonestProver,
@@ -129,15 +129,15 @@ class InflatingProver(ProverStrategy):
     built from the true bucket members (hash-filtered) and padded with
     spare elements that hash to the zero target, so the cardinality check
     passes whenever enough spares exist. A stress strategy for soundness
-    diagnostics; shift 0 plays exactly honestly.
+    diagnostics; ``inflating_prover`` plays shift 0 with the honest prover.
     """
 
     # Members and spares are both filtered by f(x) == 0.
     depends_on_hash_zero_set = True
 
     def __init__(self, dist: ExplicitDistribution, shift: int, params: ProtocolParams):
-        if shift < 0:
-            raise ValueError("shift must be nonnegative")
+        if shift < 1:
+            raise ValueError("shift must be at least 1")
         if params.n > 16:
             raise ValueError("inflating prover enumerates {0,1}^n; needs n <= 16")
         self.shift = shift
@@ -159,13 +159,9 @@ class InflatingProver(ProverStrategy):
         self._plans: dict[tuple, tuple] = {}  # (s, k, m, g) -> _plan(s, k, m, g)
 
     def produce_histogram(self):
-        if self.shift == 0:
-            return self._honest.produce_histogram()
         return self.claimed_weights
 
     def produce_sets(self, s, k, f, g, m):
-        if self.shift == 0:
-            return self._honest.produce_sets(s, k, f, g, m)
         plan = self._plans.get((s, k, m, g))
         if plan is None:
             plan = self._plans[(s, k, m, g)] = self._plan(s, k, m, g)
@@ -206,20 +202,18 @@ class InflatingProver(ProverStrategy):
         return tuple(plan)
 
     def produce_probability(self, j, x):
-        if self.shift == 0:
-            return self._honest.produce_probability(j, x)
         # A rational claim inside band j: the band's upper endpoint, taken
         # as the exact value of its double approximation.
-        exponent = j * self.params.eps
-        if exponent == int(exponent):
-            return Fraction(1, 2 ** int(exponent))
-        return Fraction(2.0 ** (-exponent))
+        return Fraction(pow2(-j * self.params.eps))
 
     def produce_table(self):
         return self._honest.produce_table()
 
 
-def inflating_prover(dist: ExplicitDistribution, shift: int, params: ProtocolParams) -> InflatingProver:
+def inflating_prover(dist: ExplicitDistribution, shift: int, params: ProtocolParams) -> ProverStrategy:
+    """The inflating prover for ``shift``; shift 0 is the honest prover."""
+    if shift == 0:
+        return HonestProver(dist, params)
     return InflatingProver(dist, shift, params)
 
 

@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Union
 
 # Global tolerance for real-valued comparisons made by the verifier. An
 # honest prover must never be rejected by rounding; 1e-12 is far above the
@@ -137,6 +137,13 @@ def _log2_value(p) -> float:
     return math.log2(p)
 
 
+def pow2(e: float) -> Union[Fraction, float]:
+    """2**e: an exact Fraction when e is an integer, else the double."""
+    if e == int(e):
+        return Fraction(2) ** int(e)
+    return 2.0 ** e
+
+
 def bucket_of(p, eps: float, t: int) -> Optional[int]:
     """Index i of the probability band holding p, or None for dropped tail.
 
@@ -193,36 +200,6 @@ def build_histogram(dist: ExplicitDistribution, eps: float, t: int) -> Histogram
         else:
             weights[i] += p
     return Histogram(eps=eps, t=t, weights=tuple(weights), dropped_mass=dropped)
-
-
-def bucket_members(dist: ExplicitDistribution, i: int, eps: float, t: int) -> set[int]:
-    """Exactly the support elements whose probability lies in band i."""
-    return {x for x, p in dist.mass.items() if bucket_of(p, eps, t) == i}
-
-
-@dataclass(frozen=True)
-class Bucket:
-    """Band i with its members and real-valued probability range.
-
-    The range is half-open: strictly above ``lower``, up to and including
-    ``upper`` (both evaluated in double precision).
-    """
-
-    index: int
-    members: frozenset[int]
-    lower: float
-    upper: float
-
-
-def bucket(dist: ExplicitDistribution, i: int, eps: float, t: int) -> Bucket:
-    if not 0 <= i <= t:
-        raise ValueError(f"band index {i} outside 0..{t}")
-    return Bucket(
-        index=i,
-        members=frozenset(bucket_members(dist, i, eps, t)),
-        lower=2.0 ** (-(i + 1) * eps),
-        upper=2.0 ** (-i * eps),
-    )
 
 
 def buckets(dist: ExplicitDistribution, eps: float, t: int) -> dict[int, set[int]]:

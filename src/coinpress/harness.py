@@ -21,9 +21,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
-from coinpress.dist import fraction_to_str
+from coinpress.dist import fraction_to_str, pow2
 from coinpress.protocol import (
     ProtocolParams,
     ProverStrategy,
@@ -65,40 +65,6 @@ def split_seed(master_seed: int, index: int) -> int:
 
 
 @dataclass
-class TrialRecord:
-    """One trial's outcome, reproducible from (master seed, trial index)."""
-
-    trial: int
-    stream_seed: int
-    outcome_kind: str
-    x: Optional[int]
-    p_key: Optional[str]
-    reject_reason: Optional[str]
-
-
-def collect_trial_records(
-    params: ProtocolParams,
-    prover_factory: "ProverFactory",
-    n_trials: int,
-    master_seed: int,
-) -> list[TrialRecord]:
-    records: list[TrialRecord] = []
-    for idx, tr in _transcripts(params, prover_factory, n_trials, master_seed):
-        out = tr.outcome
-        records.append(
-            TrialRecord(
-                trial=idx,
-                stream_seed=split_seed(master_seed, idx),
-                outcome_kind=out.kind,
-                x=out.x,
-                p_key=probability_bin_key(out.p) if out.kind == "output" else None,
-                reject_reason=out.reason,
-            )
-        )
-    return records
-
-
-@dataclass
 class EstimateReport:
     """Empirical view of the output distribution over N trials."""
 
@@ -110,7 +76,6 @@ class EstimateReport:
     bins: dict[tuple[str, str], int]  # (x hex, p key) -> count
     per_x: dict[str, int]
     rejects: dict[str, int]
-    n_bits: int
 
     @property
     def reject_rate(self) -> float:
@@ -153,12 +118,11 @@ def _transcripts(
     prover_factory: ProverFactory,
     n_trials: int,
     master_seed: int,
-) -> Iterator[tuple[int, Transcript]]:
-    """Run the seeded trials one after another; yields (index, transcript)
-    in index order."""
+) -> Iterator[Transcript]:
+    """Run the seeded trials one after another, in index order."""
     for idx in range(n_trials):
         seed = split_seed(master_seed, idx)
-        yield idx, run_protocol(params, prover_factory(seed), rng=random.Random(seed), trial=idx)
+        yield run_protocol(params, prover_factory(seed), rng=random.Random(seed), trial=idx)
 
 
 def estimate_output_distribution(
@@ -175,7 +139,7 @@ def estimate_output_distribution(
     per_x: dict[str, int] = {}
     rejects: dict[str, int] = {}
     hexw = (params.n + 3) // 4
-    for _, tr in _transcripts(params, prover_factory, n_trials, master_seed):
+    for tr in _transcripts(params, prover_factory, n_trials, master_seed):
         out = tr.outcome
         if out.kind == "reject":
             rejects[out.reason] = rejects.get(out.reason, 0) + 1
@@ -187,7 +151,7 @@ def estimate_output_distribution(
     return EstimateReport(
         n_trials=n_trials, master_seed=master_seed, params_digest=params.digest(),
         alpha=alpha, half_width=hoeffding_half_width(n_trials, alpha),
-        bins=bins, per_x=per_x, rejects=rejects, n_bits=params.n,
+        bins=bins, per_x=per_x, rejects=rejects,
     )
 
 
@@ -243,7 +207,7 @@ def estimate_soundness_sum(
     total = Fraction(0)
     below = 0
     reject = 0
-    for _, tr in _transcripts(params, prover_factory, n_trials, master_seed):
+    for tr in _transcripts(params, prover_factory, n_trials, master_seed):
         out = tr.outcome
         if out.kind == "reject":
             reject += 1
@@ -264,10 +228,7 @@ def estimate_soundness_sum(
 def default_soundness_floor(dist, params: ProtocolParams) -> Fraction:
     """Floor used when the true distribution is known: its smallest mass
     scaled down by the worst band substitution factor."""
-    smallest = min(dist.mass.values())
-    exponent = params.gap_size * params.eps
-    scale = Fraction(2) ** int(exponent) if exponent == int(exponent) else Fraction(2.0**exponent)
-    return smallest / scale
+    return min(dist.mass.values()) / Fraction(pow2(params.gap_size * params.eps))
 
 
 def write_transcripts_jsonl(
@@ -279,7 +240,7 @@ def write_transcripts_jsonl(
 ) -> None:
     """One JSON object per line: {trial, params_digest, coins, messages, outcome}."""
     with open(path, "w", encoding="utf-8") as fh:
-        for _, tr in _transcripts(params, prover_factory, n_trials, master_seed):
+        for tr in _transcripts(params, prover_factory, n_trials, master_seed):
             fh.write(tr.to_json() + "\n")
 
 

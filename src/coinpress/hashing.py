@@ -164,9 +164,6 @@ class HashFunction:
         object.__setattr__(self, "rows", row_masks(self.n, self.m, self.a, self.b))
         object.__setattr__(self, "c_low", self.c & ((1 << self.m) - 1))
 
-    def __call__(self, x: int) -> int:
-        return self.eval(x)
-
     def eval(self, x: int) -> int:
         v = self.c_low
         for r, row in enumerate(self.rows):

@@ -17,7 +17,9 @@ exactly 1/2.
 from __future__ import annotations
 
 import json
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -92,19 +94,14 @@ def conditional_message_distribution(
     """Exact law of the round-i message given the transcript so far."""
     if len(messages) != i or len(answers) != i:
         raise ValueError("prefix must contain exactly i messages and answers")
-    counts: dict[int, int] = {}
-    total = 0
-    for r in range(1 << spec.coin_bits):
-        if not is_consistent(spec, x, r, messages, answers):
-            continue
-        total += 1
-        m = spec.next_message(x, i, r, tuple(answers))
-        counts[m] = counts.get(m, 0) + 1
-    if total == 0:
+    coins = _consistent_coins(spec, x, messages, answers)
+    if not coins:
         raise ZeroProbabilityPrefixError("prefix has probability zero")
+    prior = tuple(answers)
+    counts = Counter(spec.next_message(x, i, r, prior) for r in coins)
     return ExplicitDistribution(
         n=spec.message_bits,
-        mass={m: Fraction(c, total) for m, c in counts.items()},
+        mass={m: Fraction(c, len(coins)) for m, c in counts.items()},
     )
 
 
@@ -192,6 +189,8 @@ class ToyMultisetInstance:
     s1: str
 
     def __post_init__(self):
+        if not isinstance(self.s0, str) or not isinstance(self.s1, str):
+            raise ValueError("s0 and s1 must be strings")
         if len(self.s0) != len(self.s1) or not self.s0:
             raise ValueError("strings must be nonempty and of equal length")
 
@@ -201,6 +200,8 @@ class ToyMultisetInstance:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ToyMultisetInstance":
+        if not isinstance(obj, dict) or not {"s0", "s1"} <= obj.keys():
+            raise ValueError('an instance must be an object with keys "s0" and "s1"')
         return cls(s0=obj["s0"], s1=obj["s1"])
 
 
@@ -396,39 +397,28 @@ def transform_run(
     probs: list = []
     answers: list[int] = []
     records: list[RoundRecord] = []
-    for i in range(spec.rounds):
-        strategy = prover.sampling_strategy(i, messages, probs, answers, message_params)
-        tr = run_protocol(message_params, strategy, rng=rng)
-        if tr.outcome.kind == "reject":
+    # Stages 0..rounds-1 sample the messages; stage ``rounds`` the coins.
+    for i in range(spec.rounds + 1):
+        params = message_params if i < spec.rounds else coin_params
+        strategy = prover.sampling_strategy(i, messages, probs, answers, params)
+        outcome = run_protocol(params, strategy, rng=rng).outcome
+        if outcome.kind == "reject":
             return AmTranscript(
                 rounds=records, coin_string=None, final_probability=None,
                 sampling_reject_round=i, check_verdict=None, check_product=None,
                 accept=False,
             )
-        m_i, p_i = tr.outcome.x, tr.outcome.p
-        messages.append(m_i)
-        probs.append(p_i)
-        a_i = prover.answer(i, messages, probs, answers)
-        answers.append(a_i)
-        records.append(RoundRecord(message=m_i, probability=p_i, answer=a_i))
-    strategy = prover.sampling_strategy(spec.rounds, messages, probs, answers, coin_params)
-    tr = run_protocol(coin_params, strategy, rng=rng)
-    if tr.outcome.kind == "reject":
-        return AmTranscript(
-            rounds=records, coin_string=None, final_probability=None,
-            sampling_reject_round=spec.rounds, check_verdict=None,
-            check_product=None, accept=False,
-        )
-    r_star, p_final = tr.outcome.x, tr.outcome.p
+        probs.append(outcome.p)
+        if i < spec.rounds:
+            messages.append(outcome.x)
+            answers.append(prover.answer(i, messages, probs, answers))
+            records.append(RoundRecord(message=outcome.x, probability=outcome.p, answer=answers[-1]))
+    r_star, p_final = outcome.x, outcome.p
     check_verdict = accepts(spec, x, r_star, messages, answers)
-    all_probs = probs + [p_final]
-    if all(isinstance(p, Fraction) for p in all_probs):
-        product = Fraction(1)
-        for p in all_probs:
-            product *= p
-        check_product = product == Fraction(1, 1 << spec.coin_bits)
-    else:
-        check_product = False
+    check_product = (
+        all(isinstance(p, Fraction) for p in probs)
+        and math.prod(probs) == Fraction(1, 1 << spec.coin_bits)
+    )
     return AmTranscript(
         rounds=records, coin_string=r_star, final_probability=p_final,
         sampling_reject_round=None, check_verdict=check_verdict,
@@ -473,16 +463,9 @@ def bounds_calculator(c: float, s: float, k: int, eps: float, delta: float) -> t
     """Completeness and soundness of the compiled protocol.
 
     Completeness drops by 2*(k+1)*eps; soundness becomes
-    (1+eps+delta)**(k+1) * s + (k+1)*eps.
+    (1+eps+delta)**(k+1) * s + (k+1)*eps. Given Fractions, the result is
+    exact.
     """
-    c_out = c - 2 * (k + 1) * eps
-    s_out = (1 + eps + delta) ** (k + 1) * s + (k + 1) * eps
-    return c_out, s_out
-
-
-def bounds_calculator_exact(c: Fraction, s: Fraction, k: int, eps: Fraction, delta: Fraction) -> tuple[Fraction, Fraction]:
-    """Same formulas in exact rational arithmetic."""
-    c, s, eps, delta = Fraction(c), Fraction(s), Fraction(eps), Fraction(delta)
     c_out = c - 2 * (k + 1) * eps
     s_out = (1 + eps + delta) ** (k + 1) * s + (k + 1) * eps
     return c_out, s_out

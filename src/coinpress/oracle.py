@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from coinpress.dist import TAU, buckets, build_histogram, fraction_to_str
+from coinpress.dist import TAU, buckets, build_histogram, fraction_to_str, pow2
 from coinpress.hashing import ZERO_SET_MAX_N, HashFunction, family, zero_set_masks
 from coinpress.protocol import (
     MODE_TRIVIAL,
@@ -69,16 +69,16 @@ DEFAULT_BUDGET = 10**9
 POW2_SLACK = Fraction(1, 10**14)
 
 
-class EnumerationBudgetError(RuntimeError):
+class EnumerationBudgetError(ValueError):
     """The instance is too large to enumerate exactly."""
 
 
 def pow2_bounds(exponent: float) -> tuple[Fraction, Fraction]:
     """Rational lower/upper bounds enclosing 2**exponent (exact when integral)."""
-    if exponent == int(exponent):
-        exact = Fraction(2) ** int(exponent)
-        return exact, exact
-    approx = Fraction(2.0 ** exponent)
+    value = pow2(exponent)
+    if isinstance(value, Fraction):
+        return value, value
+    approx = Fraction(value)
     return approx * (1 - POW2_SLACK), approx * (1 + POW2_SLACK)
 
 
@@ -379,21 +379,6 @@ class OracleRun:
         return ExactDistribution(
             params_digest=self.params.digest(), outputs=outputs, reject_by_reason=rejects,
         )
-
-    def challenge_distribution(self) -> dict[tuple[int, int], Fraction]:
-        """Exact joint law of (shift, interval index)."""
-        out: dict[tuple[int, int], Fraction] = {}
-        for comp in self.components:
-            if comp.reject_reason is not None or comp.shift_total == 0:
-                continue
-            for s, w_s in comp.tables.shift_weights.items():
-                if w_s == 0:
-                    continue
-                for k, wk in comp.tables.interval_weights[s].items():
-                    if wk == 0:
-                        continue
-                    _accumulate(out, (s, k), comp.q * comp.shift_prob(s) * wk / w_s)
-        return out
 
 
 def exact_output_distribution(cfg: ExactConfig) -> ExactDistribution:

@@ -24,7 +24,7 @@ import json
 import math
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -42,6 +42,7 @@ from coinpress.dist import (
     fraction_to_str,
     interval_layout,
     interval_weights,
+    pow2,
 )
 from coinpress.hashing import HashFunction, sample_hash
 
@@ -205,8 +206,10 @@ def derive_params(n: int, eps_prime: float, delta_prime: float) -> ProtocolParam
     fraction delta_prime / 16. When (9000/eps_prime)**(16/delta_prime)
     exceeds 2**(n/50), the calibrated protocol is not applicable and the
     fallback mode is selected, in which the prover simply sends the whole
-    distribution. The inequality is evaluated in log space. All derived
-    constants are still computed for inspection.
+    distribution. The inequality is evaluated in log space. The constants
+    are those of ``ProtocolParams.raw`` at the effective eps and delta,
+    relabelled with the mode and the targets; they are computed for
+    inspection in fallback mode too.
     """
     if not 0 < eps_prime < 1 or not 0 < delta_prime < 1:
         raise ValueError("accuracy targets must lie in (0, 1)")
@@ -214,17 +217,10 @@ def derive_params(n: int, eps_prime: float, delta_prime: float) -> ProtocolParam
         raise ValueError("n outside 1..64")
     eps = eps_prime / 9000.0
     delta = delta_prime / 16.0
-    t = math.ceil(2 * n / eps)
-    g_raw = (2.0 / eps) * math.log2(1.0 / eps)
-    i_raw = g_raw / delta
-    g = math.ceil(g_raw)
-    iv = math.ceil(i_raw / g) * g
-    gap = _sampling_gap(t, i_raw, eps)
     fallback = (1.0 / delta) * math.log2(1.0 / eps) > n / 50.0
-    return ProtocolParams(
-        n=n, eps=eps, delta=delta, t=t, gap_size=g, interval_size=iv,
-        sampling_gap=gap, mode=MODE_TRIVIAL if fallback else MODE_CALIBRATED,
-        gap_size_raw=g_raw, interval_size_raw=i_raw,
+    return replace(
+        ProtocolParams.raw(n, eps, delta),
+        mode=MODE_TRIVIAL if fallback else MODE_CALIBRATED,
         eps_prime=eps_prime, delta_prime=delta_prime,
     )
 
@@ -599,7 +595,6 @@ class ChallengeContext:
 
     s: int
     k: int
-    live: frozenset[int]
     interval: tuple[int, ...]
     active: tuple[int, ...]  # live bands of the chosen interval, sorted
     g: float
@@ -622,7 +617,6 @@ class VerifierTables:
     reason: Optional[str]
     weights: tuple[Fraction, ...] = ()
     floats: tuple[float, ...] = ()
-    live: frozenset[int] = frozenset()
     shift_weights: dict[int, Fraction] = field(default_factory=dict)
     interval_weights: dict[int, dict[int, Fraction]] = field(default_factory=dict)
     challenges: dict[tuple[int, int], ChallengeContext] = field(default_factory=dict)
@@ -650,7 +644,7 @@ def verifier_tables(params: ProtocolParams, key: tuple[int, ...]) -> VerifierTab
         return VerifierTables(REJECT_HISTOGRAM_SUM)
     layout = params.layout
     floats = tuple(map(float, weights))
-    live = frozenset(compute_live_bands(weights, params))
+    live = compute_live_bands(weights, params)
     hist = Histogram(eps=params.eps, t=params.t, weights=weights)
     shift_weights, per_shift, challenges, interval_draw, band_draw = {}, {}, {}, {}, {}
     for s in layout.shifts:
@@ -664,13 +658,13 @@ def verifier_tables(params: ProtocolParams, key: tuple[int, ...]) -> VerifierTab
             z = band_mass_sum(floats, interval, params.eps)
             m, g = challenge_width(weights, interval, z, params)
             challenges[(s, k)] = ChallengeContext(
-                s=s, k=k, live=live, interval=interval,
+                s=s, k=k, interval=interval,
                 active=tuple(i for i in interval if i in live),
                 g=g, m=m, band_mass_sum=z,
             )
             band_draw[(s, k)] = cumulative_weights([weights[i] for i in interval])
     return VerifierTables(
-        reason=None, weights=weights, floats=floats, live=live,
+        reason=None, weights=weights, floats=floats,
         shift_weights=shift_weights, interval_weights=per_shift, challenges=challenges,
         shift_draw=cumulative_weights([shift_weights[s] for s in layout.shifts]),
         interval_draw=interval_draw, band_draw=band_draw,
@@ -789,19 +783,14 @@ def choose_element(tables: VerifierTables, ctx: ChallengeContext, sets, coins: C
 def finalize(j: int, x: int, p_msg, params: ProtocolParams) -> Outcome:
     """Accept the claimed probability if it lies in band j, else substitute.
 
-    The substitute is the band's upper endpoint 2**(-j*eps): an exact
+    The substitute is the band's upper endpoint ``pow2(-j*eps)``: an exact
     rational when j*eps is an integer and a tagged real otherwise.
     """
     if isinstance(p_msg, int):
         p_msg = Fraction(p_msg)
     if isinstance(p_msg, Fraction) and bucket_of(p_msg, params.eps, params.t) == j:
         return Outcome.output(x, p_msg, j)
-    exponent = j * params.eps
-    if exponent == int(exponent):
-        substitute: ProbabilityValue = Fraction(1, 2 ** int(exponent))
-    else:
-        substitute = 2.0 ** (-exponent)
-    return Outcome.output(x, substitute, j)
+    return Outcome.output(x, pow2(-j * params.eps), j)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from coinpress.ip2am import (
     HonestTransformProver,
     ToyMultisetInstance,
     bounds_calculator,
-    bounds_calculator_exact,
     estimate_acceptance,
     toy_protocol,
 )
@@ -319,7 +318,7 @@ def test_bound_calculator_precision():
     worst = 0.0
     for k, eps_frac, delta_frac in grid:
         c, s = bounds_calculator(Fraction(9, 10), Fraction(1, 3), k, float(eps_frac), float(delta_frac))
-        ce, se = bounds_calculator_exact(
+        ce, se = bounds_calculator(
             Fraction(9, 10), Fraction(1, 3), k, eps_frac, delta_frac
         )
         worst = max(worst, abs(c - float(ce)), abs(s - float(se)) / float(se))

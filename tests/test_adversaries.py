@@ -26,6 +26,7 @@ from coinpress.oracle import (
 )
 from coinpress.hashing import HashFunction, family
 from coinpress.protocol import (
+    HonestProver,
     ProtocolParams,
     honest_prover,
     replay,
@@ -184,6 +185,7 @@ class TestInflatingProver:
     def test_shift_zero_is_honest(self):
         params = params_n3(sampling_gap=0.5)
         infl = inflating_prover(self.dist, 0, params)
+        assert type(infl) is HonestProver
         a = OracleRun(ExactConfig(params=params, prover=infl)).distribution
         b = OracleRun(
             ExactConfig(params=params, prover=honest_prover(self.dist, params))

@@ -212,3 +212,31 @@ def test_malformed_config_is_an_error(workspace, capsys, edit):
     path.write_text(json.dumps(cfg))
     assert main(["estimate", "--config", str(path), "--trials", "10"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [["aab", "abb"], {"s0": 5, "s1": "ab"}, {"s0": "ab"}],
+    ids=["list", "number-side", "missing-side"],
+)
+def test_malformed_instance_is_an_error(workspace, capsys, instance):
+    path = workspace / "bad-instance.json"
+    path.write_text(json.dumps(instance))
+    assert main(["transform", "--instance", str(path), "--rounds-trials", "10"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"mode": "raw", "n": 7, "eps": 1.0, "delta": 0.5, "t": 14, "gap_size": 1, "interval_size": 2},
+        {"mode": "raw", "n": 6, "eps": 1.0, "delta": 0.5, "t": 8000, "gap_size": 1, "interval_size": 1},
+    ],
+    ids=["width-7", "over-budget"],
+)
+def test_oracle_refusal_is_an_error(workspace, capsys, params):
+    path = workspace / "wide.json"
+    path.write_text(json.dumps({"distribution": {"n": params["n"], "mass": {"0": "1/1"}},
+                                "params": params}))
+    assert main(["oracle", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

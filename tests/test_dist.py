@@ -17,7 +17,6 @@ from coinpress.dist import (
     InvalidDistributionError,
     InvalidLayoutError,
     TAU,
-    bucket_members,
     bucket_of,
     build_histogram,
     buckets,
@@ -181,33 +180,19 @@ class TestHistogram:
         for x, p in dist.mass.items():
             i = bucket_of(p, eps, t)
             if i is not None:
-                assert x in bucket_members(dist, i, eps, t)
+                assert x in buckets(dist, eps, t)[i]
 
 
 class TestBucketMembers:
     def test_uniform_all_in_band_two(self):
         d = ExplicitDistribution.uniform(2, [0, 1, 2, 3])
-        assert bucket_members(d, 2, 1.0, 4) == {0, 1, 2, 3}
-        assert bucket_members(d, 0, 1.0, 4) == set()
-
-    def test_bucket_view_carries_range(self):
-        from coinpress.dist import bucket
-
-        d = ExplicitDistribution.uniform(2, [0, 1, 2, 3])
-        b = bucket(d, 2, 1.0, 4)
-        assert b.members == frozenset({0, 1, 2, 3})
-        assert b.lower == pytest.approx(1 / 8) and b.upper == pytest.approx(1 / 4)
-        for p in d.mass.values():
-            assert b.lower < float(p) <= b.upper
-        with pytest.raises(ValueError):
-            bucket(d, 9, 1.0, 4)
+        assert buckets(d, 1.0, 4) == {2: {0, 1, 2, 3}}
 
     def test_three_element_band_one(self):
         d = ExplicitDistribution(
             n=2, mass={0: Fraction(1, 2), 1: Fraction(1, 3), 2: Fraction(1, 6)}
         )
-        assert bucket_members(d, 1, 1.0, 4) == {0, 1}
-        assert bucket_members(d, 2, 1.0, 4) == {2}
+        assert buckets(d, 1.0, 4) == {1: {0, 1}, 2: {2}}
 
 
 class TestIntervalLayout:

@@ -15,7 +15,6 @@ from coinpress.ip2am import (
     ZeroProbabilityPrefixError,
     accepts,
     bounds_calculator,
-    bounds_calculator_exact,
     conditional_message_distribution,
     conditional_randomness_distribution,
     constant_loss_parameters,
@@ -233,7 +232,7 @@ class TestBoundsCalculator:
 
     def test_reference_point(self):
         c_out, s_out = bounds_calculator(1.0, 0.5, 1, 0.01, 0.1)
-        exact_c, exact_s = bounds_calculator_exact(
+        exact_c, exact_s = bounds_calculator(
             Fraction(1), Fraction(1, 2), 1, Fraction(1, 100), Fraction(1, 10)
         )
         assert c_out == pytest.approx(0.96, abs=1e-12)
@@ -247,7 +246,7 @@ class TestBoundsCalculator:
                     eps = Fraction(eps_num, 100)
                     delta = Fraction(delta_num, 20)
                     c, s = bounds_calculator(0.9, 0.25, k, float(eps), float(delta))
-                    ce, se = bounds_calculator_exact(
+                    ce, se = bounds_calculator(
                         Fraction(9, 10), Fraction(1, 4), k, eps, delta
                     )
                     assert c == pytest.approx(float(ce), rel=1e-12)

@@ -203,10 +203,13 @@ class TestChallengeDistribution:
         params = raw_params()
         dist = ExplicitDistribution.uniform(3, [0, 1, 2, 3])  # band 2
         run = OracleRun(ExactConfig(params=params, prover=honest_prover(dist, params)))
-        assert run.challenge_distribution() == {
-            (-1, 1): Fraction(1, 2),
-            (0, 1): Fraction(1, 2),
+        comp = run.components[0]
+        assert {s: comp.shift_prob(s) for s in params.layout.shifts} == {
+            -1: Fraction(1, 2), 0: Fraction(1, 2), 1: 0,
         }
+        for s in (-1, 0):
+            assert {k: w for k, w in comp.tables.interval_weights[s].items() if w} == {1: 1}
+        assert set(comp.shifts[-1].challenges) == set(comp.shifts[0].challenges) == {1}
 
 
 class TestPlacementProbability:

@@ -178,7 +178,7 @@ class TestVerifierRound1:
         h = build_histogram(tiny_dist(), params.eps, params.t)
         tables, reason = validate_histogram_message(h.weights, params)
         assert reason is None
-        assert tables.live == {1, 2}
+        assert {i for ctx in tables.challenges.values() for i in ctx.active} == {1, 2}
 
     def test_all_zero_rejects(self):
         params = tiny_params()
@@ -190,7 +190,7 @@ class TestVerifierRound1:
         w[1] = 1 - Fraction(1, 2**params.n)  # exactly the lower edge
         tables, reason = validate_histogram_message(w, params)
         assert reason is None
-        assert tables.live == {1}
+        assert {i for ctx in tables.challenges.values() for i in ctx.active} == {1}
 
     def test_malformed_shapes(self):
         params = tiny_params()
@@ -292,7 +292,7 @@ def m0_context(params, w, s, k):
 
     z = band_mass_sum(w, interval, params.eps)
     return ChallengeContext(
-        s=s, k=k, live=frozenset(live), interval=interval,
+        s=s, k=k, interval=interval,
         active=tuple(sorted(i for i in interval if i in live)),
         g=params.sampling_gap, m=0, band_mass_sum=z,
     )
@@ -323,7 +323,7 @@ class TestCheckSets:
     def test_bad_hash_fails_a(self):
         ctx = self.ctx
         ctx = ChallengeContext(
-            s=ctx.s, k=ctx.k, live=ctx.live, interval=ctx.interval, active=ctx.active,
+            s=ctx.s, k=ctx.k, interval=ctx.interval, active=ctx.active,
             g=1.0, m=1, band_mass_sum=ctx.band_mass_sum,
         )
         f = HashFunction(n=3, m=1, a=0, b=0, c=1)  # h(x)=1 for all x
