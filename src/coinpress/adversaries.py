@@ -12,6 +12,7 @@ oracle enumerates; a trial draws one strategy up front with
 from __future__ import annotations
 
 import copy
+import functools
 import random
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -130,6 +131,8 @@ class InflatingProver(ProverStrategy):
     spare elements that hash to the zero target, so the cardinality check
     passes whenever enough spares exist. A stress strategy for soundness
     diagnostics; ``inflating_prover`` plays shift 0 with the honest prover.
+    The claimed histogram and the buckets are built on first read, as the
+    honest prover's are.
     """
 
     # Members and spares are both filtered by f(x) == 0.
@@ -144,19 +147,22 @@ class InflatingProver(ProverStrategy):
         self.params = params
         self.dist = dist
         self._honest = HonestProver(dist, params)
-        true_weights = self._honest.histogram.weights
-        shifted = [Fraction(0)] * (params.t + 1)
-        for i, w in enumerate(true_weights):
-            if w == 0:
-                continue
-            if i + shift <= params.t:
-                shifted[i + shift] += w
-        self.claimed_weights = tuple(shifted)
-        self._live = compute_live_bands(self.claimed_weights, params)
-        self._true_buckets = {
-            i: sorted(xs) for i, xs in buckets(dist, params.eps, params.t).items()
-        }
         self._plans: dict[tuple, tuple] = {}  # (s, k, m, g) -> _plan(s, k, m, g)
+
+    @functools.cached_property
+    def claimed_weights(self) -> tuple[Fraction, ...]:
+        # mass shifted past band t is dropped
+        shifted = (Fraction(0),) * self.shift + self._honest.histogram.weights
+        return shifted[: self.params.t + 1]
+
+    @functools.cached_property
+    def _live(self) -> set[int]:
+        return compute_live_bands(self.claimed_weights, self.params)
+
+    @functools.cached_property
+    def _true_buckets(self) -> dict[int, list[int]]:
+        params = self.params
+        return {i: sorted(xs) for i, xs in buckets(self.dist, params.eps, params.t).items()}
 
     def produce_histogram(self):
         return self.claimed_weights

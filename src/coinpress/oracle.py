@@ -55,7 +55,6 @@ from coinpress.protocol import (
     validate_histogram_message,
     validate_table,
     REJECT_BAND_NOT_LIVE,
-    REJECT_DEGENERATE,
     REJECT_EMPTY_SET,
     REJECT_HASH_WIDTH,
     REJECT_MALFORMED_TABLE,
@@ -110,11 +109,10 @@ OutputKey = tuple  # (x, band, p)
 @dataclass
 class ShiftTables:
     # per interval index: (m, g, active bands, band-mass sum, rows); rows is
-    # None for a hash-width rejection, else [(f, count, reason, sets)] with
-    # one row per zero-set pattern (f its first member in family order,
-    # count the members sharing it) or, for provers that read more of f,
-    # one row per hash function with count 1. reason is None when the set
-    # checks pass.
+    # None for a hash-width rejection, else [(count, reason, sets)] with one
+    # row per zero-set pattern (count the members sharing it) or, for
+    # provers that read more of f, one row per hash function with count 1.
+    # reason is None when the set checks pass.
     challenges: dict[int, tuple]
     # per interval index with rows: {(x, band): number of hash functions
     # whose checked sets place x in that band}
@@ -126,7 +124,6 @@ class ComponentRun:
     """Enumeration results for one deterministic strategy of the support."""
 
     q: Fraction
-    strategy: ProverStrategy
     params: ProtocolParams
     tables: Optional[VerifierTables]  # None when the component rejects in round 1
     reject_reason: Optional[str]
@@ -134,21 +131,11 @@ class ComponentRun:
     shifts: dict[int, ShiftTables] = field(default_factory=dict)
     outputs: dict[OutputKey, Fraction] = field(default_factory=dict)
     rejects: dict[str, Fraction] = field(default_factory=dict)
-    # per shift: the output masses conditioned on that shift
+    # per shift of positive weight: the output masses conditioned on it
     per_shift: dict[int, dict[OutputKey, Fraction]] = field(default_factory=dict)
 
     def shift_prob(self, s: int) -> Fraction:
-        if self.shift_total == 0:
-            return Fraction(0)
         return self.tables.shift_weights[s] / self.shift_total
-
-    def shift_weight(self, s: int) -> Fraction:
-        if self.reject_reason is not None or s not in self.shifts:
-            return Fraction(0)
-        return self.tables.shift_weights[s]
-
-    def shift_conditional(self, s: int) -> dict[OutputKey, Fraction]:
-        return self.per_shift.get(s, {})
 
     def placement_probability(self, s: int, x: int, j: int) -> Fraction:
         """Probability over the hash draw that all set checks pass and this
@@ -213,20 +200,32 @@ def _build_component(
     params: ProtocolParams, q: Fraction, strat: ProverStrategy, hash_family: HashFamily,
 ) -> ComponentRun:
     tables, reason = validate_histogram_message(strat.produce_histogram(), params)
-    comp = ComponentRun(q=q, strategy=strat, params=params, tables=tables, reject_reason=reason)
+    comp = ComponentRun(q=q, params=params, tables=tables, reject_reason=reason)
     if reason is not None:
         comp.rejects = {reason: Fraction(1)}
         return comp
+    # A histogram that passes round 1 has positive mass, and every band lies
+    # in an interval for all but one of at least two shifts, so the shift
+    # draw is never degenerate: shift_total > 0.
+    comp.shift_total = sum(tables.shift_weights.values(), Fraction(0))
+    weights = tables.weights
+    family_size = Fraction(1, 8 ** params.n)
     for s in params.layout.shifts:
-        challenges: dict[int, tuple] = {}
-        placements: dict[int, dict[tuple[int, int], int]] = {}
+        st = comp.shifts[s] = ShiftTables(challenges={})
+        w_s, per_interval = tables.shift_weights[s], tables.interval_weights[s]
+        if w_s == 0:  # no interval of s has mass
+            continue
+        s_outputs: dict[OutputKey, Fraction] = {}
+        s_rejects: dict[str, Fraction] = {}
         for k in params.layout.index_range:
             pending = tables.challenges.get((s, k))
             if pending is None:  # an interval of zero mass is never drawn
                 continue
             m, g = pending.m, pending.g
+            k_prob = per_interval[k] / w_s
             if m > params.n:
-                challenges[k] = (m, g, (), pending.band_mass_sum, None)
+                st.challenges[k] = (m, g, (), pending.band_mass_sum, None)
+                _accumulate(s_rejects, REJECT_HASH_WIDTH, k_prob)
                 continue
             if strat.depends_on_hash_zero_set:
                 source = hash_family.patterns(m)
@@ -236,51 +235,20 @@ def _build_component(
             hits: dict[tuple[int, int], int] = {}
             for f, count in source:
                 record = parse_sets(strat.produce_sets(s, k, f, g, m))
-                normalized, why = check_sets(record, tables.floats, pending, f, params)
-                rows.append((f, count, why, normalized))
-                if why is None:
-                    for j, members in normalized.items():
-                        for x in members:
-                            hits[(x, j)] = hits.get((x, j), 0) + count
-            challenges[k] = (m, g, pending.active, pending.band_mass_sum, rows)
-            placements[k] = hits
-        comp.shifts[s] = ShiftTables(challenges=challenges, placements=placements)
-    comp.shift_total = sum(tables.shift_weights.values(), Fraction(0))
-    _fill_component_distribution(comp)
-    return comp
-
-
-def _fill_component_distribution(comp: ComponentRun):
-    params = comp.params
-    if comp.shift_total == 0:
-        comp.rejects = {REJECT_DEGENERATE: Fraction(1)}
-        return
-    weights = comp.tables.weights
-    family_size = Fraction(1, 8 ** params.n)
-    for s, st in comp.shifts.items():
-        w_s, per_interval = comp.tables.shift_weights[s], comp.tables.interval_weights[s]
-        if w_s == 0:
-            continue
-        s_prob = comp.shift_prob(s)
-        s_outputs: dict[OutputKey, Fraction] = {}
-        s_rejects: dict[str, Fraction] = {}
-        for k, (m, g, active, z, rows) in st.challenges.items():
-            k_prob = per_interval[k] / w_s
-            if rows is None:
-                _accumulate(s_rejects, REJECT_HASH_WIDTH, k_prob)
-                continue
-            interval = params.layout.interval(s, k)
-            interval_mass = per_interval[k]
-            for _f, count, why, sets in rows:
+                sets, why = check_sets(record, tables.floats, pending, f, params)
+                rows.append((count, why, sets))
                 f_prob = k_prob * count * family_size
                 if why is not None:
                     _accumulate(s_rejects, why, f_prob)
                     continue
-                for j in interval:
+                for j, members in sets.items():
+                    for x in members:
+                        hits[(x, j)] = hits.get((x, j), 0) + count
+                for j in pending.interval:
                     if weights[j] == 0:
                         continue
-                    j_prob = f_prob * weights[j] / interval_mass
-                    if j not in active:
+                    j_prob = f_prob * weights[j] / per_interval[k]
+                    if j not in pending.active:
                         _accumulate(s_rejects, REJECT_BAND_NOT_LIVE, j_prob)
                         continue
                     members = sets[j]
@@ -289,18 +257,21 @@ def _fill_component_distribution(comp: ComponentRun):
                         continue
                     x_prob = j_prob / len(members)
                     for x in members:
-                        p_msg = comp.strategy.produce_probability(j, x)
-                        outcome = finalize(j, x, p_msg, params)
+                        outcome = finalize(j, x, strat.produce_probability(j, x), params)
                         _accumulate(s_outputs, (x, j, outcome.p), x_prob)
+            st.challenges[k] = (m, g, pending.active, pending.band_mass_sum, rows)
+            st.placements[k] = hits
         comp.per_shift[s] = s_outputs
+        s_prob = comp.shift_prob(s)
         for key, mass in s_outputs.items():
             _accumulate(comp.outputs, key, s_prob * mass)
         for why, mass in s_rejects.items():
             _accumulate(comp.rejects, why, s_prob * mass)
+    return comp
 
 
 def _build_trivial_component(params: ProtocolParams, q: Fraction, strat: ProverStrategy) -> ComponentRun:
-    comp = ComponentRun(q=q, strategy=strat, params=params, tables=None, reject_reason=None)
+    comp = ComponentRun(q=q, params=params, tables=None, reject_reason=None)
     table = parse_table(strat.produce_table())
     reason = validate_table(table, params)
     if reason is not None:
@@ -651,13 +622,8 @@ def verify_band_sandwich(run: OracleRun) -> StructuralReport:
     indeterminate = []
     checked = 0
     for ci, comp in enumerate(run.components):
-        if comp.reject_reason is not None:
-            continue
-        for s in params.layout.shifts:
-            w_s = comp.shift_weight(s)
-            if w_s == 0:
-                continue
-            cond = comp.shift_conditional(s)
+        for s, cond in comp.per_shift.items():
+            w_s = comp.tables.shift_weights[s]
             mass_by_band: dict[tuple[int, int], Fraction] = {}
             for (x, j, _p), massv in cond.items():
                 mass_by_band[(x, j)] = mass_by_band.get((x, j), Fraction(0)) + massv
@@ -746,12 +712,9 @@ def soundness_diagnostics(run: OracleRun, component: int = 0) -> SoundnessDiagno
     bad_total = Fraction(0)
     above_weighted: dict[int, Fraction] = {}
     eps_f = Fraction(params.eps)
-    for s in params.layout.shifts:
-        w_s = comp.shift_weight(s)
-        if w_s == 0:
-            continue
+    for s, cond in comp.per_shift.items():
+        w_s = comp.tables.shift_weights[s]
         s_prob = comp.shift_prob(s)
-        cond = comp.shift_conditional(s)
         marginal: dict[int, Fraction] = {}
         for (x, _j, _p), massv in cond.items():
             marginal[x] = marginal.get(x, Fraction(0)) + massv
@@ -832,11 +795,8 @@ def completeness_diagnostics(run: OracleRun, dist) -> CompletenessDiagnostics:
     wrong_mass = Fraction(0)
     eps_f = Fraction(params.eps)
     in_band = True
-    for s in layout.shifts:
-        w_s = comp.shift_weight(s)
-        if w_s == 0:
-            continue
-        cond = comp.shift_conditional(s)
+    for s, cond in comp.per_shift.items():
+        w_s = comp.tables.shift_weights[s]
         by_xp: dict[tuple[int, Fraction], Fraction] = {}
         for (x, _j, p), massv in cond.items():
             if isinstance(p, Fraction) and p == dist.prob(x):

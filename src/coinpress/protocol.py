@@ -483,10 +483,12 @@ class HonestProver(ProverStrategy):
     """Prover that holds the distribution and follows the protocol exactly.
 
     The support is kept in one uint64 array sorted by (band, element). The
-    k-th nonempty band, ``_bands[k]``, occupies
-    ``_support[_offsets[k]:_offsets[k + 1]]``, so the bands of any interval
+    k-th nonempty band, ``bands[k]``, occupies
+    ``support[offsets[k]:offsets[k + 1]]``, so the bands of any interval
     form one contiguous slice that is hashed in one batch. The slice and
     the live bands of each challenge are worked out on its first call.
+    The histogram and the banding are built on first read: a fallback run
+    reads only ``produce_table``, and its t can reach millions of bands.
     """
 
     depends_on_hash_zero_set = True
@@ -496,15 +498,22 @@ class HonestProver(ProverStrategy):
             raise ValueError("distribution width does not match parameters")
         self.dist = dist
         self.params = params
-        self.histogram: Histogram = build_histogram(dist, params.eps, params.t)
-        self._live = compute_live_bands(self.histogram.weights, params)
-        members = buckets(dist, params.eps, params.t)
-        self._bands = sorted(members)
-        self._offsets = [0, *itertools.accumulate(len(members[i]) for i in self._bands)]
-        self._support = np.array(
-            [x for i in self._bands for x in sorted(members[i])], dtype=np.uint64
-        )
         self._plans: dict[tuple[int, int], tuple] = {}  # (s, k) -> _plan(s, k)
+
+    @functools.cached_property
+    def histogram(self) -> Histogram:
+        return build_histogram(self.dist, self.params.eps, self.params.t)
+
+    @functools.cached_property
+    def _banding(self) -> tuple:
+        """(live bands, bands, offsets, support), the last three as the
+        class docstring describes them."""
+        live = compute_live_bands(self.histogram.weights, self.params)
+        members = buckets(self.dist, self.params.eps, self.params.t)
+        bands = sorted(members)
+        offsets = [0, *itertools.accumulate(len(members[i]) for i in bands)]
+        support = np.array([x for i in bands for x in sorted(members[i])], dtype=np.uint64)
+        return live, bands, offsets, support
 
     def produce_histogram(self) -> Sequence[Fraction]:
         return self.histogram.weights
@@ -513,11 +522,10 @@ class HonestProver(ProverStrategy):
         plan = self._plans.get((s, k))
         if plan is None:
             plan = self._plans[(s, k)] = self._plan(s, k)
-        live, lo, hi, cuts = plan
+        live, block, cuts = plan
         out = {i: [] for i in live}
         if not out:
             return out
-        block = self._support[lo:hi]
         if not f.rows:  # m = 0: every input hashes to the zero target
             for i, a, b in cuts:
                 out[i] = block[a:b].tolist()
@@ -532,10 +540,10 @@ class HonestProver(ProverStrategy):
         live bands of the interval in order, the support slice holding the
         interval's bands, and each live band's cut of that slice."""
         interval = self.params.layout.interval(s, k)
-        live = tuple(i for i in interval if i in self._live)
+        live_bands, bands, offsets, support = self._banding
+        live = tuple(i for i in interval if i in live_bands)
         if not live:
-            return live, 0, 0, ()
-        bands, offsets = self._bands, self._offsets
+            return live, None, ()
         first = bisect.bisect_left(bands, interval[0])
         last = bisect.bisect_right(bands, interval[-1])
         lo = offsets[first]
@@ -544,7 +552,7 @@ class HonestProver(ProverStrategy):
             for pos in range(first, last)
             if bands[pos] in live
         )
-        return live, lo, offsets[last], cuts
+        return live, support[lo:offsets[last]], cuts
 
     def produce_probability(self, j: int, x: int) -> Fraction:
         return self.dist.prob(x)
@@ -702,11 +710,11 @@ def challenge_width(weights, interval: Sequence[int], z: float, params: Protocol
 def choose_challenge(tables: VerifierTables, params: ProtocolParams, coins: CoinSource):
     """Draw shift, interval, and hash; returns (context, hash, reject reason)."""
     layout = params.layout
-    try:
-        s = layout.shifts[coins.pick(tables.shift_draw)]
-    except DegenerateChoiceError:
-        return None, None, REJECT_DEGENERATE
-    # Shift s has positive mass, so its interval draw is not degenerate.
+    # A histogram that passes round 1 has positive mass, and every band lies
+    # in an interval for all but one of at least two shifts, so the shift
+    # draw is not degenerate. Shift s has positive mass, so neither is its
+    # interval draw.
+    s = layout.shifts[coins.pick(tables.shift_draw)]
     ctx = tables.challenges[(s, layout.index_range[coins.pick(tables.interval_draw[s])])]
     if ctx.m > params.n:
         return None, None, REJECT_HASH_WIDTH

@@ -1,11 +1,13 @@
 """Cheating-prover behavior, checked against the exact oracle."""
 
 import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from coinpress import adversaries, protocol
 from coinpress.adversaries import (
     MixtureProver,
     inflating_prover,
@@ -16,6 +18,7 @@ from coinpress.adversaries import (
     soundness_sums_from_table,
     ScriptedProver,
 )
+from coinpress.cli import make_prover_factory
 from coinpress.dist import ExplicitDistribution
 from coinpress.oracle import (
     ExactConfig,
@@ -26,8 +29,10 @@ from coinpress.oracle import (
 )
 from coinpress.hashing import HashFunction, family
 from coinpress.protocol import (
+    MODE_TRIVIAL,
     HonestProver,
     ProtocolParams,
+    derive_params,
     honest_prover,
     replay,
     run_protocol,
@@ -307,3 +312,37 @@ class TestNonrealizableTable:
             ("x2", Fraction(1, 2)): Fraction(1, 2),  # forces a different weight
         }
         assert not mixture_realization_exists(conflict)
+
+
+class TestFallbackProvers:
+    def test_fallback_runs_build_no_banding(self, tmp_path, monkeypatch):
+        """A fallback run reads only the prover's table, so no prover builds
+        its histogram or buckets over the t + 1 bands, here 1,440,000."""
+        params = derive_params(8, 0.1, 0.5)
+        assert params.mode == MODE_TRIVIAL and params.t == 1_440_000
+        dist = {"n": 8, "mass": {"0": "1/2", "9": "1/4", "c8": "1/4"}}
+        other = {"n": 8, "mass": {"1": "1/1"}}
+        (tmp_path / "mix.json").write_text(json.dumps({"components": [
+            {"weight": "1/2", "distribution": dist}, {"weight": "1/2", "distribution": other},
+        ]}))
+
+        def refuse(*args):
+            raise AssertionError("a fallback run built band state")
+
+        for module, name in ((protocol, "build_histogram"), (protocol, "buckets"), (adversaries, "buckets")):
+            monkeypatch.setattr(module, name, refuse)
+        held = ExplicitDistribution.from_json_obj(dist)
+        specs = ("honest", "rejecting:1/4", "mixture:mix.json", "inflating:1")
+        output_specs = set()
+        for spec in specs:
+            factory = make_prover_factory(spec, held, params, str(tmp_path))
+            for seed in range(4):
+                prover = factory(seed)
+                tr = run_protocol(params, prover, rng=random.Random(seed))
+                assert replay(params, prover, tr).to_json() == tr.to_json()
+                if spec == "rejecting:1/4" and tr.outcome.kind == "reject":
+                    assert tr.outcome.reason == "malformed-table"
+                    continue
+                assert tr.outcome.kind == "output", spec
+                output_specs.add(spec)
+        assert output_specs == set(specs)

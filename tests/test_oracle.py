@@ -1,5 +1,7 @@
 """Exact-enumeration oracle: cross-validation, conservation, diagnostics."""
 
+import dataclasses
+import hashlib
 import json
 import random
 from collections import Counter
@@ -406,6 +408,61 @@ def branches(run):
         for ch in st.challenges.values()
         if ch[4] is not None
     ]
+
+
+def canonical(obj):
+    """obj with every dict as its items sorted by key, every set sorted and
+    every dataclass as its class name and fields, so its repr is stable."""
+    if dataclasses.is_dataclass(obj):
+        return (type(obj).__name__,) + tuple(
+            (f.name, canonical(getattr(obj, f.name))) for f in dataclasses.fields(obj)
+        )
+    if isinstance(obj, dict):
+        return [(k, canonical(v)) for k, v in sorted(obj.items())]
+    if isinstance(obj, (set, frozenset)):
+        return sorted(obj)
+    if isinstance(obj, (list, tuple)):
+        return [canonical(v) for v in obj]
+    return obj
+
+
+def oracle_profile(eps):
+    """Everything the structured oracle reports about the four profile
+    provers at width 4, in a fixed order."""
+    params, provers = profile_provers(eps)
+    out = []
+    for name, prover in provers.items():
+        run = OracleRun(ExactConfig(params=params, prover=prover))
+        exact = run.distribution
+        out.append((name, exact.outputs, exact.reject_by_reason, branches(run)))
+        for comp in run.components:
+            out.append((comp.reject_reason, comp.shift_total, comp.outputs, comp.rejects, comp.per_shift))
+            out.append([
+                comp.placement_probability(s, x, j)
+                for s in params.layout.shifts
+                for x in range(1 << params.n)
+                for j in range(params.t + 1)
+            ])
+        for check in (verify_band_sandwich, verify_band_sums):
+            report = check(run)
+            out.append((report.checked, report.violations, report.indeterminate))
+        out.append([soundness_diagnostics(run, ci) for ci in range(len(run.components))])
+        if name == "honest":
+            out.append(completeness_diagnostics(run, prover.dist))
+    return out
+
+
+class TestOraclePinned:
+    # Recorded before the oracle built each component in one pass.
+    DIGESTS = {
+        1.0: "22a1fda11e89aa6cdac50ed2f6d6d4e0765bedc699f9ab8a614f60270d359aa5",
+        0.5: "993b6f10cac59045afcb03b6fb3ee8c6f59f06d740c95b4cf664113bb7adbc28",
+    }
+
+    @pytest.mark.parametrize("eps", [1.0, 0.5])
+    def test_profile_pinned(self, eps):
+        blob = repr(canonical(oracle_profile(eps))).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.DIGESTS[eps]
 
 
 class TestZeroSetPatterns:
@@ -1017,3 +1074,107 @@ class TestProbabilityIntakeFuzz:
         tr = run_protocol(params, prover, rng=random.Random(0))
         shown = json.loads(tr.to_json())["messages"][-1]
         assert shown == {"kind": "probability", "p": {"malformed": type(claim).__name__}}
+
+
+# ---------------------------------------------------------------------------
+# Table intake fuzzing: any value in the fallback table slot ends in an Outcome
+
+
+TABLE_FUZZ_PARAMS = derive_params(3, 0.5, 0.5)
+
+
+def valid_tables():
+    """Tables of distinct 3-bit elements whose Fraction probabilities sum to 1."""
+    counts = st.lists(st.integers(1, 4), min_size=1, max_size=8)
+    return st.tuples(counts, st.permutations(range(8))).map(
+        lambda cp: [(x, Fraction(c, sum(cp[0]))) for x, c in zip(cp[1], cp[0])]
+    )
+
+
+def table_edits():
+    """Edits applied to a valid table; ``pos`` picks an entry by position."""
+    pos = st.integers(0, 7)
+    bad_x = st.one_of(
+        st.integers(8, 2**70), st.integers(-(2**70), -1), st.booleans(), st.floats(),
+        st.text(max_size=2),
+    )
+    bad_p = st.one_of(
+        st.integers(-2, 2), st.floats(), st.text(max_size=3), st.just("1/2"),
+        st.fractions(min_value=-1, max_value=2, max_denominator=8),
+    )
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("x"), pos, bad_x),
+            st.tuples(st.just("p"), pos, bad_p),
+            st.tuples(st.just("dup"), pos),  # another entry's element
+            st.tuples(st.just("scale"), st.sampled_from([Fraction(1, 2), Fraction(3, 2)])),
+            st.tuples(st.just("drop"), pos),
+            st.tuples(st.just("extra"), st.lists(st.integers(0, 7), max_size=3)),
+        ),
+        max_size=2,
+    )
+
+
+def edit_table(table, edits, wrap):
+    out = [list(pair) for pair in table]
+    for op, *args in edits:
+        if op == "scale":
+            for entry in out:
+                if len(entry) == 2 and isinstance(entry[1], Fraction):
+                    entry[1] *= args[0]
+            continue
+        if op == "extra":
+            out.append(args[0])
+            continue
+        entry = out[args[0] % len(out)] if out else None
+        if entry is None or len(entry) != 2:
+            continue
+        if op == "x":
+            entry[0] = args[1]
+        elif op == "p":
+            entry[1] = args[1]
+        elif op == "dup" and out[(args[0] + 1) % len(out)]:
+            entry[0] = out[(args[0] + 1) % len(out)][0]
+        elif op == "drop":
+            out.remove(entry)
+    return [wrap(entry) for entry in out]
+
+
+def table_values():
+    """Arbitrary values for the ScriptedProver table slot of a fallback
+    n=3 instance: junk constants and lists, and valid tables as pairs or
+    lists, edited so that an element is a str, float, bool, negative, huge
+    or out of range, a probability is an int, Fraction, float or str, zero
+    or negative, an element repeats, an entry is missing or malformed, or
+    the probabilities no longer sum to 1."""
+    junk = st.one_of(
+        st.none(), st.integers(-3, 3), st.floats(), st.text(max_size=3),
+        st.lists(
+            st.one_of(st.none(), st.integers(), st.text(max_size=2), st.lists(st.integers(0, 7), max_size=3)),
+            max_size=3,
+        ),
+    )
+    edited = st.builds(edit_table, valid_tables(), table_edits(), st.sampled_from([tuple, list]))
+    return st.booleans().flatmap(lambda edit: edited if edit else junk)
+
+
+class TestTableIntakeFuzz:
+    @given(table_values())
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_every_table_ends_in_an_outcome(self, table):
+        """The fallback verifier and both oracles are total over the table
+        slot and agree exactly on what every table is worth, and every
+        seeded run ends in an outcome the oracles give positive mass."""
+        params = TABLE_FUZZ_PARAMS
+        prover = ScriptedProver({"table": table})
+        exact = assert_oracles_agree(params, prover)
+        for seed in range(3):
+            tr = run_protocol(params, prover, rng=random.Random(seed))
+            assert isinstance(tr.outcome, Outcome)
+            assert replay(params, prover, tr).to_json() == tr.to_json()
+            out = tr.outcome
+            if out.kind == "output":
+                assert exact.outputs.get((out.x, out.band, out.p), 0) > 0
+            else:
+                assert out.kind == "reject"
+                assert exact.reject_by_reason.get(out.reason, 0) > 0

@@ -147,6 +147,25 @@ class TestVerifierTables:
         for u in range(total):
             assert CoinSource(replay=[u]).pick(cumulative) == pick_by_offset(scaled, u)
 
+    @given(
+        st.sampled_from([(1, 1), (1, 2), (2, 2), (1, 3), (2, 4)]),
+        st.integers(1, 10),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_round_one_pass_makes_shift_draw_nondegenerate(self, layout, t, data):
+        """A histogram that passes round 1 has positive mass, and every band
+        lies in an interval for all but one of at least two shifts, so the
+        shift draw always has positive total."""
+        gap_size, interval_size = layout
+        params = tiny_params(t=t, gap_size=gap_size, interval_size=interval_size)
+        counts = data.draw(st.lists(st.integers(0, 3), min_size=t + 1, max_size=t + 1).filter(any))
+        scale = data.draw(st.sampled_from([1, 1 - Fraction(1, 2**params.n)]))
+        weights = [scale * Fraction(c, sum(counts)) for c in counts]
+        tables, reason = validate_histogram_message(weights, params)
+        assert reason is None
+        assert tables.shift_draw[-1] > 0
+
     def test_tables_built_once_per_histogram(self):
         params = tiny_params()
         prover = honest_prover(tiny_dist(), params)
