@@ -270,12 +270,11 @@ def interval_layout(t: int, gap_size: int, interval_size: int) -> IntervalLayout
         per_shift = []
         for i in index_range:
             if i == 0:
-                members = tuple(j for j in range(0, s + 1) if j <= t)
+                lo, hi = 0, s
             else:
                 lo = s + i * g + (i - 1) * iv + 1
                 hi = s + i * (g + iv)
-                members = tuple(j for j in range(max(lo, 0), hi + 1) if j <= t)
-            per_shift.append(members)
+            per_shift.append(tuple(range(max(lo, 0), min(hi, t) + 1)))
         intervals[s] = tuple(per_shift)
     return IntervalLayout(
         t=t,

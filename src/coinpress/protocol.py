@@ -46,7 +46,6 @@ from coinpress.dist import (
 )
 from coinpress.hashing import HashFunction, sample_hash
 
-MODE_CALIBRATED = "calibrated"
 MODE_RAW = "raw"
 MODE_TRIVIAL = "trivial-fallback"
 
@@ -91,7 +90,7 @@ class ProtocolParams:
     def __post_init__(self):
         if not 1 <= self.n <= 64:
             raise ValueError(f"n={self.n} outside 1..64")
-        if self.mode not in (MODE_CALIBRATED, MODE_RAW, MODE_TRIVIAL):
+        if self.mode not in (MODE_RAW, MODE_TRIVIAL):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode != MODE_TRIVIAL:
             g, iv = self.gap_size, self.interval_size
@@ -203,25 +202,21 @@ def derive_params(n: int, eps_prime: float, delta_prime: float) -> ProtocolParam
     """Derive the calibrated constants for user-facing accuracy targets.
 
     The effective band width is eps_prime / 9000 and the effective gap
-    fraction delta_prime / 16. When (9000/eps_prime)**(16/delta_prime)
-    exceeds 2**(n/50), the calibrated protocol is not applicable and the
-    fallback mode is selected, in which the prover simply sends the whole
-    distribution. The inequality is evaluated in log space. The constants
-    are those of ``ProtocolParams.raw`` at the effective eps and delta,
-    relabelled with the mode and the targets; they are computed for
-    inspection in fallback mode too.
+    fraction delta_prime / 16. The calibrated protocol applies only when
+    (9000/eps_prime)**(16/delta_prime) <= 2**(n/50). In log space the left
+    side exceeds 16 * log2(9000) > 210 for every target in (0, 1), and the
+    right side is at most 64/50, so at every width the fallback mode is
+    returned, in which the prover simply sends the whole distribution. The
+    constants are those of ``ProtocolParams.raw`` at the effective eps and
+    delta, relabelled with the mode and the targets, for inspection.
     """
     if not 0 < eps_prime < 1 or not 0 < delta_prime < 1:
         raise ValueError("accuracy targets must lie in (0, 1)")
     if not 1 <= n <= 64:
         raise ValueError("n outside 1..64")
-    eps = eps_prime / 9000.0
-    delta = delta_prime / 16.0
-    fallback = (1.0 / delta) * math.log2(1.0 / eps) > n / 50.0
     return replace(
-        ProtocolParams.raw(n, eps, delta),
-        mode=MODE_TRIVIAL if fallback else MODE_CALIBRATED,
-        eps_prime=eps_prime, delta_prime=delta_prime,
+        ProtocolParams.raw(n, eps_prime / 9000.0, delta_prime / 16.0),
+        mode=MODE_TRIVIAL, eps_prime=eps_prime, delta_prime=delta_prime,
     )
 
 
@@ -571,6 +566,14 @@ def honest_prover(dist: ExplicitDistribution, params: ProtocolParams) -> HonestP
 
 _NUMERATOR = operator.attrgetter("numerator")
 _DENOMINATOR = operator.attrgetter("denominator")
+_EXACT_ENTRY_TYPES = frozenset((int, Fraction))
+
+# Histogram records already keyed, by identity: id(record) -> (record, key).
+# Holding the record keeps it alive, so its id cannot be reused while it is
+# here. Only records whose entries are exactly int or Fraction enter: no
+# bool, no subclass, so reading them again runs no user code and no value
+# can have changed. Bounded like ``verifier_tables``, evicting oldest first.
+_histogram_keys: dict[int, tuple[tuple, tuple[int, ...]]] = {}
 
 
 def validate_histogram_message(weights, params: ProtocolParams):
@@ -578,23 +581,39 @@ def validate_histogram_message(weights, params: ProtocolParams):
     (None, reject reason).
 
     The message must be a sized iterable of t+1 int or Fraction entries;
-    ``bool`` is an ``int``, so True and False are the weights 1 and 0. This
-    is the verifier's only per-run pass over it: the entries become one
-    flat int key, numerators then denominators, without building a
-    Fraction, and everything else is looked up in ``verifier_tables``.
+    ``bool`` is an ``int``, so True and False are the weights 1 and 0. The
+    entries become one flat int key, numerators then denominators, without
+    building a Fraction, and everything else is looked up in
+    ``verifier_tables``. A tuple of exact int and Fraction entries is keyed
+    once: sent again, the same tuple skips the per-entry pass.
     """
     weights = _histogram_record(weights)
-    # map() keeps the per-entry work in C: this is most of a cached run.
-    if (
-        weights is None
-        or len(weights) != params.t + 1
-        or not all(map(isinstance, weights, itertools.repeat((int, Fraction))))
-    ):
+    # The memo ignores params, so the length is checked on every run.
+    if weights is None or len(weights) != params.t + 1:
         return None, REJECT_MALFORMED_HISTOGRAM
-    tables = verifier_tables(params, (*map(_NUMERATOR, weights), *map(_DENOMINATOR, weights)))
+    known = _histogram_keys.get(id(weights))
+    key = known[1] if known is not None else _histogram_key(weights)
+    if key is None:
+        return None, REJECT_MALFORMED_HISTOGRAM
+    tables = verifier_tables(params, key)
     if tables.reason is not None:
         return None, tables.reason
     return tables, None
+
+
+def _histogram_key(weights) -> Optional[tuple[int, ...]]:
+    """The int key of a histogram record, or None unless every entry is an
+    int or a Fraction. Remembers the key of an exact-typed record."""
+    # map() keeps the per-entry work in C.
+    exact = _EXACT_ENTRY_TYPES.issuperset(map(type, weights))
+    if not exact and not all(map(isinstance, weights, itertools.repeat((int, Fraction)))):
+        return None
+    key = (*map(_NUMERATOR, weights), *map(_DENOMINATOR, weights))
+    if exact:
+        if len(_histogram_keys) >= TABLES_CACHE_SIZE:
+            del _histogram_keys[next(iter(_histogram_keys))]
+        _histogram_keys[id(weights)] = (weights, key)
+    return key
 
 
 @dataclass(frozen=True)

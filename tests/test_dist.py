@@ -222,6 +222,24 @@ class TestIntervalLayout:
         assert layout.intervals[1][1] == (4, 5)
         assert layout.intervals[1][2] == (8, 9)
 
+    def test_intervals_match_element_filter(self):
+        """Every interval equals the element-by-element filter of its
+        unclipped range, over t <= 79, gap <= 6 and interval/gap <= 5."""
+        for t in range(1, 80):
+            for g in range(1, 7):
+                for mult in range(1, 6):
+                    iv = g * mult
+                    layout = interval_layout(t, g, iv)
+                    for s in layout.shifts:
+                        for i in layout.index_range:
+                            if i == 0:
+                                expected = tuple(j for j in range(0, s + 1) if j <= t)
+                            else:
+                                lo = s + i * g + (i - 1) * iv + 1
+                                hi = s + i * (g + iv)
+                                expected = tuple(j for j in range(max(lo, 0), hi + 1) if j <= t)
+                            assert layout.interval(s, i) == expected, (t, g, iv, s, i)
+
     def test_interval_index_of(self):
         layout = interval_layout(10, 1, 2)
         assert layout.interval_index_of(-1, 1) == 1

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coinpress import protocol
 from coinpress.dist import ExplicitDistribution, buckets, build_histogram
 from coinpress.hashing import HashFunction, sample_hash
 from coinpress.protocol import (
@@ -189,6 +190,70 @@ class TestVerifierTables:
         assert validate_histogram_message([Fraction(1, 2)] * 7, params) == (None, "histogram-sum")
         negative = [Fraction(-1, 2), Fraction(3, 2), 0, 0, 0, 0, 0]
         assert validate_histogram_message(negative, params) == (None, "malformed-histogram")
+
+
+class CountingFraction(Fraction):
+    """A Fraction subclass whose numerator counts how often it is read."""
+
+    reads = 0
+
+    @property
+    def numerator(self):
+        type(self).reads += 1
+        return super().numerator
+
+
+class TestHistogramKeyMemo:
+    """Round 1 keys a tuple of exact int and Fraction entries once."""
+
+    def test_repeated_tuple_matches_fresh_list(self):
+        params = tiny_params()
+        honest = build_histogram(tiny_dist(), params.eps, params.t).weights
+        too_heavy = (Fraction(1, 2),) * 7
+        for message in (honest, too_heavy):
+            first = validate_histogram_message(message, params)
+            assert id(message) in protocol._histogram_keys
+            again = validate_histogram_message(message, params)
+            fresh = validate_histogram_message(list(message), params)
+            assert first[1] == again[1] == fresh[1]
+            assert first[0] is again[0] is fresh[0]
+        assert validate_histogram_message(honest, params)[1] is None
+        assert validate_histogram_message(too_heavy, params) == (None, "histogram-sum")
+
+    def test_subclass_entries_are_read_every_run(self):
+        params = tiny_params()
+        message = (0, 0, CountingFraction(1), 0, 0, 0, 0)
+        reads = []
+        for _ in range(3):
+            assert validate_histogram_message(message, params)[1] is None
+            reads.append(CountingFraction.reads)
+        assert reads[0] < reads[1] < reads[2]
+        assert id(message) not in protocol._histogram_keys
+
+    def test_bool_entry_validates_as_before(self):
+        params = tiny_params()
+        message = (0, 0, True, 0, 0, 0, 0)
+        for _ in range(2):
+            assert tables_for(message, params) is tables_for([0, 0, 1, 0, 0, 0, 0], params)
+        assert id(message) not in protocol._histogram_keys
+        assert validate_histogram_message((True,) * 7, params) == (None, "histogram-sum")
+
+    def test_memoized_tuple_under_other_t_is_malformed(self):
+        params = tiny_params()
+        message = build_histogram(tiny_dist(), params.eps, params.t).weights
+        assert validate_histogram_message(message, params)[1] is None
+        assert id(message) in protocol._histogram_keys
+        for t in (5, 7):
+            assert validate_histogram_message(message, tiny_params(t=t)) == (None, "malformed-histogram")
+
+    def test_memo_is_bounded(self):
+        params = tiny_params()
+        messages = [tuple([0, 0, 1, 0, 0, 0, 0]) for _ in range(100)]
+        for message in messages:
+            assert validate_histogram_message(message, params)[1] is None
+        assert len(protocol._histogram_keys) <= protocol.TABLES_CACHE_SIZE == 64
+        assert id(messages[-1]) in protocol._histogram_keys
+        assert id(messages[0]) not in protocol._histogram_keys
 
 
 class TestVerifierRound1:
