@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from coinpress.dist import ExplicitDistribution, buckets, pow2
+from coinpress.hashing import BitPlanes, set_bits
 from coinpress.protocol import (
     CoinSource,
     HonestProver,
@@ -132,7 +133,8 @@ class InflatingProver(ProverStrategy):
     passes whenever enough spares exist. A stress strategy for soundness
     diagnostics; ``inflating_prover`` plays shift 0 with the honest prover.
     The claimed histogram and the buckets are built on first read, as the
-    honest prover's are.
+    honest prover's are. Each bucket, and the spare pool of all 2**n
+    inputs, is hashed in one ``eval_batch`` call on its bit planes.
     """
 
     # Members and spares are both filtered by f(x) == 0.
@@ -160,9 +162,18 @@ class InflatingProver(ProverStrategy):
         return compute_live_bands(self.claimed_weights, self.params)
 
     @functools.cached_property
-    def _true_buckets(self) -> dict[int, list[int]]:
+    def _true_buckets(self) -> dict[int, tuple[list[int], BitPlanes]]:
+        """Band -> (its members in order, their bit planes)."""
         params = self.params
-        return {i: sorted(xs) for i, xs in buckets(self.dist, params.eps, params.t).items()}
+        out = {}
+        for i, xs in buckets(self.dist, params.eps, params.t).items():
+            members = sorted(xs)
+            out[i] = members, BitPlanes.of(members, params.n)
+        return out
+
+    @functools.cached_property
+    def _all_planes(self) -> BitPlanes:
+        return BitPlanes.of(range(1 << self.params.n), self.params.n)
 
     def produce_histogram(self):
         return self.claimed_weights
@@ -174,14 +185,15 @@ class InflatingProver(ProverStrategy):
         pool = None
         used: set[int] = set()
         out = {}
-        for i, bucket, want_lo, want_hi in plan:
-            members = [x for x in bucket if f.eval(x) == 0]
+        for i, (bucket, planes), want_lo, want_hi in plan:
+            members = [bucket[j] for j in set_bits(f.eval_batch(planes))]
             chosen = [x for x in members if x not in used][: max(want_hi, want_lo)]
             if len(chosen) < want_lo:
                 if pool is None:
                     # Spare pool: everything hashing to the zero target, used
                     # to pad sets up to the cardinality window's lower edge.
-                    pool = [x for x in range(1 << self.params.n) if f.eval(x) == 0]
+                    # Input j of the planes is j itself.
+                    pool = set_bits(f.eval_batch(self._all_planes))
                 for x in pool:
                     if len(chosen) >= want_lo:
                         break
@@ -193,8 +205,9 @@ class InflatingProver(ProverStrategy):
 
     def _plan(self, s, k, m, g):
         """Per live band of interval (s, k), in order: the true members
-        claimed there, and the smallest and largest set sizes inside its
-        cardinality window under hash width m and centring g."""
+        claimed there with their planes, and the smallest and largest set
+        sizes inside its cardinality window under hash width m and
+        centring g."""
         params = self.params
         interval = params.layout.interval(s, k)
         z = band_mass_sum(self.claimed_weights, interval, params.eps)
@@ -203,7 +216,7 @@ class InflatingProver(ProverStrategy):
             if i not in self._live:
                 continue
             lo, hi = check_b_window(i, float(self.claimed_weights[i]), m, g, z, params.eps)
-            bucket = self._true_buckets.get(i - self.shift, [])
+            bucket = self._true_buckets.get(i - self.shift) or ([], BitPlanes.of([], params.n))
             plan.append((i, bucket, max(0, int(-(-lo // 1))), int(hi // 1)))
         return tuple(plan)
 

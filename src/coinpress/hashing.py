@@ -7,6 +7,10 @@ to m bits preserves that, so for any three distinct inputs the outputs are
 independent and uniform over the family choice. The family is exactly
 enumerable for tiny n, which the verification helpers below exploit.
 
+Evaluation is pure Python: one input at a time by parity masks, or a batch
+held as bit planes (``BitPlanes``), so the whole batch is hashed by xors
+of its planes. Only the exhaustive self-checks import numpy.
+
 Field elements are Python ints holding polynomial bitmasks. Each width n
 uses a fixed reduction polynomial (the smallest irreducible of degree n);
 the table is versioned: changing any entry is a breaking format change for
@@ -18,9 +22,10 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Smallest irreducible polynomial of each degree over GF(2), as a bitmask
 # including the leading term. Verified by tests: brute-force trial division
@@ -89,6 +94,8 @@ def gf2n_mul_vec(a: int, xs: np.ndarray, n: int) -> np.ndarray:
     Only valid for n <= 32 so that intermediate carry-less products fit in
     uint64 lanes.
     """
+    import numpy as np
+
     if n > 32:
         raise WidthError("vectorized multiply supports n <= 32")
     poly = np.uint64(IRREDUCIBLE_POLY[n])
@@ -116,6 +123,8 @@ ROW_CACHE_SIZE = 16
 def row_masks(n: int, m: int, a: int, b: int) -> tuple[int, ...]:
     """The m row masks of x -> a*x^2 + b*x: output bit r is the parity of
     ``x & rows[r]``. They do not depend on c."""
+    if not m:
+        return ()
     # Column i is the image of the basis element t^i: a*t^(2i) + b*t^i.
     # Each step multiplies sq by t twice and lin by t once, reducing the
     # carry out of bit n-1 after every shift.
@@ -137,6 +146,56 @@ def row_masks(n: int, m: int, a: int, b: int) -> tuple[int, ...]:
         sum(((col >> r) & 1) << i for i, col in enumerate(cols))
         for r in range(m)
     )
+
+
+@dataclass(frozen=True)
+class BitPlanes:
+    """A sequence of ``count`` n-bit inputs stored bit-sliced: bit j of
+    ``planes[i]`` is bit i of input j."""
+
+    count: int
+    planes: tuple[int, ...]
+
+    @classmethod
+    def of(cls, xs: Sequence[int], n: int) -> BitPlanes:
+        """The planes of ``xs``, whose entries must lie in [0, 2**n)."""
+        # Input j is written as n binary digits, last input first, so the
+        # digits of bit i form one stride-n slice, most significant first.
+        fmt = f"0{n}b"
+        digits = "".join([format(x, fmt) for x in reversed(xs)])
+        return cls(len(xs), tuple(int(digits[n - 1 - i::n] or "0", 2) for i in range(n)))
+
+    def slice(self, lo: int, hi: int) -> BitPlanes:
+        """The planes of inputs lo..hi-1."""
+        mask = (1 << (hi - lo)) - 1
+        return BitPlanes(hi - lo, tuple((plane >> lo) & mask for plane in self.planes))
+
+    def __len__(self) -> int:
+        return self.count
+
+
+def output_planes(rows: Sequence[int], planes: BitPlanes) -> list[int]:
+    """Plane r of the images of a batch under x -> a*x^2 + b*x given by its
+    ``row_masks``: the xor of the input planes of the set bits of rows[r]."""
+    out = []
+    for row in rows:
+        ones = 0
+        while row:
+            low = row & -row
+            ones ^= planes.planes[low.bit_length() - 1]
+            row ^= low
+        out.append(ones)
+    return out
+
+
+def set_bits(bits: int) -> list[int]:
+    """The indices of the set bits of ``bits``, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -170,15 +229,14 @@ class HashFunction:
             v ^= ((x & row).bit_count() & 1) << r
         return v
 
-    def eval_batch(self, xs: Sequence[int]) -> np.ndarray:
-        """Evaluate on many inputs at once, as uint64 lanes (any n <= 64)."""
-        arr = np.asarray(xs, dtype=np.uint64)
-        v = np.empty(arr.shape, dtype=np.uint64)
-        v.fill(self.c_low)  # np.full costs twice as much on short inputs
-        for r, row in enumerate(self.rows):
-            parity = np.bitwise_count(arr & np.uint64(row)) & np.uint8(1)
-            v ^= parity.astype(np.uint64) << np.uint64(r)
-        return v
+    def eval_batch(self, planes: BitPlanes) -> int:
+        """The zero set of this function on a batch, as a bitset: bit j is
+        set when input j hashes to the all-zero target. Output bit r is zero
+        where output plane r (``output_planes``) equals bit r of c."""
+        keep = (1 << planes.count) - 1
+        for r, ones in enumerate(output_planes(self.rows, planes)):
+            keep &= ones if self.c_low >> r & 1 else ~ones
+        return keep
 
     def to_json_obj(self) -> dict:
         width = (self.n + 3) // 4
@@ -228,6 +286,8 @@ def verify_kwise_exhaustive(n: int, m: int, k: int = 3) -> KwiseReport:
     exactly family_size / 2**(k*m). Returns the falsifying tuples, if any.
     Feasible for n <= 4 at k = 3 (family size 2**(3n)).
     """
+    import numpy as np
+
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2, or 3")
     size = 1 << n
@@ -259,7 +319,12 @@ def verify_kwise_exhaustive(n: int, m: int, k: int = 3) -> KwiseReport:
     )
 
 
-ZERO_SET_MAX_N = 6  # a zero set over 2**n inputs fits one uint64
+# The widest family the exact oracle enumerates. Zero sets are Python ints
+# of any width, so the cap is the enumeration's cost, which no estimate
+# guards yet: a pass asks about 2**(2n) (a, b) pairs per hash width, and
+# the flat cross-check about all 2**(3n) members. ``zero_set_masks``, the
+# tests' reference, packs each zero set in one uint64 and stays at n <= 6.
+ZERO_SET_MAX_N = 6
 
 
 def zero_set_masks(n: int, m: int) -> np.ndarray:
@@ -268,8 +333,10 @@ def zero_set_masks(n: int, m: int) -> np.ndarray:
     Entry i belongs to the i-th coefficient triple of ``family(n)``; its bit
     x is set when that member maps x to the all-zero m-bit target. Built one
     input column at a time from the field reference, never as the full
-    table of outputs.
+    table of outputs. The tests' reference for ``oracle.HashFamily``.
     """
+    import numpy as np
+
     if not 1 <= n <= ZERO_SET_MAX_N:
         raise WidthError(f"zero-set masks need 1 <= n <= {ZERO_SET_MAX_N}, got {n}")
     size = 1 << n
@@ -318,9 +385,11 @@ def mixing_experiment(
     bset = sorted(set(int(y) for y in members))
     if not bset:
         raise ValueError("member set must be nonempty")
+    if bset[0] < 0 or bset[-1] >> n:
+        raise ValueError(f"members must lie in [0, 2**{n})")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    arr = np.asarray(bset, dtype=np.uint64)
+    planes = BitPlanes.of(bset, n)
     pivot_in = pivot is not None and int(pivot) in set(bset)
     size = len(bset)
     if pivot_in:
@@ -337,7 +406,7 @@ def mixing_experiment(
         if pivot is not None:
             while h.eval(int(pivot)) != 0:
                 h = sample_hash(n, m, rng)
-        count = int(np.count_nonzero(h.eval_batch(arr) == 0))
+        count = h.eval_batch(planes).bit_count()
         if not lo <= count <= hi:
             deviations += 1
     return MixingReport(

@@ -37,10 +37,15 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Optional
 
-import numpy as np
-
 from coinpress.dist import TAU, buckets, build_histogram, fraction_to_str, pow2
-from coinpress.hashing import ZERO_SET_MAX_N, HashFunction, family, zero_set_masks
+from coinpress.hashing import (
+    ZERO_SET_MAX_N,
+    BitPlanes,
+    HashFunction,
+    family,
+    output_planes,
+    row_masks,
+)
 from coinpress.protocol import (
     MODE_TRIVIAL,
     ProtocolParams,
@@ -170,6 +175,12 @@ class HashFamily:
     family order and how many members share it. It is computed once per m
     and kept for the lifetime of this object (one oracle pass).
     ``members(m)`` yields every member with count 1.
+
+    For fixed (a, b) the zero set of c depends on c_low alone, and the
+    first c of each c_low in family order is c_low itself. So the sweep
+    visits (a, b) in family order, splits all 2**n inputs into the 2**m
+    zero sets of c = 0 .. 2**m - 1 by the output planes of their images,
+    and adds 2**(n - m) members to the count of each zero set it meets.
     """
 
     def __init__(self, n: int):
@@ -179,16 +190,25 @@ class HashFamily:
     def patterns(self, m: int) -> list[tuple[HashFunction, int]]:
         rows = self._patterns.get(m)
         if rows is None:
-            _masks, first, counts = np.unique(
-                zero_set_masks(self.n, m), return_index=True, return_counts=True
-            )
-            order = np.argsort(first)
-            size = 1 << self.n
-            rows = []
-            for idx, count in zip(first[order].tolist(), counts[order].tolist()):
-                a, rest = divmod(idx, size * size)
-                b, c = divmod(rest, size)
-                rows.append((HashFunction(n=self.n, m=m, a=a, b=b, c=c), count))
+            n, size = self.n, 1 << self.n
+            inputs = BitPlanes.of(range(size), n)
+            share = 1 << (n - m)
+            first: dict[int, list] = {}  # zero set -> [(a, b, c), count]
+            for a in range(size):
+                for b in range(size):
+                    zero_sets = [(1 << size) - 1]  # entry c: the zero set of c
+                    for ones in output_planes(row_masks(n, m, a, b), inputs):
+                        zero_sets = [z & ~ones for z in zero_sets] + [z & ones for z in zero_sets]
+                    for c, zero_set in enumerate(zero_sets):
+                        row = first.get(zero_set)
+                        if row is None:
+                            first[zero_set] = [(a, b, c), share]
+                        else:
+                            row[1] += share
+            rows = [
+                (HashFunction(n=n, m=m, a=a, b=b, c=c), count)
+                for (a, b, c), count in first.values()
+            ]
             self._patterns[m] = rows
         return rows
 

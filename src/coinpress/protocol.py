@@ -28,8 +28,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from coinpress.dist import (
     TAU,
     ExplicitDistribution,
@@ -44,7 +42,7 @@ from coinpress.dist import (
     interval_weights,
     pow2,
 )
-from coinpress.hashing import HashFunction, sample_hash
+from coinpress.hashing import BitPlanes, HashFunction, sample_hash, set_bits
 
 MODE_RAW = "raw"
 MODE_TRIVIAL = "trivial-fallback"
@@ -477,13 +475,15 @@ def compute_live_bands(weights: Sequence[Fraction], params: ProtocolParams) -> s
 class HonestProver(ProverStrategy):
     """Prover that holds the distribution and follows the protocol exactly.
 
-    The support is kept in one uint64 array sorted by (band, element). The
-    k-th nonempty band, ``bands[k]``, occupies
-    ``support[offsets[k]:offsets[k + 1]]``, so the bands of any interval
-    form one contiguous slice that is hashed in one batch. The slice and
-    the live bands of each challenge are worked out on its first call.
-    The histogram and the banding are built on first read: a fallback run
-    reads only ``produce_table``, and its t can reach millions of bands.
+    The support is kept in one list sorted by (band, element), with its
+    bit planes (``BitPlanes``). The k-th nonempty band, ``bands[k]``,
+    occupies ``support[offsets[k]:offsets[k + 1]]``, so the bands of any
+    interval form one contiguous slice, hashed in one ``eval_batch`` call
+    on the same slice of the planes. The slice, its planes and the live
+    bands of each challenge are worked out on its first call. The
+    histogram, the banding and the planes are built on first read: a
+    fallback run reads only ``produce_table``, and its t can reach millions
+    of bands.
     """
 
     depends_on_hash_zero_set = True
@@ -507,8 +507,12 @@ class HonestProver(ProverStrategy):
         members = buckets(self.dist, self.params.eps, self.params.t)
         bands = sorted(members)
         offsets = [0, *itertools.accumulate(len(members[i]) for i in bands)]
-        support = np.array([x for i in bands for x in sorted(members[i])], dtype=np.uint64)
+        support = [x for i in bands for x in sorted(members[i])]
         return live, bands, offsets, support
+
+    @functools.cached_property
+    def _planes(self) -> BitPlanes:
+        return BitPlanes.of(self._banding[3], self.params.n)
 
     def produce_histogram(self) -> Sequence[Fraction]:
         return self.histogram.weights
@@ -517,37 +521,38 @@ class HonestProver(ProverStrategy):
         plan = self._plans.get((s, k))
         if plan is None:
             plan = self._plans[(s, k)] = self._plan(s, k)
-        live, block, cuts = plan
+        live, block, planes, cuts = plan
         out = {i: [] for i in live}
         if not out:
             return out
         if not f.rows:  # m = 0: every input hashes to the zero target
             for i, a, b in cuts:
-                out[i] = block[a:b].tolist()
+                out[i] = block[a:b]
             return out
-        keep = f.eval_batch(block) == 0
+        keep = f.eval_batch(planes)
         for i, a, b in cuts:
-            out[i] = block[a:b][keep[a:b]].tolist()
+            out[i] = [block[a + j] for j in set_bits((keep >> a) & ((1 << (b - a)) - 1))]
         return out
 
     def _plan(self, s, k):
         """What ``produce_sets`` needs of challenge (s, k) besides f: the
         live bands of the interval in order, the support slice holding the
-        interval's bands, and each live band's cut of that slice."""
+        interval's bands and its planes, and each live band's cut of that
+        slice."""
         interval = self.params.layout.interval(s, k)
         live_bands, bands, offsets, support = self._banding
         live = tuple(i for i in interval if i in live_bands)
         if not live:
-            return live, None, ()
+            return live, None, None, ()
         first = bisect.bisect_left(bands, interval[0])
         last = bisect.bisect_right(bands, interval[-1])
-        lo = offsets[first]
+        lo, hi = offsets[first], offsets[last]
         cuts = tuple(
             (bands[pos], offsets[pos] - lo, offsets[pos + 1] - lo)
             for pos in range(first, last)
             if bands[pos] in live
         )
-        return live, support[lo:offsets[last]], cuts
+        return live, support[lo:hi], self._planes.slice(lo, hi), cuts
 
     def produce_probability(self, j: int, x: int) -> Fraction:
         return self.dist.prob(x)
@@ -777,10 +782,11 @@ def check_sets(sets, weights, ctx: ChallengeContext, f: HashFunction, params: Pr
         total += len(xs)
     if total > params.set_cap:
         return None, REJECT_OVERSIZE
-    for i in ctx.active:
-        for x in normalized[i]:
-            if f.eval(x) != 0:
-                return None, REJECT_CHECK_A
+    if f.rows:  # with no rows (m = 0) every input hashes to the zero target
+        for i in ctx.active:
+            for x in normalized[i]:
+                if f.eval(x) != 0:
+                    return None, REJECT_CHECK_A
     for i in ctx.active:
         lo, hi = check_b_window(i, float(weights[i]), ctx.m, ctx.g, ctx.band_mass_sum, params.eps)
         if not (lo * (1.0 - TAU) <= len(normalized[i]) <= hi * (1.0 + TAU)):

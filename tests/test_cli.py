@@ -1,6 +1,10 @@
 """CLI subcommands: outputs, file formats, determinism, error handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +147,21 @@ def test_hash_check(capsys):
     out = capsys.readouterr().out
     assert "PASS 3wise n=2 m=1" in out
     assert "mixing" in out
+
+
+def test_import_path_loads_no_numpy():
+    """Only the exhaustive self-checks behind ``hash-check`` import numpy,
+    inside the functions that use it; every command starts without it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys\n"
+        "from coinpress import adversaries, cli, harness, ip2am, oracle\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 def test_transform(workspace, capsys):

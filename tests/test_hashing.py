@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from coinpress.hashing import (
     IRREDUCIBLE_POLY,
+    BitPlanes,
     HashFunction,
     WidthError,
     family,
@@ -18,6 +19,7 @@ from coinpress.hashing import (
     mixing_experiment,
     row_masks,
     sample_hash,
+    set_bits,
     verify_kwise_exhaustive,
 )
 
@@ -169,13 +171,24 @@ class TestHashFunction:
         with pytest.raises(WidthError):
             sample_hash(65, 1, random.Random(0))
 
-    def test_eval_batch_matches_eval(self):
+    def test_bit_planes_batch_matches_eval(self):
         rng = random.Random(9)
-        for n, m in ((1, 1), (3, 2), (12, 6), (16, 5), (33, 7), (40, 8), (48, 48), (64, 64), (64, 9)):
-            h = sample_hash(n, m, rng)
-            xs = [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(64)]
-            batch = h.eval_batch(np.array(xs, dtype=np.uint64))
-            assert [int(v) for v in batch] == [h.eval(x) for x in xs]
+        for n in range(1, 65):
+            xs = [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(40)]
+            planes = BitPlanes.of(xs, n)
+            assert len(planes) == len(xs)
+            assert all(
+                (planes.planes[i] >> j) & 1 == (x >> i) & 1
+                for i in range(n) for j, x in enumerate(xs)
+            )
+            lo, hi = sorted(rng.sample(range(len(xs) + 1), 2))
+            assert planes.slice(lo, hi) == BitPlanes.of(xs[lo:hi], n)
+            empty = BitPlanes.of([], n)
+            for m in {0, 1, rng.randint(0, n), n}:
+                h = sample_hash(n, m, rng)
+                zeros = [j for j, x in enumerate(xs) if h.eval(x) == 0]
+                assert set_bits(h.eval_batch(planes)) == zeros
+                assert h.eval_batch(empty) == 0
 
     @given(st.integers(1, 64), st.data())
     @settings(max_examples=200, deadline=None)
@@ -253,6 +266,11 @@ class TestMixing:
     def test_m_zero_never_deviates(self):
         report = mixing_experiment(range(32), n=8, m=0, gamma=0.25, trials=50, rng=random.Random(0))
         assert report.deviations == 0
+
+    @pytest.mark.parametrize("members", [range(257), [-1, 3]])
+    def test_members_outside_the_domain_refused(self, members):
+        with pytest.raises(ValueError, match="members must lie in"):
+            mixing_experiment(members, n=8, m=2, gamma=0.25, trials=5, rng=random.Random(0))
 
     def test_unconditioned_bound(self):
         rng = random.Random(7)

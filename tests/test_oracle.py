@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from types import MappingProxyType
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -479,6 +480,24 @@ class TestZeroSetPatterns:
             assert [(f.a, f.b, f.c) for f, _ in rows] == [triples[i] for i in sorted(first.values())]
             for f, count in rows:
                 assert count == masks.count(masks[triples.index((f.a, f.b, f.c))])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_patterns_equal_unique_mask_reference(self, n):
+        # The reference groups the uint64 zero-set masks of all 8**n members
+        # with np.unique: first member in family order, and the group size.
+        size = 1 << n
+        for m in range(n + 1):
+            _masks, first, counts = np.unique(
+                zero_set_masks(n, m), return_index=True, return_counts=True
+            )
+            order = np.argsort(first)
+            expected = [
+                ((idx // (size * size), idx // size % size, idx % size), count)
+                for idx, count in zip(first[order].tolist(), counts[order].tolist())
+            ]
+            rows = HashFamily(n).patterns(m)
+            assert [((f.a, f.b, f.c), count) for f, count in rows] == expected
+            assert all(f.m == m for f, _count in rows)
 
     def test_masks_match_hash_evaluation(self):
         for m in range(4):
