@@ -22,7 +22,9 @@ from fractions import Fraction
 from coinpress import adversaries, harness, hashing, ip2am, oracle
 from coinpress.dist import (
     ExplicitDistribution,
+    element_to_hex,
     fraction_from_str,
+    fraction_to_str,
     load_distribution,
 )
 from coinpress.protocol import (
@@ -177,7 +179,7 @@ def cmd_sample(args) -> int:
     _emit((tr.to_json() + "\n").encode(), args.out)
     if tr.outcome.kind == "output":
         p = probability_bin_key(tr.outcome.p)
-        print(f"output x={tr.outcome.x:0{(cfg.params.n + 3) // 4}x} p={p}")
+        print(f"output x={element_to_hex(tr.outcome.x, cfg.params.n)} p={p}")
     else:
         print(f"reject reason={tr.outcome.reason}")
     return 0
@@ -217,11 +219,11 @@ def cmd_oracle(args) -> int:
     exact = run.distribution
     payload = oracle.distribution_report(exact)
     payload["element_marginal"] = {
-        format(x, "x"): f"{v.numerator}/{v.denominator}"
+        format(x, "x"): fraction_to_str(v)
         for x, v in sorted(exact.element_marginal().items())
     }
     payload["soundness_sums"] = {
-        format(x, "x"): f"{v.numerator}/{v.denominator}"
+        format(x, "x"): fraction_to_str(v)
         for x, v in sorted(exact.soundness_sums().items())
     }
     if cfg.params.mode != MODE_TRIVIAL:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from coinpress.dist import fraction_to_str, pow2
+from coinpress.dist import element_to_hex, fraction_to_str, pow2
 from coinpress.protocol import (
     ProtocolParams,
     ProverStrategy,
@@ -138,13 +138,12 @@ def estimate_output_distribution(
     bins: dict[tuple[str, str], int] = {}
     per_x: dict[str, int] = {}
     rejects: dict[str, int] = {}
-    hexw = (params.n + 3) // 4
     for tr in _transcripts(params, prover_factory, n_trials, master_seed):
         out = tr.outcome
         if out.kind == "reject":
             rejects[out.reason] = rejects.get(out.reason, 0) + 1
             continue
-        xh = format(out.x, f"0{hexw}x")
+        xh = element_to_hex(out.x, params.n)
         key = (xh, probability_bin_key(out.p))
         bins[key] = bins.get(key, 0) + 1
         per_x[xh] = per_x.get(xh, 0) + 1

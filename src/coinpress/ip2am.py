@@ -211,6 +211,8 @@ class ToyMultisetIP:
 
     Coins are (b, u): bit b picks the side, u indexes into the sorted list
     of distinct arrangements of that side (reduced modulo the list length).
+    u has ``index_bits`` bits, the fewest (at least one) that index the
+    longer of the two lists.
     The prover answers with its guess of b, and the verifier accepts when
     the guess is right. For distinct multisets the arrangement reveals the
     side, so an unbounded prover always wins (completeness 1); for equal
@@ -219,7 +221,7 @@ class ToyMultisetIP:
     """
 
     instance: ToyMultisetInstance
-    index_bits: int
+    index_bits: int = field(init=False)
     spec: PrivateCoinProtocolSpec = field(init=False)
     alphabet: str = field(init=False)
     symbol_bits: int = field(init=False)
@@ -239,9 +241,9 @@ class ToyMultisetIP:
             [encode(a) for a in arrangements[1]],
         )
         message_bits = symbol_bits * len(self.instance.s0)
+        count = max(len(arr_codes[0]), len(arr_codes[1]))
+        object.__setattr__(self, "index_bits", max(1, (count - 1).bit_length()))
         coin_bits = 1 + self.index_bits
-        if (1 << self.index_bits) < max(len(arr_codes[0]), len(arr_codes[1])):
-            raise ValueError("index_bits too small for the arrangement count")
 
         def next_message(x, i, r, answers):
             b = r & 1
@@ -282,14 +284,8 @@ class ToyMultisetIP:
         return 1
 
 
-def toy_protocol(instance: ToyMultisetInstance, index_bits: Optional[int] = None) -> ToyMultisetIP:
-    if index_bits is None:
-        count = max(
-            len(_distinct_arrangements(instance.s0)),
-            len(_distinct_arrangements(instance.s1)),
-        )
-        index_bits = max(1, (count - 1).bit_length())
-    return ToyMultisetIP(instance=instance, index_bits=index_bits)
+def toy_protocol(instance: ToyMultisetInstance) -> ToyMultisetIP:
+    return ToyMultisetIP(instance=instance)
 
 
 def load_instance(path: str) -> ToyMultisetInstance:

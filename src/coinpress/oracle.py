@@ -39,7 +39,6 @@ from typing import Optional
 
 from coinpress.dist import TAU, buckets, build_histogram, fraction_to_str, pow2
 from coinpress.hashing import (
-    ZERO_SET_MAX_N,
     BitPlanes,
     HashFunction,
     family,
@@ -66,6 +65,14 @@ from coinpress.protocol import (
 )
 
 DEFAULT_BUDGET = 10**9
+
+# The widest family the exact oracle enumerates. Zero sets are Python ints
+# of any width, so the cap is the enumeration's cost, which no estimate
+# guards yet: a pass asks about 2**(2n) (a, b) pairs per hash width, and
+# the flat cross-check about all 2**(3n) members. The tests' vectorized
+# reference, ``zero_set_masks``, packs each zero set in one uint64 and
+# stays at n <= 6.
+ZERO_SET_MAX_N = 6
 
 # Relative slack enclosing the error of double-precision powers of two.
 # Doubles carry ~1.1e-16 relative error per operation; 1e-14 leaves a wide

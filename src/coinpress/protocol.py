@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from coinpress.dist import (
+    MAX_BITS,
     TAU,
     ExplicitDistribution,
     Histogram,
@@ -86,8 +87,8 @@ class ProtocolParams:
     set_cap: int = DEFAULT_SET_CAP
 
     def __post_init__(self):
-        if not 1 <= self.n <= 64:
-            raise ValueError(f"n={self.n} outside 1..64")
+        if not 1 <= self.n <= MAX_BITS:
+            raise ValueError(f"n={self.n} outside 1..{MAX_BITS}")
         if self.mode not in (MODE_RAW, MODE_TRIVIAL):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode != MODE_TRIVIAL:
@@ -210,8 +211,8 @@ def derive_params(n: int, eps_prime: float, delta_prime: float) -> ProtocolParam
     """
     if not 0 < eps_prime < 1 or not 0 < delta_prime < 1:
         raise ValueError("accuracy targets must lie in (0, 1)")
-    if not 1 <= n <= 64:
-        raise ValueError("n outside 1..64")
+    if not 1 <= n <= MAX_BITS:
+        raise ValueError(f"n outside 1..{MAX_BITS}")
     return replace(
         ProtocolParams.raw(n, eps_prime / 9000.0, delta_prime / 16.0),
         mode=MODE_TRIVIAL, eps_prime=eps_prime, delta_prime=delta_prime,

@@ -164,6 +164,32 @@ def test_import_path_loads_no_numpy():
     assert out.strip() == "False"
 
 
+def test_runs_without_numpy():
+    """coinpress has no runtime dependency: with numpy made unimportable,
+    every module loads and ``hash-check`` prints the bytes it always has."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import coinpress\n"
+        "for mod in pkgutil.iter_modules(coinpress.__path__):\n"
+        "    importlib.import_module('coinpress.' + mod.name)\n"
+        "from coinpress.cli import main\n"
+        "sys.exit(main(['hash-check', '--n', '2', '3', '--m', '1', '2', '--trials', '200']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "PASS 3wise n=2 m=1 count=8\n"
+        "PASS 3wise n=2 m=2 count=1\n"
+        "PASS 3wise n=3 m=1 count=64\n"
+        "PASS 3wise n=3 m=2 count=8\n"
+        "PASS mixing |B|=1024 m=5 gamma=0.5 freq=0.04500 bound=0.12500\n"
+    )
+
+
 def test_transform(workspace, capsys):
     inst = str(workspace / "inst.json")
     assert main(["transform", "--instance", inst, "--rounds-trials", "40",

@@ -2,7 +2,6 @@
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +14,6 @@ from coinpress.hashing import (
     family,
     gf2n_inv,
     gf2n_mul,
-    gf2n_mul_vec,
     mixing_experiment,
     row_masks,
     sample_hash,
@@ -131,14 +129,6 @@ class TestFieldArithmetic:
     def test_inverses_exhaustive(self, n):
         for a in range(1, 1 << n):
             assert gf2n_mul(a, gf2n_inv(a, n), n) == 1
-
-    def test_vectorized_matches_scalar(self):
-        rng = random.Random(0)
-        for n in (3, 8, 16, 32):
-            xs = [rng.randrange(1 << n) for _ in range(50)]
-            a = rng.randrange(1 << n)
-            vec = gf2n_mul_vec(a, np.array(xs, dtype=np.uint64), n)
-            assert [int(v) for v in vec] == [gf2n_mul(a, x, n) for x in xs]
 
 
 class TestHashFunction:

@@ -20,7 +20,7 @@ from coinpress.adversaries import (
     overlapping_sets_prover,
 )
 from coinpress.dist import ExplicitDistribution
-from coinpress.hashing import HashFunction, family, zero_set_masks
+from coinpress.hashing import HashFunction, family
 from coinpress.oracle import (
     EnumerationBudgetError,
     ExactConfig,
@@ -47,6 +47,7 @@ from coinpress.protocol import (
     scale_weights,
     validate_histogram_message,
 )
+from test_numpy_reference import zero_set_masks
 
 
 def raw_params(n=3, t=6, gap_size=1, interval_size=2, sampling_gap=4.0, eps=1.0):
