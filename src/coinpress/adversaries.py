@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import math
 import random
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -24,10 +25,8 @@ from coinpress.protocol import (
     HonestProver,
     ProtocolParams,
     ProverStrategy,
-    band_mass_sum,
-    check_b_window,
-    compute_live_bands,
     cumulative_weights,
+    validate_histogram_message,
 )
 
 
@@ -132,9 +131,11 @@ class InflatingProver(ProverStrategy):
     spare elements that hash to the zero target, so the cardinality check
     passes whenever enough spares exist. A stress strategy for soundness
     diagnostics; ``inflating_prover`` plays shift 0 with the honest prover.
-    The claimed histogram and the buckets are built on first read, as the
-    honest prover's are. Each bucket, and the spare pool of all 2**n
-    inputs, is hashed in one ``eval_batch`` call on its bit planes.
+    Each challenge's plan takes its active bands and check (b)'s windows
+    from the verifier's compiled tables for the claimed histogram. The
+    claimed histogram, the buckets and the plans are built on first read,
+    as the honest prover's are. Each bucket, and the spare pool of all
+    2**n inputs, is hashed in one ``eval_batch`` call on its bit planes.
     """
 
     # Members and spares are both filtered by f(x) == 0.
@@ -149,17 +150,12 @@ class InflatingProver(ProverStrategy):
         self.params = params
         self.dist = dist
         self._honest = HonestProver(dist, params)
-        self._plans: dict[tuple, tuple] = {}  # (s, k, m, g) -> _plan(s, k, m, g)
 
     @functools.cached_property
     def claimed_weights(self) -> tuple[Fraction, ...]:
         # mass shifted past band t is dropped
         shifted = (Fraction(0),) * self.shift + self._honest.histogram.weights
         return shifted[: self.params.t + 1]
-
-    @functools.cached_property
-    def _live(self) -> set[int]:
-        return compute_live_bands(self.claimed_weights, self.params)
 
     @functools.cached_property
     def _true_buckets(self) -> dict[int, tuple[list[int], BitPlanes]]:
@@ -175,17 +171,29 @@ class InflatingProver(ProverStrategy):
     def _all_planes(self) -> BitPlanes:
         return BitPlanes.of(range(1 << self.params.n), self.params.n)
 
+    @functools.cached_property
+    def _plans(self) -> dict[tuple[int, int], tuple]:
+        """(s, k) -> per active band of that challenge, in order: the true
+        members claimed there with their planes, and the smallest and
+        largest set sizes inside its check (b) window."""
+        tables = validate_histogram_message(self.claimed_weights, self.params)[0]
+        empty = ([], BitPlanes.of([], self.params.n))
+        return {
+            key: tuple(
+                (i, self._true_buckets.get(i - self.shift, empty), max(0, math.ceil(lo)), math.floor(hi))
+                for i, (lo, hi) in zip(ctx.active, ctx.windows)
+            )
+            for key, ctx in (tables.challenges if tables else {}).items()
+        }
+
     def produce_histogram(self):
         return self.claimed_weights
 
     def produce_sets(self, s, k, f, g, m):
-        plan = self._plans.get((s, k, m, g))
-        if plan is None:
-            plan = self._plans[(s, k, m, g)] = self._plan(s, k, m, g)
         pool = None
         used: set[int] = set()
         out = {}
-        for i, (bucket, planes), want_lo, want_hi in plan:
+        for i, (bucket, planes), want_lo, want_hi in self._plans.get((s, k), ()):
             members = [bucket[j] for j in set_bits(f.eval_batch(planes))]
             chosen = [x for x in members if x not in used][: max(want_hi, want_lo)]
             if len(chosen) < want_lo:
@@ -202,23 +210,6 @@ class InflatingProver(ProverStrategy):
             out[i] = sorted(chosen)
             used.update(chosen)
         return out
-
-    def _plan(self, s, k, m, g):
-        """Per live band of interval (s, k), in order: the true members
-        claimed there with their planes, and the smallest and largest set
-        sizes inside its cardinality window under hash width m and
-        centring g."""
-        params = self.params
-        interval = params.layout.interval(s, k)
-        z = band_mass_sum(self.claimed_weights, interval, params.eps)
-        plan = []
-        for i in interval:
-            if i not in self._live:
-                continue
-            lo, hi = check_b_window(i, float(self.claimed_weights[i]), m, g, z, params.eps)
-            bucket = self._true_buckets.get(i - self.shift) or ([], BitPlanes.of([], params.n))
-            plan.append((i, bucket, max(0, int(-(-lo // 1))), int(hi // 1)))
-        return tuple(plan)
 
     def produce_probability(self, j, x):
         # A rational claim inside band j: the band's upper endpoint, taken

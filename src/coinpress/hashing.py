@@ -26,6 +26,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+from coinpress.dist import MAX_BITS, element_to_hex
+
 # Smallest irreducible polynomial of each degree over GF(2), as a bitmask
 # including the leading term. Verified by tests: brute-force trial division
 # for n <= 16 and a Rabin irreducibility check for the whole range.
@@ -47,9 +49,6 @@ IRREDUCIBLE_POLY = {
     59: 0x80000000000007b, 60: 0x1000000000000003, 61: 0x2000000000000027,
     62: 0x4000000000000069, 63: 0x8000000000000003, 64: 0x1000000000000001b,
 }
-
-MAX_BITS = 64
-
 
 class WidthError(ValueError):
     """Raised when requested input/output widths are out of range."""
@@ -213,13 +212,12 @@ class HashFunction:
         return keep
 
     def to_json_obj(self) -> dict:
-        width = (self.n + 3) // 4
         return {
             "n": self.n,
             "m": self.m,
-            "a": format(self.a, f"0{width}x"),
-            "b": format(self.b, f"0{width}x"),
-            "c": format(self.c, f"0{width}x"),
+            "a": element_to_hex(self.a, self.n),
+            "b": element_to_hex(self.b, self.n),
+            "c": element_to_hex(self.c, self.n),
         }
 
 

@@ -262,7 +262,7 @@ def _build_component(
             hits: dict[tuple[int, int], int] = {}
             for f, count in source:
                 record = parse_sets(strat.produce_sets(s, k, f, g, m))
-                sets, why = check_sets(record, tables.floats, pending, f, params)
+                sets, why = check_sets(record, f, pending, params)
                 rows.append((count, why, sets))
                 f_prob = k_prob * count * family_size
                 if why is not None:

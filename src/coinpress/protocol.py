@@ -480,11 +480,11 @@ class HonestProver(ProverStrategy):
     bit planes (``BitPlanes``). The k-th nonempty band, ``bands[k]``,
     occupies ``support[offsets[k]:offsets[k + 1]]``, so the bands of any
     interval form one contiguous slice, hashed in one ``eval_batch`` call
-    on the same slice of the planes. The slice, its planes and the live
-    bands of each challenge are worked out on its first call. The
-    histogram, the banding and the planes are built on first read: a
-    fallback run reads only ``produce_table``, and its t can reach millions
-    of bands.
+    on the same slice of the planes, and planned per challenge from the
+    verifier's compiled ``ChallengeContext`` for this prover's histogram.
+    The histogram, the banding, the planes and the plans are built on
+    first read: a fallback run reads only ``produce_table``, and its t can
+    reach millions of bands.
     """
 
     depends_on_hash_zero_set = True
@@ -494,7 +494,6 @@ class HonestProver(ProverStrategy):
             raise ValueError("distribution width does not match parameters")
         self.dist = dist
         self.params = params
-        self._plans: dict[tuple[int, int], tuple] = {}  # (s, k) -> _plan(s, k)
 
     @functools.cached_property
     def histogram(self) -> Histogram:
@@ -502,18 +501,39 @@ class HonestProver(ProverStrategy):
 
     @functools.cached_property
     def _banding(self) -> tuple:
-        """(live bands, bands, offsets, support), the last three as the
-        class docstring describes them."""
-        live = compute_live_bands(self.histogram.weights, self.params)
+        """(bands, offsets, support), as the class docstring describes them."""
         members = buckets(self.dist, self.params.eps, self.params.t)
         bands = sorted(members)
         offsets = [0, *itertools.accumulate(len(members[i]) for i in bands)]
         support = [x for i in bands for x in sorted(members[i])]
-        return live, bands, offsets, support
+        return bands, offsets, support
 
     @functools.cached_property
     def _planes(self) -> BitPlanes:
-        return BitPlanes.of(self._banding[3], self.params.n)
+        return BitPlanes.of(self._banding[2], self.params.n)
+
+    @functools.cached_property
+    def _plans(self) -> dict[tuple[int, int], tuple]:
+        """(s, k) -> what ``produce_sets`` needs of that challenge besides
+        f: its active bands, the support slice holding the interval's bands
+        and its planes, and each active band's cut of that slice. Only
+        challenges with an active band have a plan."""
+        tables = validate_histogram_message(self.histogram.weights, self.params)[0]
+        bands, offsets, support = self._banding
+        plans = {}
+        for key, ctx in (tables.challenges if tables else {}).items():
+            if not ctx.active:
+                continue
+            first = bisect.bisect_left(bands, ctx.interval[0])
+            last = bisect.bisect_right(bands, ctx.interval[-1])
+            lo, hi = offsets[first], offsets[last]
+            cuts = tuple(
+                (bands[pos], offsets[pos] - lo, offsets[pos + 1] - lo)
+                for pos in range(first, last)
+                if bands[pos] in ctx.active
+            )
+            plans[key] = ctx.active, support[lo:hi], self._planes.slice(lo, hi), cuts
+        return plans
 
     def produce_histogram(self) -> Sequence[Fraction]:
         return self.histogram.weights
@@ -521,11 +541,9 @@ class HonestProver(ProverStrategy):
     def produce_sets(self, s, k, f, g, m):
         plan = self._plans.get((s, k))
         if plan is None:
-            plan = self._plans[(s, k)] = self._plan(s, k)
-        live, block, planes, cuts = plan
-        out = {i: [] for i in live}
-        if not out:
-            return out
+            return {}
+        active, block, planes, cuts = plan
+        out = {i: [] for i in active}
         if not f.rows:  # m = 0: every input hashes to the zero target
             for i, a, b in cuts:
                 out[i] = block[a:b]
@@ -534,26 +552,6 @@ class HonestProver(ProverStrategy):
         for i, a, b in cuts:
             out[i] = [block[a + j] for j in set_bits((keep >> a) & ((1 << (b - a)) - 1))]
         return out
-
-    def _plan(self, s, k):
-        """What ``produce_sets`` needs of challenge (s, k) besides f: the
-        live bands of the interval in order, the support slice holding the
-        interval's bands and its planes, and each live band's cut of that
-        slice."""
-        interval = self.params.layout.interval(s, k)
-        live_bands, bands, offsets, support = self._banding
-        live = tuple(i for i in interval if i in live_bands)
-        if not live:
-            return live, None, None, ()
-        first = bisect.bisect_left(bands, interval[0])
-        last = bisect.bisect_right(bands, interval[-1])
-        lo, hi = offsets[first], offsets[last]
-        cuts = tuple(
-            (bands[pos], offsets[pos] - lo, offsets[pos + 1] - lo)
-            for pos in range(first, last)
-            if bands[pos] in live
-        )
-        return live, support[lo:hi], self._planes.slice(lo, hi), cuts
 
     def produce_probability(self, j: int, x: int) -> Fraction:
         return self.dist.prob(x)
@@ -624,7 +622,10 @@ def _histogram_key(weights) -> Optional[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class ChallengeContext:
-    """The verifier's state after drawing its challenge."""
+    """Every constant of challenge (s, k) before the hash is drawn, compiled
+    once per histogram by ``verifier_tables``; the verifier and the honest
+    and inflating provers read it. ``windows`` holds check (b)'s window
+    (lo, hi) per active band before TAU widening, none when m > n."""
 
     s: int
     k: int
@@ -633,6 +634,8 @@ class ChallengeContext:
     g: float
     m: int
     band_mass_sum: float  # sum of 2**(i*eps) * h_i over the interval
+    windows: tuple[tuple[float, float], ...]  # in the order of active
+    band_draw: tuple[int, ...]  # cumulative_weights over the interval
 
 
 @dataclass(frozen=True)
@@ -641,21 +644,19 @@ class VerifierTables:
 
     ``reason`` is the round-1 verdict on the entries' values; the other
     fields are empty unless it is None. ``challenges`` holds, per interval
-    (s, k) of positive mass, the challenge context before the hash is
-    drawn; m > n there marks a hash-width reject. The ``*_draw`` fields are
-    ``cumulative_weights`` tables, so each draw spends exactly the coin
+    (s, k) of positive mass, its ``ChallengeContext``; m > n there marks a
+    hash-width reject. The ``*_draw`` fields are ``cumulative_weights``
+    tables, so each draw spends exactly the coin
     ``CoinSource.weighted_index`` would on the same weights.
     """
 
     reason: Optional[str]
     weights: tuple[Fraction, ...] = ()
-    floats: tuple[float, ...] = ()
     shift_weights: dict[int, Fraction] = field(default_factory=dict)
     interval_weights: dict[int, dict[int, Fraction]] = field(default_factory=dict)
     challenges: dict[tuple[int, int], ChallengeContext] = field(default_factory=dict)
     shift_draw: tuple[int, ...] = ()  # over layout.shifts
     interval_draw: dict[int, tuple[int, ...]] = field(default_factory=dict)  # over index_range
-    band_draw: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)  # over the interval
 
 
 # Workloads see few distinct histograms (one per prover component, three
@@ -679,7 +680,7 @@ def verifier_tables(params: ProtocolParams, key: tuple[int, ...]) -> VerifierTab
     floats = tuple(map(float, weights))
     live = compute_live_bands(weights, params)
     hist = Histogram(eps=params.eps, t=params.t, weights=weights)
-    shift_weights, per_shift, challenges, interval_draw, band_draw = {}, {}, {}, {}, {}
+    shift_weights, per_shift, challenges, interval_draw = {}, {}, {}, {}
     for s in layout.shifts:
         per_interval, shift_weights[s] = interval_weights(hist, layout, s)
         per_shift[s] = per_interval
@@ -690,17 +691,20 @@ def verifier_tables(params: ProtocolParams, key: tuple[int, ...]) -> VerifierTab
             interval = layout.interval(s, k)
             z = band_mass_sum(floats, interval, params.eps)
             m, g = challenge_width(weights, interval, z, params)
-            challenges[(s, k)] = ChallengeContext(
-                s=s, k=k, interval=interval,
-                active=tuple(i for i in interval if i in live),
-                g=g, m=m, band_mass_sum=z,
+            active = tuple(i for i in interval if i in live)
+            windows = () if m > params.n else tuple(
+                check_b_window(i, floats[i], m, g, z, params.eps) for i in active
             )
-            band_draw[(s, k)] = cumulative_weights([weights[i] for i in interval])
+            challenges[(s, k)] = ChallengeContext(
+                s=s, k=k, interval=interval, active=active, g=g, m=m,
+                band_mass_sum=z, windows=windows,
+                band_draw=cumulative_weights([weights[i] for i in interval]),
+            )
     return VerifierTables(
-        reason=None, weights=weights, floats=floats,
+        reason=None, weights=weights,
         shift_weights=shift_weights, interval_weights=per_shift, challenges=challenges,
         shift_draw=cumulative_weights([shift_weights[s] for s in layout.shifts]),
-        interval_draw=interval_draw, band_draw=band_draw,
+        interval_draw=interval_draw,
     )
 
 
@@ -760,13 +764,13 @@ def check_b_window(i: int, w_f: float, m: int, g: float, z: float, eps: float) -
     return lo, hi
 
 
-def check_sets(sets, weights, ctx: ChallengeContext, f: HashFunction, params: ProtocolParams):
+def check_sets(sets, f: HashFunction, ctx: ChallengeContext, params: ProtocolParams):
     """Validate the sets message as ``parse_sets`` records it, under the
     drawn hash f; returns (normalized sets, reject reason).
 
     The verifier checks, in order: message shape, the total-size guard,
     (a) every listed element hashes to the all-zero target, (b) every
-    set's cardinality lies in the band-mass window, and (c) the sets are
+    set's size lies in its ``ctx.windows`` entry, and (c) the sets are
     pairwise disjoint. Real-valued bounds in (b) are widened by TAU.
     """
     if sets is None or sets.keys() != set(ctx.active):
@@ -788,8 +792,7 @@ def check_sets(sets, weights, ctx: ChallengeContext, f: HashFunction, params: Pr
             for x in normalized[i]:
                 if f.eval(x) != 0:
                     return None, REJECT_CHECK_A
-    for i in ctx.active:
-        lo, hi = check_b_window(i, float(weights[i]), ctx.m, ctx.g, ctx.band_mass_sum, params.eps)
+    for i, (lo, hi) in zip(ctx.active, ctx.windows):
         if not (lo * (1.0 - TAU) <= len(normalized[i]) <= hi * (1.0 + TAU)):
             return None, REJECT_CHECK_B
     seen: set[int] = set()
@@ -801,10 +804,10 @@ def check_sets(sets, weights, ctx: ChallengeContext, f: HashFunction, params: Pr
     return normalized, None
 
 
-def choose_element(tables: VerifierTables, ctx: ChallengeContext, sets, coins: CoinSource):
+def choose_element(ctx: ChallengeContext, sets, coins: CoinSource):
     """Draw the band and element; returns ((band, element), reject reason)."""
     # The interval was drawn by its mass, so its band draw is not degenerate.
-    j = ctx.interval[coins.pick(tables.band_draw[(ctx.s, ctx.k)])]
+    j = ctx.interval[coins.pick(ctx.band_draw)]
     if j not in ctx.active:
         return None, REJECT_BAND_NOT_LIVE
     members = sets[j]
@@ -861,11 +864,11 @@ def run_protocol(
 
     record = parse_sets(prover.produce_sets(ctx.s, ctx.k, f, ctx.g, ctx.m))
     messages.append(("sets", record, params.n))
-    sets, reason = check_sets(record, tables.floats, ctx, f, params)
+    sets, reason = check_sets(record, f, ctx, params)
     if reason is not None:
         return _finish(params, messages, coins, Outcome.reject(reason), trial)
 
-    picked, reason = choose_element(tables, ctx, sets, coins)
+    picked, reason = choose_element(ctx, sets, coins)
     if reason is not None:
         return _finish(params, messages, coins, Outcome.reject(reason), trial)
     j, x = picked

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -1011,6 +1012,101 @@ class TestSetsIntakeFuzz:
                 assert exact.outputs.get((out.x, out.band, out.p), 0) > 0
             else:
                 assert exact.reject_by_reason.get(out.reason, 0) > 0
+
+
+# Set sizes at the edges of check (b)'s window [lo, hi]: just outside it and
+# on the first and last integer inside it, before TAU widening.
+CHECK_B_EDGES = {
+    "below-lo": lambda lo, hi: math.ceil(lo) - 1,
+    "lo": lambda lo, hi: math.ceil(lo),
+    "hi": lambda lo, hi: math.floor(hi),
+    "above-hi": lambda lo, hi: math.floor(hi) + 1,
+}
+
+
+def resized_sets_prover(honest, params, size):
+    """The honest prover, except that each set is cut or padded to
+    size(lo, hi) elements of the zero set, for its band's window in the
+    verifier's compiled tables, as far as the zero set allows. Padding takes
+    the smallest zero-set elements that no set holds, so sets stay disjoint
+    and inside the zero set."""
+    challenges = validate_histogram_message(honest.produce_histogram(), params)[0].challenges
+
+    def sets(s, k, f, g, m):
+        out = honest.produce_sets(s, k, f, g, m)
+        held = {x for xs in out.values() for x in xs}
+        spare = [x for x in range(1 << params.n) if f.eval(x) == 0 and x not in held]
+        ctx = challenges[(s, k)]
+        for i, (lo, hi) in zip(ctx.active, ctx.windows):
+            want = max(0, size(lo, hi))
+            xs = out[i][:want]
+            pad = spare[: want - len(xs)]
+            del spare[: len(pad)]
+            out[i] = xs + pad
+        return out
+
+    prover = ScriptedProver(
+        {"histogram": honest.produce_histogram(), "sets": sets, "probability": honest.produce_probability}
+    )
+    # The sets read f only through its zero set.
+    prover.depends_on_hash_zero_set = True
+    return prover
+
+
+# Band 2 holds 1/4 - 2**-50, so its window's upper edge 8 * (1/4 - 2**-50)
+# lies a hair below 2, and a set of 2 passes check (b) only by TAU widening.
+TAU_FRINGE_MASS = {0: Fraction(3, 4) + Fraction(1, 2**50), 9: Fraction(1, 4) - Fraction(1, 2**50)}
+
+
+def check_b_edge_masses(params, honest):
+    """Run every CHECK_B_EDGES answer through both oracles and a few seeded
+    runs: the structured oracle, which reads the compiled windows, equals
+    the flat one, which works them out again, and each run ends in an
+    outcome of positive exact mass. Returns the exact distribution per
+    edge and the count of run outcome kinds."""
+    exact, kinds = {}, Counter()
+    for name, size in CHECK_B_EDGES.items():
+        prover = resized_sets_prover(honest, params, size)
+        exact[name] = assert_oracles_agree(params, prover)
+        for seed in range(12):
+            out = run_protocol(params, prover, rng=random.Random(seed)).outcome
+            kinds[out.reason or out.kind] += 1
+            if out.kind == "output":
+                assert exact[name].outputs.get((out.x, out.band, out.p), 0) > 0
+            else:
+                assert exact[name].reject_by_reason.get(out.reason, 0) > 0
+    return exact, kinds
+
+
+class TestCheckBEdges:
+    @pytest.mark.parametrize("eps", [1.0, 0.5])
+    def test_sizes_at_the_window_edges(self, eps):
+        """At n = 4 with hash widths 0 to 2, sets sized just outside and
+        just inside check (b)'s window: only check (b) rejects, and both
+        check-b and outputs occur."""
+        params, provers = profile_provers(eps, sampling_gap=-1.0)
+        honest = provers["honest"]
+        tables, _ = validate_histogram_message(honest.produce_histogram(), params)
+        assert {ctx.m for ctx in tables.challenges.values()} >= {0, 2}
+        exact, kinds = check_b_edge_masses(params, honest)
+        for name in CHECK_B_EDGES:
+            assert set(exact[name].reject_by_reason) == {"check-b"}, name
+        assert sum(exact["lo"].outputs.values()) > 0
+        assert sum(exact["hi"].outputs.values()) > 0
+        assert set(kinds) == {"check-b", "output"}, kinds
+
+    def test_tau_widening_admits_the_fringe(self):
+        params = raw_params(n=4, t=8, sampling_gap=1.0)
+        honest = honest_prover(ExplicitDistribution(n=4, mass=TAU_FRINGE_MASS), params)
+        tables, _ = validate_histogram_message(honest.produce_histogram(), params)
+        lo, hi = tables.challenges[(0, 1)].windows[0]
+        assert lo < 1 and 2 * (1 - 1e-12) < hi < 2
+        exact, kinds = check_b_edge_masses(params, honest)
+        # two elements in band 2 pass only by TAU widening
+        assert sum(exact["above-hi"].outputs.values()) > 0
+        assert exact["above-hi"].reject_by_reason["check-b"] > 0
+        assert exact["below-lo"].reject_by_reason == {"check-b": 1}
+        assert set(kinds) == {"check-b", "output"}, kinds
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from coinpress.hashing import HashFunction, sample_hash
 from coinpress.protocol import (
     MODE_RAW,
     MODE_TRIVIAL,
-    ChallengeContext,
     CoinSource,
     DegenerateChoiceError,
     ProtocolParams,
@@ -176,7 +176,8 @@ class TestVerifierTables:
             run_protocol(params, prover, rng=random.Random(seed))
         after = verifier_tables.cache_info()
         assert after.misses - before.misses == 1
-        assert after.hits - before.hits == 9
+        # nine later runs hit the cache, and so does the prover's one lookup for its plans
+        assert after.hits - before.hits == 10
 
     def test_equal_values_share_tables(self):
         # int and Fraction entries of equal value give one key
@@ -356,19 +357,27 @@ class TestChooseChallenge:
         ctx, _f, reason = choose_challenge(tables_for(w, params), params, CoinSource(rng=random.Random(0)))
         assert reason == "hash-width"
 
+    def test_hash_width_reject_compiles_no_window(self):
+        # At t * eps = 1023 the band-mass sum still fits a float, but the
+        # upper window edge 2**((t + 1) * eps) of band t does not; a challenge
+        # with m > n is rejected before check (b), so it has no windows.
+        params = tiny_params(t=1023)
+        w = [Fraction(0)] * 1024
+        w[1023] = Fraction(1)
+        tables = tables_for(w, params)
+        assert all(ctx.m > params.n and ctx.windows == () for ctx in tables.challenges.values())
 
-def m0_context(params, w, s, k):
-    layout = params.layout
-    live = compute_live_bands(w, params)
-    interval = layout.interval(s, k)
-    from coinpress.protocol import band_mass_sum
+        class AllInBandT(ProverStrategy):
+            def produce_histogram(self):
+                return w
 
-    z = band_mass_sum(w, interval, params.eps)
-    return ChallengeContext(
-        s=s, k=k, interval=interval,
-        active=tuple(sorted(i for i in interval if i in live)),
-        g=params.sampling_gap, m=0, band_mass_sum=z,
-    )
+        tr = run_protocol(params, AllInBandT(), rng=random.Random(0))
+        assert tr.outcome.reason == "hash-width"
+
+
+def compiled_context(weights, params, s, k):
+    """The verifier's compiled context of challenge (s, k) for a histogram."""
+    return tables_for(weights, params).challenges[(s, k)]
 
 
 M0_HASH = HashFunction(n=3, m=0, a=0, b=0, c=0)
@@ -377,50 +386,46 @@ M0_HASH = HashFunction(n=3, m=0, a=0, b=0, c=0)
 class TestCheckSets:
     def setup_method(self):
         self.params = tiny_params()
-        self.dist = tiny_dist()
-        self.w = build_histogram(self.dist, 1.0, 6).weights
-        # shift -1, interval 1 covers bands {1, 2}, both live
-        self.ctx = m0_context(self.params, self.w, -1, 1)
+        w = build_histogram(tiny_dist(), 1.0, 6).weights
+        # shift -1, interval 1 covers bands {1, 2}, both live, at m = 0
+        self.ctx = compiled_context(w, self.params, -1, 1)
+        assert self.ctx.active == (1, 2) and self.ctx.m == 0
 
     def test_honest_buckets_pass(self):
         sets = {1: [0], 2: [3, 5]}
-        normalized, reason = check_sets(sets, self.w, self.ctx, M0_HASH, self.params)
+        normalized, reason = check_sets(sets, M0_HASH, self.ctx, self.params)
         assert reason is None
         assert normalized == {1: (0,), 2: (3, 5)}
 
     def test_duplicate_across_sets_fails_disjointness(self):
         sets = {1: [0, 3], 2: [3, 5]}
-        _, reason = check_sets(sets, self.w, self.ctx, M0_HASH, self.params)
+        _, reason = check_sets(sets, M0_HASH, self.ctx, self.params)
         assert reason == "check-c"
 
     def test_bad_hash_fails_a(self):
-        ctx = self.ctx
-        ctx = ChallengeContext(
-            s=ctx.s, k=ctx.k, interval=ctx.interval, active=ctx.active,
-            g=1.0, m=1, band_mass_sum=ctx.band_mass_sum,
-        )
+        ctx = replace(self.ctx, g=1.0, m=1)
         f = HashFunction(n=3, m=1, a=0, b=0, c=1)  # h(x)=1 for all x
-        _, reason = check_sets({1: [0], 2: [3]}, self.w, ctx, f, self.params)
+        _, reason = check_sets({1: [0], 2: [3]}, f, ctx, self.params)
         assert reason == "check-a"
 
     def test_cardinality_window_fails_b(self):
         sets = {1: [0], 2: []}  # band 2 holds mass 1/2: needs 2^2*h=2 elements
-        _, reason = check_sets(sets, self.w, self.ctx, M0_HASH, self.params)
+        _, reason = check_sets(sets, M0_HASH, self.ctx, self.params)
         assert reason == "check-b"
 
     def test_wrong_keys_malformed(self):
-        _, reason = check_sets({1: [0]}, self.w, self.ctx, M0_HASH, self.params)
+        _, reason = check_sets({1: [0]}, M0_HASH, self.ctx, self.params)
         assert reason == "malformed-sets"
-        _, reason = check_sets({1: [0], 2: [3, 5], 4: []}, self.w, self.ctx, M0_HASH, self.params)
+        _, reason = check_sets({1: [0], 2: [3, 5], 4: []}, M0_HASH, self.ctx, self.params)
         assert reason == "malformed-sets"
 
     def test_duplicate_within_set_malformed(self):
-        _, reason = check_sets({1: [0, 0], 2: [3, 5]}, self.w, self.ctx, M0_HASH, self.params)
+        _, reason = check_sets({1: [0, 0], 2: [3, 5]}, M0_HASH, self.ctx, self.params)
         assert reason == "malformed-sets"
 
     def test_oversize_guard_before_hashing(self):
         params = tiny_params(set_cap=2)
-        _, reason = check_sets({1: [0], 2: [3, 5]}, self.w, self.ctx, M0_HASH, params)
+        _, reason = check_sets({1: [0], 2: [3, 5]}, M0_HASH, self.ctx, params)
         assert reason == "oversize"
 
 
@@ -429,9 +434,9 @@ class TestChooseElement:
         params = tiny_params()
         w = [Fraction(0)] * 7
         w[2] = Fraction(1)
-        ctx = m0_context(params, w, -1, 1)
+        ctx = compiled_context(w, params, -1, 1)
         sets = {2: (6,)}
-        picked, reason = choose_element(tables_for(w, params), ctx, sets, CoinSource(rng=random.Random(0)))
+        picked, reason = choose_element(ctx, sets, CoinSource(rng=random.Random(0)))
         assert reason is None and picked == (2, 6)
 
     def test_band_below_threshold_rejects(self):
@@ -440,11 +445,11 @@ class TestChooseElement:
         tiny = params.live_threshold / 2
         w[1] = tiny
         w[2] = 1 - tiny
-        ctx = m0_context(params, w, -1, 1)
+        ctx = compiled_context(w, params, -1, 1)
         sets = {2: (3, 5)}  # band 1 is not live, so no set for it
         rejected = False
         for seed in range(60):
-            picked, reason = choose_element(tables_for(w, params), ctx, sets, CoinSource(rng=random.Random(seed)))
+            picked, reason = choose_element(ctx, sets, CoinSource(rng=random.Random(seed)))
             if reason is not None:
                 assert reason == "band-not-live"
                 rejected = True
@@ -454,8 +459,8 @@ class TestChooseElement:
         params = tiny_params()
         w = [Fraction(0)] * 7
         w[2] = Fraction(1)
-        ctx = m0_context(params, w, -1, 1)
-        picked, reason = choose_element(tables_for(w, params), ctx, {2: ()}, CoinSource(rng=random.Random(0)))
+        ctx = compiled_context(w, params, -1, 1)
+        picked, reason = choose_element(ctx, {2: ()}, CoinSource(rng=random.Random(0)))
         assert reason == "empty-set"
 
 
