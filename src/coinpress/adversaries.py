@@ -135,7 +135,8 @@ class InflatingProver(ProverStrategy):
     from the verifier's compiled tables for the claimed histogram. The
     claimed histogram, the buckets and the plans are built on first read,
     as the honest prover's are. Each bucket, and the spare pool of all
-    2**n inputs, is hashed in one ``eval_batch`` call on its bit planes.
+    2**n inputs, is hashed in one ``eval_batch`` call on its bit planes;
+    at m = 0 every input hashes to the zero target, and nothing is hashed.
     """
 
     # Members and spares are both filtered by f(x) == 0.
@@ -194,14 +195,20 @@ class InflatingProver(ProverStrategy):
         used: set[int] = set()
         out = {}
         for i, (bucket, planes), want_lo, want_hi in self._plans.get((s, k), ()):
-            members = [bucket[j] for j in set_bits(f.eval_batch(planes))]
+            if f.rows:
+                members = [bucket[j] for j in set_bits(f.eval_batch(planes))]
+            else:  # m = 0: every input hashes to the zero target
+                members = bucket
             chosen = [x for x in members if x not in used][: max(want_hi, want_lo)]
             if len(chosen) < want_lo:
                 if pool is None:
                     # Spare pool: everything hashing to the zero target, used
                     # to pad sets up to the cardinality window's lower edge.
                     # Input j of the planes is j itself.
-                    pool = set_bits(f.eval_batch(self._all_planes))
+                    if f.rows:
+                        pool = set_bits(f.eval_batch(self._all_planes))
+                    else:
+                        pool = range(1 << self.params.n)
                 for x in pool:
                     if len(chosen) >= want_lo:
                         break

@@ -24,8 +24,9 @@ Two enumerators are kept deliberately separate: a structured one that
 reuses the protocol engine's own tables (``VerifierTables``), check and
 finalize code, and a flat one that re-derives every step inline. The flat
 one asks about every hash function whatever the prover declares, sweeping
-the family once per hash width for all challenges of that width. Tests
-fail the build if they disagree.
+the family once per hash width for all challenges of that width; every
+distinct answer per (a, b) and zero set is checked in full. Tests fail
+the build if they disagree.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Optional
 
 from coinpress.dist import TAU, buckets, build_histogram, fraction_to_str, pow2
@@ -69,7 +70,8 @@ DEFAULT_BUDGET = 10**9
 # The widest family the exact oracle enumerates. Zero sets are Python ints
 # of any width, so the cap is the enumeration's cost, which no estimate
 # guards yet: a pass asks about 2**(2n) (a, b) pairs per hash width, and
-# the flat cross-check about all 2**(3n) members. The tests' vectorized
+# the flat cross-check about all 2**(3n) members, checking every distinct
+# answer per (a, b) and zero set in full. The tests' vectorized
 # reference, ``zero_set_masks``, packs each zero set in one uint64 and
 # stays at n <= 6.
 ZERO_SET_MAX_N = 6
@@ -398,8 +400,9 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
     then grouped by hash width m, and the family is swept once per group:
     each hash function is built once and the prover is asked about it for
     every challenge of the group, whatever the prover declares. Every
-    answer goes through every check. Within one challenge, identical
-    outcomes are counted first and their masses computed once.
+    distinct answer per (a, b) and zero set is checked in full (see
+    ``_flat_sweep``). Within one challenge, identical outcomes are counted
+    first and their masses computed once.
     Returns (outputs keyed by (x, band, p), total reject mass).
     """
     outputs: dict[OutputKey, Fraction] = {}
@@ -479,11 +482,14 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
                 if wk == 0:
                     continue
                 pr_k = pr_s * wk / shift_w[s]
-                z = sum((2.0 ** (i * params.eps)) * float(h[i]) for i in members)
-                if z > 0:
+                try:
+                    z = sum((2.0 ** (i * params.eps)) * float(h[i]) for i in members)
+                except OverflowError:
+                    z = math.inf
+                if 0 < z < math.inf:
                     level = math.log2(z)
                 else:
-                    # float underflow: combine exact per-band logs instead
+                    # float underflow or overflow: combine exact per-band logs instead
                     logs = [
                         i * params.eps + math.log2(h[i].numerator) - math.log2(h[i].denominator)
                         for i in members
@@ -538,9 +544,21 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
     return outputs, reject
 
 
+_INT_ONLY = frozenset((int,))
+
+
 def _flat_sweep(strat, n, m, group, set_cap):
     """Ask ``strat`` about every member of the width-n family at hash width
-    m, for each challenge of ``group``, and tally the checked outcomes."""
+    m, for each challenge of ``group``, and tally the checked outcomes.
+
+    Each answer is read once (``_flat_read``). The checks are a pure
+    function of the read, the zero set and the challenge's constants, and
+    within one (a, b) the zero set depends on c & low alone. So per (a, b)
+    and challenge, the outcome of a read whose elements are all exactly
+    ``int`` is kept by (c & low, read): every distinct answer per (a, b)
+    and zero set is checked in full once. A read holding anything else (a
+    bool, an int subclass, a float) may compare equal to a different
+    answer, and is checked on its own every time."""
     size = 1 << n
     low = (1 << m) - 1
     inputs = range(size)
@@ -553,33 +571,54 @@ def _flat_sweep(strat, n, m, group, set_cap):
             zero_sets = [
                 frozenset(x for x in inputs if values[x] == target) for target in range(low + 1)
             ]
+            memos = [{} for _ in group]
             for c in range(size):
                 f = HashFunction(n=n, m=m, a=a, b=b, c=c)
-                zeros = zero_sets[c & low]
-                for s, k, g, act, act_set, windows, tally in group:
-                    sets = strat.produce_sets(s, k, f, g, m)
-                    key = _flat_check(sets, act, act_set, windows, size, zeros, set_cap)
+                target = c & low
+                zeros = zero_sets[target]
+                for (s, k, g, act, act_set, windows, tally), memo in zip(group, memos):
+                    read = _flat_read(strat.produce_sets(s, k, f, g, m), act, act_set)
+                    if read is None:
+                        key = None
+                    elif _INT_ONLY.issuperset(map(type, chain(*read))):
+                        seen = (target, read)
+                        key = memo.get(seen, memo)  # the memo itself marks a miss
+                        if key is memo:
+                            key = memo[seen] = _flat_check(read, windows, size, zeros, set_cap)
+                    else:
+                        key = _flat_check(read, windows, size, zeros, set_cap)
                     tally[key] = tally.get(key, 0) + 1
 
 
-def _flat_check(sets, active, active_set, windows, size, zeros, set_cap):
-    """The sets of the active bands in order, each sorted, when every check
-    passes; else None. ``windows`` holds check (b)'s widened bounds per
-    active band, elements must lie below ``size``, and check (a) asks that
-    they all lie in ``zeros``, the hash function's zero set."""
-    # dict first: the Mapping ABC check costs several times a type test
-    if not (type(sets) is dict or isinstance(sets, Mapping)) or set(sets.keys()) != active_set:
+def _flat_read(sets, active, active_set):
+    """The entries of the active bands in order, each read once into a
+    tuple; None unless ``sets`` is a mapping keyed by exactly the active
+    bands whose entries are iterable."""
+    # dict first: the Mapping ABC check costs several times a type test, and
+    # a dict's key view compares with a set without building one
+    if type(sets) is dict:
+        if sets.keys() != active_set:
+            return None
+    elif not isinstance(sets, Mapping) or set(sets.keys()) != active_set:
         return None
+    try:
+        return tuple([tuple(sets[i]) for i in active])
+    except TypeError:
+        return None
+
+
+def _flat_check(read, windows, size, zeros, set_cap):
+    """The sets of the active bands in order, each sorted, when every check
+    passes on ``read`` (``_flat_read``'s tuple); else None. ``windows``
+    holds check (b)'s widened bounds per active band, elements must lie
+    below ``size``, and check (a) asks that they all lie in ``zeros``, the
+    hash function's zero set."""
     norm = []
     total = 0
-    for i in active:
-        try:
-            xs = list(sets[i])
-        except TypeError:
-            return None
+    for xs in read:
         if not all(map(isinstance, xs, repeat(int))):
             return None
-        xs.sort()
+        xs = sorted(xs)
         if xs and (xs[0] < 0 or xs[-1] >= size) or len(set(xs)) != len(xs):
             return None
         norm.append(tuple(xs))
@@ -639,12 +678,19 @@ def verify_band_sandwich(run: OracleRun) -> StructuralReport:
 
     Irrational factors enter through outward-rounded rational enclosures,
     so every reported violation is rigorous; comparisons falling inside an
-    enclosure are reported as indeterminate rather than passed.
+    enclosure are reported as indeterminate rather than passed. The
+    enclosure of each band's 2**(band * eps) is taken once per band, and
+    the four bound factors, enclosure endpoint over shift weight times
+    band enclosure endpoint, once per (shift, band); each cell multiplies
+    them by its placement probability, and a cell of placement 0 has all
+    four bounds 0.
     """
     params = run.params
     eps = params.eps
     lo_factor = pow2_bounds(-2 * eps)
     hi_factor = pow2_bounds(eps)
+    band_bounds = [pow2_bounds(j * eps) for j in range(params.t + 1)]
+    zero = Fraction(0)
     violations = []
     indeterminate = []
     checked = 0
@@ -654,16 +700,25 @@ def verify_band_sandwich(run: OracleRun) -> StructuralReport:
             mass_by_band: dict[tuple[int, int], Fraction] = {}
             for (x, j, _p), massv in cond.items():
                 mass_by_band[(x, j)] = mass_by_band.get((x, j), Fraction(0)) + massv
+            factors = [
+                (
+                    lo_factor[0] / (w_s * band_hi),
+                    lo_factor[1] / (w_s * band_lo),
+                    hi_factor[0] / (w_s * band_hi),
+                    hi_factor[1] / (w_s * band_lo),
+                )
+                for band_lo, band_hi in band_bounds
+            ]
             for x in range(1 << params.n):
                 for j in range(params.t + 1):
                     checked += 1
-                    mass = mass_by_band.get((x, j), Fraction(0))
+                    mass = mass_by_band.get((x, j), zero)
                     r = comp.placement_probability(s, x, j)
-                    band_lo, band_hi = pow2_bounds(j * eps)
-                    lower_lo = lo_factor[0] * r / (w_s * band_hi)
-                    lower_hi = lo_factor[1] * r / (w_s * band_lo)
-                    upper_lo = hi_factor[0] * r / (w_s * band_hi)
-                    upper_hi = hi_factor[1] * r / (w_s * band_lo)
+                    if r == 0:
+                        if mass != 0:
+                            violations.append((ci, s, x, j, mass, zero, zero))
+                        continue
+                    lower_lo, lower_hi, upper_lo, upper_hi = (r * f for f in factors[j])
                     if mass < lower_lo or mass > upper_hi:
                         violations.append((ci, s, x, j, mass, lower_lo, upper_hi))
                     elif mass < lower_hi or mass > upper_lo:

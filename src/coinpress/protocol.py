@@ -633,7 +633,7 @@ class ChallengeContext:
     active: tuple[int, ...]  # live bands of the chosen interval, sorted
     g: float
     m: int
-    band_mass_sum: float  # sum of 2**(i*eps) * h_i over the interval
+    band_mass_sum: float  # sum of 2**(i*eps) * h_i over the interval; inf on overflow
     windows: tuple[tuple[float, float], ...]  # in the order of active
     band_draw: tuple[int, ...]  # cumulative_weights over the interval
 
@@ -709,18 +709,25 @@ def verifier_tables(params: ProtocolParams, key: tuple[int, ...]) -> VerifierTab
 
 
 def band_mass_sum(weights, interval: Sequence[int], eps: float) -> float:
-    return sum((2.0 ** (i * eps)) * float(weights[i]) for i in interval)
+    """The sum of 2**(i*eps) * w_i over the interval, in doubles; inf when
+    a power of two overflows."""
+    try:
+        return sum((2.0 ** (i * eps)) * float(weights[i]) for i in interval)
+    except OverflowError:
+        return math.inf
 
 
 def challenge_width(weights, interval: Sequence[int], z: float, params: ProtocolParams):
     """Hash output width m and centring g for an interval whose band-mass
     sum is z (``band_mass_sum`` of the same weights and interval).
 
-    The level is log2(z). When the float sum underflows to 0, the level is
-    taken from exact logs of the rational weights instead, so tiny masses
-    give a small level rather than a domain error.
+    The level is log2(z). When the float sum underflows to 0 or overflows
+    to inf, the level is taken from exact logs of the rational weights
+    instead, so tiny masses give a small level rather than a domain error,
+    and mass in bands past 2**1024 a large level (a hash-width reject)
+    rather than an overflow.
     """
-    if z > 0:
+    if 0 < z < math.inf:
         level = math.log2(z)
     else:
         logs = [

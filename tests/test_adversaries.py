@@ -240,6 +240,38 @@ class TestInflatingProver:
                     digest.update(repr((s, k, a, b, c, list(sets.items()))).encode())
         assert digest.hexdigest() == "ca27eb0a8c035214a781c19e48aa6d42deca740b23ca33201e1fd3a8ee42ddd9"
 
+    def test_m_zero_sets_match_hashing_path(self):
+        """At m = 0 the prover hashes nothing: each true bucket is taken as
+        it is and the spare pool is every input. Its sets equal those of the
+        hashing path, which a hash hiding its empty rows forces."""
+
+        class HashingPath:
+            rows = True  # looks like m > 0, so the buckets and pool are hashed
+
+            def __init__(self, f):
+                self.eval_batch = f.eval_batch
+
+        masses = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 6), Fraction(1, 8), Fraction(1, 8))
+        challenges = padded = 0
+        for eps in (1.0, 0.5):
+            params = ProtocolParams.raw(
+                n=4, eps=eps, delta=0.5, t=8, gap_size=1, interval_size=2, sampling_gap=1.0,
+            )
+            dist = ExplicitDistribution(n=4, mass=dict(zip(random.Random(7).sample(range(16), 5), masses)))
+            infl = inflating_prover(dist, 1, params)
+            tables, reason = validate_histogram_message(infl.produce_histogram(), params)
+            assert reason is None
+            for (s, k), ctx in sorted(tables.challenges.items()):
+                if ctx.m != 0:
+                    continue
+                challenges += 1
+                for a, b, c in ((0, 0, 0), (1, 2, 3), (9, 4, 15), (15, 15, 15)):
+                    f = HashFunction(n=params.n, m=0, a=a, b=b, c=c)
+                    sets = infl.produce_sets(s, k, f, ctx.g, 0)
+                    assert sets == infl.produce_sets(s, k, HashingPath(f), ctx.g, 0)
+                    padded += any(x not in dist.mass for xs in sets.values() for x in xs)
+        assert challenges and padded  # the spare pool was used too
+
     def test_large_shift_rejects_everything(self):
         # shifting past the top band drops all mass: round-1 sum check fires
         params = params_n3()

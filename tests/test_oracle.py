@@ -245,6 +245,56 @@ class TestPlacementProbability:
         assert comp.placement_probability(-1, 1, 1) == 0
 
 
+FRACTIONAL_EPS_PARAMS = raw_params(n=2, t=8, gap_size=2, interval_size=2, sampling_gap=3.0, eps=0.5)
+FRACTIONAL_EPS_HONEST = honest_prover(
+    ExplicitDistribution(n=2, mass={0: Fraction(1, 2), 3: Fraction(1, 2)}), FRACTIONAL_EPS_PARAMS,
+)
+
+
+def sandwich_reference(run):
+    """``verify_band_sandwich`` as the per-cell formula: every bound worked
+    out afresh for each (x, band) cell."""
+    params = run.params
+    eps = params.eps
+    lo_factor = pow2_bounds(-2 * eps)
+    hi_factor = pow2_bounds(eps)
+    violations = []
+    indeterminate = []
+    checked = 0
+    for ci, comp in enumerate(run.components):
+        for s, cond in comp.per_shift.items():
+            w_s = comp.tables.shift_weights[s]
+            mass_by_band = {}
+            for (x, j, _p), massv in cond.items():
+                mass_by_band[(x, j)] = mass_by_band.get((x, j), Fraction(0)) + massv
+            for x in range(1 << params.n):
+                for j in range(params.t + 1):
+                    checked += 1
+                    mass = mass_by_band.get((x, j), Fraction(0))
+                    r = comp.placement_probability(s, x, j)
+                    band_lo, band_hi = pow2_bounds(j * eps)
+                    lower_lo = lo_factor[0] * r / (w_s * band_hi)
+                    lower_hi = lo_factor[1] * r / (w_s * band_lo)
+                    upper_lo = hi_factor[0] * r / (w_s * band_hi)
+                    upper_hi = hi_factor[1] * r / (w_s * band_lo)
+                    if mass < lower_lo or mass > upper_hi:
+                        violations.append((ci, s, x, j, mass, lower_lo, upper_hi))
+                    elif mass < lower_hi or mass > upper_lo:
+                        indeterminate.append((ci, s, x, j, mass, lower_hi, upper_lo))
+    return checked, violations, indeterminate
+
+
+def report_fields(report):
+    return report.checked, report.violations, report.indeterminate
+
+
+def move_cell(cond, x, j, mass):
+    """Give cell (x, j) of a shift's conditional output masses the total
+    ``mass``, through an extra entry."""
+    current = sum((v for (y, i, _p), v in cond.items() if (y, i) == (x, j)), Fraction(0))
+    cond[(x, j, "moved")] = mass - current
+
+
 class TestStructuralChecks:
     @pytest.mark.parametrize("cfg", CONFIGS)
     def test_sandwich_and_sums_all_provers(self, cfg):
@@ -258,11 +308,47 @@ class TestStructuralChecks:
             assert sums.ok, (name, sums.violations[:2])
 
     def test_fractional_eps_uses_enclosures(self):
-        params = raw_params(n=2, t=8, gap_size=2, interval_size=2, sampling_gap=3.0, eps=0.5)
-        dist = ExplicitDistribution(n=2, mass={0: Fraction(1, 2), 3: Fraction(1, 2)})
-        run = OracleRun(ExactConfig(params=params, prover=honest_prover(dist, params)))
+        params = FRACTIONAL_EPS_PARAMS
+        run = OracleRun(ExactConfig(params=params, prover=FRACTIONAL_EPS_HONEST))
         report = verify_band_sandwich(run)
         assert report.ok and not report.indeterminate
+
+    @pytest.mark.parametrize("cfg", CONFIGS + ["fractional-eps"])
+    def test_sandwich_equals_per_cell_formula(self, cfg):
+        """The hoisted bounds give the per-cell formula's report, on the
+        runs as built and after three cells of one shift are moved: one far
+        above its upper bound, one to the middle of its upper bound's
+        enclosure, and one that no hash function places."""
+        if cfg == "fractional-eps":
+            params, provers = FRACTIONAL_EPS_PARAMS, {"honest": FRACTIONAL_EPS_HONEST}
+        else:
+            params = raw_params(**cfg)
+            provers = provers_for(skewed_dist(), params)
+        eps = params.eps
+        hi_factor = pow2_bounds(eps)
+        for name, prover in provers.items():
+            run = OracleRun(ExactConfig(params=params, prover=prover))
+            assert report_fields(verify_band_sandwich(run)) == sandwich_reference(run), name
+            cells = [(x, j) for x in range(1 << params.n) for j in range(params.t + 1)]
+            comp, s, placed = next(
+                (comp, s, placed)
+                for comp in run.components
+                for s in comp.per_shift
+                if len(placed := [cell for cell in cells if comp.placement_probability(s, *cell) > 0]) > 1
+            )
+            cond, w_s = comp.per_shift[s], comp.tables.shift_weights[s]
+            (x, j), (y, i) = placed[0], placed[-1]
+            band_lo, _ = pow2_bounds(j * eps)
+            move_cell(cond, x, j, 4 * hi_factor[1] * comp.placement_probability(s, x, j) / (w_s * band_lo))
+            band_lo, band_hi = pow2_bounds(i * eps)
+            r = comp.placement_probability(s, y, i)
+            move_cell(cond, y, i, (hi_factor[0] * r / (w_s * band_hi) + hi_factor[1] * r / (w_s * band_lo)) / 2)
+            move_cell(cond, *next(cell for cell in cells if cell not in placed), Fraction(1, 7))
+            report = verify_band_sandwich(run)
+            assert report_fields(report) == sandwich_reference(run), name
+            assert len(report.violations) == 2, name
+            # the enclosure of 2**eps has slack only when eps is fractional
+            assert len(report.indeterminate) == (eps != int(eps)), name
 
     def test_pow2_bounds_enclose(self):
         # rigorous check via integer powers: lo^10 < 2^17 < hi^10
@@ -690,6 +776,74 @@ class TestFlatEnumerator:
         assert not verify_band_sums(run).violations
 
 
+class IntLike(int):
+    """An int subclass; every check reads it as the int it equals."""
+
+
+def retyped(sets, kind):
+    """The sets with the first element of the first non-empty band replaced
+    by an equal value of another type: a float, or a bool where it is 0 or
+    1 and else an ``IntLike``."""
+    out = {i: list(xs) for i, xs in sets.items()}
+    for xs in out.values():
+        if xs:
+            x = xs[0]
+            xs[0] = float(x) if kind == "float" else bool(x) if x in (0, 1) else IntLike(x)
+            break
+    return out
+
+
+class TestFlatAnswerMemo:
+    """The flat enumerator checks each distinct answer once per (a, b) and
+    zero set: equal answers of other element types, and one answer sent
+    under different zero sets, must each still be checked on their own."""
+
+    @pytest.mark.parametrize("sampling_gap", [0.5, -1.0])
+    def test_memo_keys_by_type_and_zero_set(self, sampling_gap):
+        params = raw_params(sampling_gap=sampling_gap)
+        honest = honest_prover(skewed_dist(), params)
+
+        def sets(s, k, f, g, m):
+            variant = f.c % 4
+            if variant == 1:  # the answer for c ^ 1, another zero set when m > 0
+                f = HashFunction(n=f.n, m=f.m, a=f.a, b=f.b, c=f.c ^ 1)
+            answer = honest.produce_sets(s, k, f, g, m)
+            if variant == 2:  # same zero set as c - 2, whose answer it equals
+                return retyped(answer, "float")
+            if variant == 3:
+                return retyped(answer, "int")
+            return answer
+
+        prover = ScriptedProver(
+            {"histogram": honest.produce_histogram(), "sets": sets, "probability": honest.produce_probability}
+        )
+        assert not prover.depends_on_hash_zero_set
+        exact = assert_oracles_agree(params, prover)
+        assert exact.reject_by_reason["malformed-sets"] > 0  # the floats
+        assert exact.reject_by_reason["check-a"] > 0  # the answers of another zero set
+
+    def test_flat_ignores_the_zero_set_flag(self):
+        """A prover that declares the zero-set contract but answers {} for
+        members with c >= 2**m: the structured oracle asks only the first
+        member of each zero set, c < 2**m, and sees the honest prover; the
+        flat one asks every member and rejects the rest."""
+        params = raw_params(sampling_gap=0.5)
+        honest = honest_prover(skewed_dist(), params)
+        prover = ScriptedProver(
+            {
+                "histogram": honest.produce_histogram(),
+                "sets": lambda s, k, f, g, m: honest.produce_sets(s, k, f, g, m) if f.c < 2**m else {},
+                "probability": honest.produce_probability,
+            }
+        )
+        prover.depends_on_hash_zero_set = True
+        exact = exact_output_distribution(ExactConfig(params=params, prover=prover))
+        assert exact == exact_output_distribution(ExactConfig(params=params, prover=honest))
+        flat_out, flat_rej = exact_output_distribution_flat(params, prover)
+        assert (flat_out, flat_rej) != (exact.outputs, exact.reject_mass)
+        assert flat_rej > exact.reject_mass
+
+
 # ---------------------------------------------------------------------------
 # Messages that used to crash the verifier or the oracles
 
@@ -826,6 +980,38 @@ class TestHashWidthUnderflow:
         assert tr.outcome.reason == "band-not-live"
         assert tr.coins == coins
         assert replay(params, prover, tr).to_json() == tr.to_json()
+
+
+class TestHashWidthOverflow:
+    # Band 1100 has 2.0 ** 1100, past the largest double, so the float
+    # band-mass sum of any interval holding it overflows.
+    PARAMS = ProtocolParams.raw(n=3, eps=1.0, delta=0.5, t=1100)
+    HISTOGRAMS = {
+        "top-band": [0] * 1100 + [1],
+        "split": [0, Fraction(1, 2)] + [0] * 1098 + [Fraction(1, 2)],
+    }
+
+    @pytest.mark.parametrize("name", sorted(HISTOGRAMS))
+    def test_run_replay_and_oracles_reject_hash_width(self, name):
+        params = self.PARAMS
+        prover = ScriptedProver(
+            {
+                "histogram": self.HISTOGRAMS[name],
+                "sets": lambda s, k, f, g, m: {1: [0]} if 1 in params.layout.interval(s, k) else {},
+                "probability": Fraction(1, 2),
+            }
+        )
+        reasons = set()
+        for seed in range(8):
+            tr = run_protocol(params, prover, rng=random.Random(seed))
+            assert replay(params, prover, tr).to_json() == tr.to_json()
+            reasons.add(tr.outcome.reason)
+        assert "hash-width" in reasons
+        exact = assert_oracles_agree(params, prover)
+        if name == "top-band":
+            assert exact.reject_by_reason == {"hash-width": Fraction(1)}
+        else:
+            assert 0 < exact.reject_by_reason["hash-width"] < 1
 
 
 # ---------------------------------------------------------------------------
