@@ -135,8 +135,10 @@ class InflatingProver(ProverStrategy):
     from the verifier's compiled tables for the claimed histogram. The
     claimed histogram, the buckets and the plans are built on first read,
     as the honest prover's are. Each bucket, and the spare pool of all
-    2**n inputs, is hashed in one ``eval_batch`` call on its bit planes;
-    at m = 0 every input hashes to the zero target, and nothing is hashed.
+    2**n inputs, is hashed in one ``eval_batch`` call on its bit planes.
+    At m = 0 every input hashes to the zero target, so the answer does not
+    depend on f: it is worked out without hashing on the challenge's first
+    m = 0 call and kept, and every call returns fresh lists of it.
     """
 
     # Members and spares are both filtered by f(x) == 0.
@@ -151,6 +153,7 @@ class InflatingProver(ProverStrategy):
         self.params = params
         self.dist = dist
         self._honest = HonestProver(dist, params)
+        self._zero_width_answers: dict[tuple[int, int], dict[int, list[int]]] = {}
 
     @functools.cached_property
     def claimed_weights(self) -> tuple[Fraction, ...]:
@@ -191,11 +194,21 @@ class InflatingProver(ProverStrategy):
         return self.claimed_weights
 
     def produce_sets(self, s, k, f, g, m):
+        if f.rows:
+            return self._choose_sets(s, k, f)
+        answer = self._zero_width_answers.get((s, k))
+        if answer is None:
+            answer = self._zero_width_answers[(s, k)] = self._choose_sets(s, k, None)
+        return {i: list(xs) for i, xs in answer.items()}
+
+    def _choose_sets(self, s, k, f):
+        """The sets for challenge (s, k) under f, or at m = 0 when f is
+        None."""
         pool = None
         used: set[int] = set()
         out = {}
         for i, (bucket, planes), want_lo, want_hi in self._plans.get((s, k), ()):
-            if f.rows:
+            if f is not None:
                 members = [bucket[j] for j in set_bits(f.eval_batch(planes))]
             else:  # m = 0: every input hashes to the zero target
                 members = bucket
@@ -205,7 +218,7 @@ class InflatingProver(ProverStrategy):
                     # Spare pool: everything hashing to the zero target, used
                     # to pad sets up to the cardinality window's lower edge.
                     # Input j of the planes is j itself.
-                    if f.rows:
+                    if f is not None:
                         pool = set_bits(f.eval_batch(self._all_planes))
                     else:
                         pool = range(1 << self.params.n)

@@ -87,8 +87,9 @@ def gf2n_inv(a: int, n: int) -> int:
 
 
 # Family order varies c innermost, so the members sharing (a, b), and with
-# them the rows, come in runs of 2**n; random draws miss the cache and keep
-# at most this many tuples alive.
+# them the rows, come in runs of 2**n that ``members_sharing_rows`` builds
+# from one lookup; random draws miss the cache and keep at most this many
+# tuples alive.
 ROW_CACHE_SIZE = 16
 
 
@@ -219,6 +220,23 @@ class HashFunction:
             "b": element_to_hex(self.b, self.n),
             "c": element_to_hex(self.c, self.n),
         }
+
+
+def members_sharing_rows(n: int, m: int, a: int, b: int) -> list[HashFunction]:
+    """The 2**n members (a, b, c), c = 0 .. 2**n - 1, of the width-n family
+    at output width m, in family order. They share one ``row_masks`` tuple,
+    so each is filled in directly instead of through the frozen dataclass
+    constructor; each equals, hashes as, and has the same ``rows`` and
+    ``c_low`` as ``HashFunction(n, m, a, b, c)``."""
+    rows = row_masks(n, m, a, b)
+    low = (1 << m) - 1
+    new = object.__new__
+    out = []
+    for c in range(1 << n):
+        f = new(HashFunction)
+        f.__dict__.update(n=n, m=m, a=a, b=b, c=c, rows=rows, c_low=c & low)
+        out.append(f)
+    return out
 
 
 def sample_hash(n: int, m: int, rng) -> HashFunction:

@@ -24,25 +24,27 @@ Two enumerators are kept deliberately separate: a structured one that
 reuses the protocol engine's own tables (``VerifierTables``), check and
 finalize code, and a flat one that re-derives every step inline. The flat
 one asks about every hash function whatever the prover declares, sweeping
-the family once per hash width for all challenges of that width; every
-distinct answer per (a, b) and zero set is checked in full. Tests fail
-the build if they disagree.
+the family once per hash width for all challenges of that width. It
+snapshots each answer as it is returned (``marshal``, which keeps exact
+types), counts equal snapshots per (a, b) and zero set, and checks every
+distinct one in full. Tests fail the build if they disagree.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Optional
 
 from coinpress.dist import TAU, buckets, build_histogram, fraction_to_str, pow2
 from coinpress.hashing import (
     BitPlanes,
     HashFunction,
-    family,
+    members_sharing_rows,
     output_planes,
     row_masks,
 )
@@ -70,8 +72,9 @@ DEFAULT_BUDGET = 10**9
 # The widest family the exact oracle enumerates. Zero sets are Python ints
 # of any width, so the cap is the enumeration's cost, which no estimate
 # guards yet: a pass asks about 2**(2n) (a, b) pairs per hash width, and
-# the flat cross-check about all 2**(3n) members, checking every distinct
-# answer per (a, b) and zero set in full. The tests' vectorized
+# the flat cross-check about all 2**(3n) members per challenge: a prover
+# call and an exact-type snapshot each, with every distinct snapshot per
+# (a, b) and zero set checked in full. The tests' vectorized
 # reference, ``zero_set_masks``, packs each zero set in one uint64 and
 # stays at n <= 6.
 ZERO_SET_MAX_N = 6
@@ -222,7 +225,13 @@ class HashFamily:
         return rows
 
     def members(self, m: int):
-        return ((HashFunction(n=self.n, m=m, a=a, b=b, c=c), 1) for a, b, c in family(self.n))
+        size = 1 << self.n
+        return (
+            (f, 1)
+            for a in range(size)
+            for b in range(size)
+            for f in members_sharing_rows(self.n, m, a, b)
+        )
 
 
 def _build_component(
@@ -399,10 +408,11 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
     Each challenge's constants are worked out first. The challenges are
     then grouped by hash width m, and the family is swept once per group:
     each hash function is built once and the prover is asked about it for
-    every challenge of the group, whatever the prover declares. Every
-    distinct answer per (a, b) and zero set is checked in full (see
-    ``_flat_sweep``). Within one challenge, identical outcomes are counted
-    first and their masses computed once.
+    every challenge of the group, whatever the prover declares. Each
+    answer is snapshotted when returned, and every distinct snapshot per
+    (a, b) and zero set is checked in full (see ``_flat_sweep``). Within
+    one challenge, identical outcomes are counted first and their masses
+    computed once.
     Returns (outputs keyed by (x, band, p), total reject mass).
     """
     outputs: dict[OutputKey, Fraction] = {}
@@ -506,15 +516,19 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
                     continue
                 act = sorted(i for i in members if i in live)
                 act_set = set(act)
-                # check (b)'s cardinality window of each active band, widened by TAU
+                # check (b)'s cardinality window of each active band, widened
+                # by TAU; empty when a power of two overflows a double
                 windows = []
                 for i in act:
-                    if m == 0:
-                        lo = 2.0 ** (i * params.eps) * float(h[i])
-                        hi = 2.0 ** ((i + 1) * params.eps) * float(h[i])
-                    else:
-                        lo = 2.0 ** (-params.eps) * (2.0 ** g) * (2.0 ** (i * params.eps)) * float(h[i]) / z
-                        hi = 2.0 ** params.eps * (2.0 ** g) * (2.0 ** ((i + 1) * params.eps)) * float(h[i]) / z
+                    try:
+                        if m == 0:
+                            lo = 2.0 ** (i * params.eps) * float(h[i])
+                            hi = 2.0 ** ((i + 1) * params.eps) * float(h[i])
+                        else:
+                            lo = 2.0 ** (-params.eps) * (2.0 ** g) * (2.0 ** (i * params.eps)) * float(h[i]) / z
+                            hi = 2.0 ** params.eps * (2.0 ** g) * (2.0 ** ((i + 1) * params.eps)) * float(h[i]) / z
+                    except OverflowError:
+                        lo = hi = math.inf
                     windows.append((lo * (1 - TAU), hi * (1 + TAU)))
                 # outcome -> number of hash functions: None for a reject,
                 # else the checked sets of the active bands in order
@@ -544,50 +558,72 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
     return outputs, reject
 
 
-_INT_ONLY = frozenset((int,))
+# Marshal's type code for bytes, which it also writes for any other buffer
+# object. It is looked for as an int: ``115 in snapshot`` scans the bytes
+# several times faster than the one-byte needle ``b"s"``.
+_MARSHAL_BYTES = ord("s")
 
 
 def _flat_sweep(strat, n, m, group, set_cap):
     """Ask ``strat`` about every member of the width-n family at hash width
     m, for each challenge of ``group``, and tally the checked outcomes.
 
-    Each answer is read once (``_flat_read``). The checks are a pure
-    function of the read, the zero set and the challenge's constants, and
-    within one (a, b) the zero set depends on c & low alone. So per (a, b)
-    and challenge, the outcome of a read whose elements are all exactly
-    ``int`` is kept by (c & low, read): every distinct answer per (a, b)
-    and zero set is checked in full once. A read holding anything else (a
-    bool, an int subclass, a float) may compare equal to a different
-    answer, and is checked on its own every time."""
+    The checks are a pure function of the answer, the zero set and the
+    challenge's constants, and within one (a, b) the zero set depends on
+    c & low alone. So each answer is snapshotted when it is returned, by
+    ``marshal.dumps(answer, 2)``: marshal records the exact type of every
+    part (1, True and 1.0 differ), refuses anything not built from exact
+    builtin types, and at version 2 writes no back-references, so equal
+    bytes mean the same answer down to its types. Per (a, b) and
+    challenge, the (c & low, snapshot) pairs are counted, and each
+    distinct pair is loaded back, read (``_flat_read``) and checked in
+    full (``_flat_check``) once: every distinct answer per (a, b) and zero
+    set is checked. Marshal writes any buffer object (a bytearray, a
+    memoryview, an array) as plain bytes, under type code ``s``, so a
+    snapshot holding that byte anywhere (``_MARSHAL_BYTES``) is not
+    trusted. Such an answer, and one marshal refuses (an int subclass, a
+    non-dict mapping, an iterator, a self-referential list), is read and
+    checked at once, on its own."""
     size = 1 << n
     low = (1 << m) - 1
     inputs = range(size)
+    ask, dumps = strat.produce_sets, marshal.dumps
     for a in range(size):
         for b in range(size):
+            members = members_sharing_rows(n, m, a, b)
             # c only flips the low m output bits, so f(x) = 0 exactly when
             # the c = 0 member maps x to c & low: one zero set per c & low.
-            f0 = HashFunction(n=n, m=m, a=a, b=b, c=0)
-            values = [f0.eval(x) for x in inputs]
+            values = [members[0].eval(x) for x in inputs]
             zero_sets = [
                 frozenset(x for x in inputs if values[x] == target) for target in range(low + 1)
             ]
-            memos = [{} for _ in group]
-            for c in range(size):
-                f = HashFunction(n=n, m=m, a=a, b=b, c=c)
+            seen = [{} for _ in group]  # per challenge: (c & low, snapshot) -> count
+            for c, f in enumerate(members):
                 target = c & low
-                zeros = zero_sets[target]
-                for (s, k, g, act, act_set, windows, tally), memo in zip(group, memos):
-                    read = _flat_read(strat.produce_sets(s, k, f, g, m), act, act_set)
-                    if read is None:
-                        key = None
-                    elif _INT_ONLY.issuperset(map(type, chain(*read))):
-                        seen = (target, read)
-                        key = memo.get(seen, memo)  # the memo itself marks a miss
-                        if key is memo:
-                            key = memo[seen] = _flat_check(read, windows, size, zeros, set_cap)
+                for (s, k, g, act, act_set, windows, tally), counts in zip(group, seen):
+                    answer = ask(s, k, f, g, m)
+                    try:
+                        snapshot = dumps(answer, 2)
+                    except ValueError:
+                        snapshot = None
+                    if snapshot is None or _MARSHAL_BYTES in snapshot:
+                        key = _flat_outcome(answer, act, act_set, windows, size, zero_sets[target], set_cap)
+                        tally[key] = tally.get(key, 0) + 1
                     else:
-                        key = _flat_check(read, windows, size, zeros, set_cap)
-                    tally[key] = tally.get(key, 0) + 1
+                        pair = (target, snapshot)
+                        counts[pair] = counts.get(pair, 0) + 1
+            for (s, k, g, act, act_set, windows, tally), counts in zip(group, seen):
+                for (target, snapshot), count in counts.items():
+                    key = _flat_outcome(
+                        marshal.loads(snapshot), act, act_set, windows, size, zero_sets[target], set_cap
+                    )
+                    tally[key] = tally.get(key, 0) + count
+
+
+def _flat_outcome(sets, active, active_set, windows, size, zeros, set_cap):
+    """``_flat_check`` of ``_flat_read``: the checked sets, or None."""
+    read = _flat_read(sets, active, active_set)
+    return None if read is None else _flat_check(read, windows, size, zeros, set_cap)
 
 
 def _flat_read(sets, active, active_set):

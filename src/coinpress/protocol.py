@@ -760,14 +760,23 @@ def choose_challenge(tables: VerifierTables, params: ProtocolParams, coins: Coin
 def check_b_window(i: int, w_f: float, m: int, g: float, z: float, eps: float) -> tuple[float, float]:
     """Check (b)'s cardinality window [lo, hi], before widening by TAU, for
     band i of mass w_f under hash width m and centring g, in an interval
-    with band-mass sum z."""
-    if m == 0:
-        lo = (2.0 ** (i * eps)) * w_f
-        hi = (2.0 ** ((i + 1) * eps)) * w_f
-    else:
-        base = (2.0 ** g) / z
-        lo = (2.0 ** (-eps)) * base * (2.0 ** (i * eps)) * w_f
-        hi = (2.0 ** eps) * base * (2.0 ** ((i + 1) * eps)) * w_f
+    with band-mass sum z.
+
+    When a power of two overflows a double (bands past i * eps = 1024,
+    reachable at huge sampling gaps), the window is (inf, inf): no set
+    size fits it, so the band ends in a check-b reject. Both edges go, not
+    just the one that overflowed, because an infinite upper edge alone
+    would drop the bound the check exists for."""
+    try:
+        if m == 0:
+            lo = (2.0 ** (i * eps)) * w_f
+            hi = (2.0 ** ((i + 1) * eps)) * w_f
+        else:
+            base = (2.0 ** g) / z
+            lo = (2.0 ** (-eps)) * base * (2.0 ** (i * eps)) * w_f
+            hi = (2.0 ** eps) * base * (2.0 ** ((i + 1) * eps)) * w_f
+    except OverflowError:
+        return math.inf, math.inf
     return lo, hi
 
 

@@ -272,6 +272,27 @@ class TestInflatingProver:
                     padded += any(x not in dist.mass for xs in sets.values() for x in xs)
         assert challenges and padded  # the spare pool was used too
 
+    def test_m_zero_answer_is_planned_once(self):
+        """At m = 0 each challenge's answer is worked out once, on its first
+        call, and every call returns fresh lists of it: editing one answer
+        changes no later one."""
+        params = ProtocolParams.raw(n=4, eps=1.0, delta=0.5, t=8, gap_size=1, interval_size=2, sampling_gap=1.0)
+        dist = ExplicitDistribution(n=4, mass={3: Fraction(1, 2), 9: Fraction(1, 4), 12: Fraction(1, 4)})
+        infl = inflating_prover(dist, 1, params)
+        tables, reason = validate_histogram_message(infl.produce_histogram(), params)
+        assert reason is None
+        zero_width = [(s, k, ctx) for (s, k), ctx in sorted(tables.challenges.items()) if ctx.m == 0]
+        assert zero_width
+        for s, k, ctx in zero_width:
+            first = infl.produce_sets(s, k, HashFunction(n=4, m=0, a=1, b=2, c=3), ctx.g, 0)
+            expected = {i: list(xs) for i, xs in first.items()}
+            for xs in first.values():
+                xs.append(99)
+            for a, b, c in ((0, 0, 0), (9, 4, 15)):
+                again = infl.produce_sets(s, k, HashFunction(n=4, m=0, a=a, b=b, c=c), ctx.g, 0)
+                assert again == expected
+                assert all(again[i] is not first[i] for i in again)
+
     def test_large_shift_rejects_everything(self):
         # shifting past the top band drops all mass: round-1 sum check fires
         params = params_n3()

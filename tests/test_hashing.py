@@ -14,6 +14,7 @@ from coinpress.hashing import (
     family,
     gf2n_inv,
     gf2n_mul,
+    members_sharing_rows,
     mixing_experiment,
     row_masks,
     sample_hash,
@@ -220,6 +221,24 @@ class TestHashFunction:
             assert h.c_low == c & ((1 << m) - 1)
         info = row_masks.cache_info()
         assert info.hits > 0 and info.misses > info.maxsize
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_members_sharing_rows_equal_constructed_members(self, n):
+        """The members built without the constructor are those of the family
+        in order, and equal, hash and evaluate as constructed ones."""
+        size = 1 << n
+        for m in range(n + 1):
+            built = [
+                f for a in range(size) for b in range(size) for f in members_sharing_rows(n, m, a, b)
+            ]
+            for f, (a, b, c) in zip(built, family(n), strict=True):
+                h = HashFunction(n=n, m=m, a=a, b=b, c=c)
+                assert type(f) is HashFunction
+                assert f == h and hash(f) == hash(h) and repr(f) == repr(h)
+                assert f.rows == h.rows and f.c_low == h.c_low
+                assert [f.eval(x) for x in range(size)] == [h.eval(x) for x in range(size)]
+        with pytest.raises(AttributeError):
+            built[0].c = 1  # still frozen
 
     def test_json_shape(self):
         h = HashFunction(n=12, m=3, a=0xABC, b=1, c=0)

@@ -1,5 +1,6 @@
 """Exact-enumeration oracle: cross-validation, conservation, diagnostics."""
 
+import array
 import dataclasses
 import hashlib
 import json
@@ -843,6 +844,67 @@ class TestFlatAnswerMemo:
         assert (flat_out, flat_rej) != (exact.outputs, exact.reject_mass)
         assert flat_rej > exact.reject_mass
 
+    def test_answers_are_snapshotted_when_returned(self):
+        """A prover that returns one dict and rewrites it in place on every
+        call: the flat enumerator must tally what each call returned, not
+        what the dict holds later."""
+        params = raw_params(sampling_gap=0.5)
+        honest = honest_prover(skewed_dist(), params)
+        shared = {}
+
+        def sets(s, k, f, g, m):
+            shared.clear()
+            shared.update(honest.produce_sets(s, k, f, g, m))
+            return shared
+
+        prover = ScriptedProver(
+            {"histogram": honest.produce_histogram(), "sets": sets, "probability": honest.produce_probability}
+        )
+        assert assert_oracles_agree(params, prover) == exact_output_distribution(
+            ExactConfig(params=params, prover=honest)
+        )
+
+    @pytest.mark.parametrize("kind", ["int-like", "mapping", "generator", "self-referential", "array"])
+    def test_unmarshallable_answers_are_checked_on_their_own(self, kind):
+        """Answers marshal refuses (an int subclass, a non-dict mapping, a
+        one-shot generator, a self-referential list) or would flatten to
+        bytes (an array of machine ints) are read and checked when they are
+        returned. Every other member gets the honest answer in a plain dict.
+        The first three kinds and the array hold the honest sets, so the
+        masses are the honest prover's; the self-referential list is
+        malformed."""
+        params = raw_params(sampling_gap=0.5)
+        honest = honest_prover(skewed_dist(), params)
+        shared = {}  # behind the read-only mapping, rewritten on every call
+
+        def sets(s, k, f, g, m):
+            answer = honest.produce_sets(s, k, f, g, m)
+            if f.c % 2 == 0 or not answer:
+                return answer
+            band = next(iter(answer))
+            if kind == "int-like":
+                answer[band] = [IntLike(x) for x in answer[band]]
+            elif kind == "mapping":
+                shared.clear()
+                shared.update(answer)
+                return MappingProxyType(shared)
+            elif kind == "generator":
+                answer[band] = (x for x in answer[band])
+            elif kind == "self-referential":
+                answer[band].append(answer[band])
+            else:
+                answer[band] = array.array("q", answer[band])
+            return answer
+
+        prover = ScriptedProver(
+            {"histogram": honest.produce_histogram(), "sets": sets, "probability": honest.produce_probability}
+        )
+        exact = assert_oracles_agree(params, prover)
+        if kind == "self-referential":
+            assert exact.reject_by_reason["malformed-sets"] > 0
+        else:
+            assert exact == exact_output_distribution(ExactConfig(params=params, prover=honest))
+
 
 # ---------------------------------------------------------------------------
 # Messages that used to crash the verifier or the oracles
@@ -1012,6 +1074,65 @@ class TestHashWidthOverflow:
             assert exact.reject_by_reason == {"hash-width": Fraction(1)}
         else:
             assert 0 < exact.reject_by_reason["hash-width"] < 1
+
+    def test_check_b_window_overflow_rejects_check_b(self):
+        """At sampling gap 1100 the top band hashes to m = 0, and its check
+        (b) window, 2.0 ** 1100 times the band mass, is past the largest
+        double: the window is empty and every run rejects check-b."""
+        params = ProtocolParams.raw(n=3, eps=1.0, delta=0.5, t=1100, sampling_gap=1100.0)
+        prover = ScriptedProver(
+            {
+                "histogram": self.HISTOGRAMS["top-band"],
+                "sets": lambda s, k, f, g, m: {1100: [0]} if 1100 in params.layout.interval(s, k) else {},
+                "probability": Fraction(1, 2),
+            }
+        )
+        for seed in range(4):
+            tr = run_protocol(params, prover, rng=random.Random(seed))
+            assert tr.outcome.reason == "check-b"
+            assert replay(params, prover, tr).to_json() == tr.to_json()
+        exact = assert_oracles_agree(params, prover)
+        assert exact.reject_by_reason == {"check-b": Fraction(1)}
+
+    @given(
+        st.integers(1, 2048).flatmap(
+            lambda t: st.tuples(
+                st.just(t),
+                st.dictionaries(st.integers(0, t), st.integers(1, 4), min_size=1, max_size=3),
+            )
+        ),
+        st.floats(2**-30, 1),
+        st.floats(-8, 2048),
+        st.integers(0, 8),
+    )
+    @example((1100, {1100: 1}), 1.0, 1100.0, 1)
+    @example((2048, {1030: 1, 1023: 2}), 1.0, 1020.0, 1)
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_any_histogram_at_any_sampling_gap_ends_in_an_outcome(self, histogram, eps, sampling_gap, size):
+        """Histograms of length t + 1 for t <= 2048 whose mass may sit in
+        bands past 2**1024, at any eps and sampling gaps up to 2048: every
+        run ends in an Outcome. The prover sends the first ``size`` inputs
+        for each live band of the challenge. (eps stays above 2**-30: near
+        the smallest doubles ``ProtocolParams.raw`` cannot size the gap from
+        the user's eps, which is no prover message.)"""
+        t, parts = histogram
+        params = ProtocolParams.raw(n=3, eps=eps, delta=0.5, t=t, sampling_gap=sampling_gap)
+        total = sum(parts.values())
+        weights = [Fraction(parts.get(i, 0), total) for i in range(t + 1)]
+        live = compute_live_bands(weights, params)
+        prover = ScriptedProver(
+            {
+                "histogram": weights,
+                "sets": lambda s, k, f, g, m: {
+                    i: list(range(size)) for i in params.layout.interval(s, k) if i in live
+                },
+                "probability": Fraction(1, 2),
+            }
+        )
+        for seed in range(3):
+            tr = run_protocol(params, prover, rng=random.Random(seed))
+            assert isinstance(tr.outcome, Outcome)
+            assert tr.outcome.kind in ("output", "reject")
 
 
 # ---------------------------------------------------------------------------
