@@ -25,6 +25,7 @@ from coinpress.protocol import (
     HonestProver,
     ProtocolParams,
     ProverStrategy,
+    ZeroSetMemo,
     cumulative_weights,
     validate_histogram_message,
 )
@@ -136,9 +137,9 @@ class InflatingProver(ProverStrategy):
     claimed histogram, the buckets and the plans are built on first read,
     as the honest prover's are. Each bucket, and the spare pool of all
     2**n inputs, is hashed in one ``eval_batch`` call on its bit planes.
-    At m = 0 every input hashes to the zero target, so the answer does not
-    depend on f: it is worked out without hashing on the challenge's first
-    m = 0 call and kept, and every call returns fresh lists of it.
+    Each answer is worked out once per challenge and zero set of the
+    current hash rows (``ZeroSetMemo``); at m = 0, where every input hashes
+    to the zero target, that is once per challenge.
     """
 
     # Members and spares are both filtered by f(x) == 0.
@@ -153,7 +154,7 @@ class InflatingProver(ProverStrategy):
         self.params = params
         self.dist = dist
         self._honest = HonestProver(dist, params)
-        self._zero_width_answers: dict[tuple[int, int], dict[int, list[int]]] = {}
+        self._memo = ZeroSetMemo()
 
     @functools.cached_property
     def claimed_weights(self) -> tuple[Fraction, ...]:
@@ -194,34 +195,21 @@ class InflatingProver(ProverStrategy):
         return self.claimed_weights
 
     def produce_sets(self, s, k, f, g, m):
-        if f.rows:
-            return self._choose_sets(s, k, f)
-        answer = self._zero_width_answers.get((s, k))
-        if answer is None:
-            answer = self._zero_width_answers[(s, k)] = self._choose_sets(s, k, None)
-        return {i: list(xs) for i, xs in answer.items()}
+        return self._memo.sets(self._choose_sets, s, k, f, g, m)
 
-    def _choose_sets(self, s, k, f):
-        """The sets for challenge (s, k) under f, or at m = 0 when f is
-        None."""
+    def _choose_sets(self, s, k, f, g, m):
         pool = None
         used: set[int] = set()
         out = {}
         for i, (bucket, planes), want_lo, want_hi in self._plans.get((s, k), ()):
-            if f is not None:
-                members = [bucket[j] for j in set_bits(f.eval_batch(planes))]
-            else:  # m = 0: every input hashes to the zero target
-                members = bucket
+            members = [bucket[j] for j in set_bits(f.eval_batch(planes))]
             chosen = [x for x in members if x not in used][: max(want_hi, want_lo)]
             if len(chosen) < want_lo:
                 if pool is None:
                     # Spare pool: everything hashing to the zero target, used
                     # to pad sets up to the cardinality window's lower edge.
                     # Input j of the planes is j itself.
-                    if f is not None:
-                        pool = set_bits(f.eval_batch(self._all_planes))
-                    else:
-                        pool = range(1 << self.params.n)
+                    pool = set_bits(f.eval_batch(self._all_planes))
                 for x in pool:
                     if len(chosen) >= want_lo:
                         break
@@ -291,8 +279,8 @@ def overlapping_sets_prover(dist: ExplicitDistribution, params: ProtocolParams) 
     """
     honest = HonestProver(dist, params)
 
-    def sets(s, k, f, g, m):
-        out = {i: list(xs) for i, xs in honest.produce_sets(s, k, f, g, m).items()}
+    def smuggled(s, k, f, g, m):
+        out = honest.produce_sets(s, k, f, g, m)
         donors = [xs[0] for xs in out.values() if xs]
         if donors:
             for i in out:
@@ -303,12 +291,13 @@ def overlapping_sets_prover(dist: ExplicitDistribution, params: ProtocolParams) 
     prover = ScriptedProver(
         {
             "histogram": honest.produce_histogram(),
-            "sets": sets,
+            "sets": functools.partial(ZeroSetMemo().sets, smuggled),
             "probability": lambda j, x: honest.produce_probability(j, x),
             "table": honest.produce_table(),
         }
     )
-    # The sets read f only through the honest prover's filter.
+    # The sets read f only through the honest prover's filter, and are
+    # answered once per zero set of the current hash rows.
     prover.depends_on_hash_zero_set = True
     return prover
 

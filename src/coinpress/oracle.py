@@ -26,8 +26,10 @@ finalize code, and a flat one that re-derives every step inline. The flat
 one asks about every hash function whatever the prover declares, sweeping
 the family once per hash width for all challenges of that width. It
 snapshots each answer as it is returned (``marshal``, which keeps exact
-types), counts equal snapshots per (a, b) and zero set, and checks every
-distinct one in full. Tests fail the build if they disagree.
+types), counts equal snapshots per zero set, and checks every distinct one
+in full: per (a, b) when m > 0, and once per sweep at m = 0, where every
+member's zero set is the whole domain. Tests fail the build if they
+disagree.
 """
 
 from __future__ import annotations
@@ -74,9 +76,9 @@ DEFAULT_BUDGET = 10**9
 # guards yet: a pass asks about 2**(2n) (a, b) pairs per hash width, and
 # the flat cross-check about all 2**(3n) members per challenge: a prover
 # call and an exact-type snapshot each, with every distinct snapshot per
-# (a, b) and zero set checked in full. The tests' vectorized
-# reference, ``zero_set_masks``, packs each zero set in one uint64 and
-# stays at n <= 6.
+# zero set checked in full. The tests' vectorized reference,
+# ``zero_set_masks``, packs each zero set in one uint64 and stays at
+# n <= 6.
 ZERO_SET_MAX_N = 6
 
 # Relative slack enclosing the error of double-precision powers of two.
@@ -409,10 +411,11 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
     then grouped by hash width m, and the family is swept once per group:
     each hash function is built once and the prover is asked about it for
     every challenge of the group, whatever the prover declares. Each
-    answer is snapshotted when returned, and every distinct snapshot per
-    (a, b) and zero set is checked in full (see ``_flat_sweep``). Within
-    one challenge, identical outcomes are counted first and their masses
-    computed once.
+    answer is snapshotted when returned, and every distinct snapshot is
+    checked in full once per zero set: per (a, b) when m > 0, and once per
+    sweep at m = 0, where there is one zero set (see ``_flat_sweep``, which
+    also gives the memory this takes). Within one challenge, identical
+    outcomes are counted first and their masses computed once.
     Returns (outputs keyed by (x, band, p), total reject mass).
     """
     outputs: dict[OutputKey, Fraction] = {}
@@ -569,35 +572,46 @@ def _flat_sweep(strat, n, m, group, set_cap):
     m, for each challenge of ``group``, and tally the checked outcomes.
 
     The checks are a pure function of the answer, the zero set and the
-    challenge's constants, and within one (a, b) the zero set depends on
-    c & low alone. So each answer is snapshotted when it is returned, by
+    challenge's constants. Within one (a, b) the zero set depends on
+    c & low alone, and at m = 0 it is the whole domain for every member.
+    So each answer is snapshotted when it is returned, by
     ``marshal.dumps(answer, 2)``: marshal records the exact type of every
     part (1, True and 1.0 differ), refuses anything not built from exact
     builtin types, and at version 2 writes no back-references, so equal
-    bytes mean the same answer down to its types. Per (a, b) and
-    challenge, the (c & low, snapshot) pairs are counted, and each
-    distinct pair is loaded back, read (``_flat_read``) and checked in
-    full (``_flat_check``) once: every distinct answer per (a, b) and zero
-    set is checked. Marshal writes any buffer object (a bytearray, a
-    memoryview, an array) as plain bytes, under type code ``s``, so a
-    snapshot holding that byte anywhere (``_MARSHAL_BYTES``) is not
-    trusted. Such an answer, and one marshal refuses (an int subclass, a
-    non-dict mapping, an iterator, a self-referential list), is read and
-    checked at once, on its own."""
+    bytes mean the same answer down to its types. Per challenge the
+    (c & low, snapshot) pairs are counted, and each distinct pair is
+    loaded back, read (``_flat_read``) and checked in full
+    (``_flat_check``) once per zero set: after each (a, b) when m > 0, and
+    once after the whole sweep at m = 0. Marshal writes any buffer object
+    (a bytearray, a memoryview, an array) as plain bytes, under type code
+    ``s``, so a snapshot holding that byte anywhere (``_MARSHAL_BYTES``) is
+    not trusted. Such an answer, and one marshal refuses (an int subclass,
+    a non-dict mapping, an iterator, a self-referential list), is read and
+    checked at once, on its own.
+
+    At m = 0 the counts live for the whole sweep, so a prover whose every
+    answer differs keeps one snapshot per call: 8**n per challenge, 32,768
+    at n = 5, about 5.5 MB. At n = 5 with four m = 0 challenges, such a
+    prover (the honest sets plus three elements) peaked at 43.9 MB RSS
+    against 21.7 MB for the honest prover, or for it with a per-(a, b)
+    count (Python 3.11 on x86-64)."""
     size = 1 << n
     low = (1 << m) - 1
     inputs = range(size)
     ask, dumps = strat.produce_sets, marshal.dumps
+    zero_sets = [frozenset(inputs)]  # at m = 0 every input hashes to zero
+    seen = [{} for _ in group]  # per challenge: (c & low, snapshot) -> count
     for a in range(size):
         for b in range(size):
             members = members_sharing_rows(n, m, a, b)
-            # c only flips the low m output bits, so f(x) = 0 exactly when
-            # the c = 0 member maps x to c & low: one zero set per c & low.
-            values = [members[0].eval(x) for x in inputs]
-            zero_sets = [
-                frozenset(x for x in inputs if values[x] == target) for target in range(low + 1)
-            ]
-            seen = [{} for _ in group]  # per challenge: (c & low, snapshot) -> count
+            if m:
+                # c only flips the low m output bits, so f(x) = 0 exactly
+                # when the c = 0 member maps x to c & low: one zero set per
+                # c & low.
+                values = [members[0].eval(x) for x in inputs]
+                zero_sets = [
+                    frozenset(x for x in inputs if values[x] == target) for target in range(low + 1)
+                ]
             for c, f in enumerate(members):
                 target = c & low
                 for (s, k, g, act, act_set, windows, tally), counts in zip(group, seen):
@@ -612,12 +626,22 @@ def _flat_sweep(strat, n, m, group, set_cap):
                     else:
                         pair = (target, snapshot)
                         counts[pair] = counts.get(pair, 0) + 1
-            for (s, k, g, act, act_set, windows, tally), counts in zip(group, seen):
-                for (target, snapshot), count in counts.items():
-                    key = _flat_outcome(
-                        marshal.loads(snapshot), act, act_set, windows, size, zero_sets[target], set_cap
-                    )
-                    tally[key] = tally.get(key, 0) + count
+            if m:
+                _flat_flush(group, seen, size, zero_sets, set_cap)
+                seen = [{} for _ in group]
+    if not m:
+        _flat_flush(group, seen, size, zero_sets, set_cap)
+
+
+def _flat_flush(group, seen, size, zero_sets, set_cap):
+    """Check each distinct (c & low, snapshot) pair counted per challenge
+    of ``group`` once, and add its count to the challenge's tally."""
+    for (s, k, g, act, act_set, windows, tally), counts in zip(group, seen):
+        for (target, snapshot), count in counts.items():
+            key = _flat_outcome(
+                marshal.loads(snapshot), act, act_set, windows, size, zero_sets[target], set_cap
+            )
+            tally[key] = tally.get(key, 0) + count
 
 
 def _flat_outcome(sets, active, active_set, windows, size, zeros, set_cap):

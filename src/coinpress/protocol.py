@@ -126,6 +126,13 @@ class ProtocolParams:
             raise ValueError("delta must lie in (0, 1)")
         g_raw = (2.0 / eps) * math.log2(1.0 / eps) if eps < 1 else 1.0
         i_raw = g_raw / delta
+        # Below eps = 2**-64, i_raw >= g_raw >= 2 * n / eps, and above it
+        # 2 * n / eps is finite: past this check no formula below overflows.
+        if not math.isfinite(i_raw):
+            raise ValueError(
+                f"eps={eps!r} and delta={delta!r} are too small: "
+                "the raw interval size overflows a double"
+            )
         if t is None:
             t = math.ceil(2 * n / eps)
         if gap_size is None:
@@ -441,7 +448,12 @@ class ProverStrategy:
     # True when ``produce_sets`` reads the hash f only through its zero set
     # {x in [0, 2**n) : f(x) = 0}. The exact oracle then asks once per
     # distinct zero set, weighted by how many hash functions share it,
-    # instead of once per hash function.
+    # instead of once per hash function. The bundled provers that declare
+    # it work out each answer once per zero set of the current hash rows
+    # (``ZeroSetMemo``), at most 2**m answers per challenge. The flat
+    # cross-check ignores the flag and asks about every function, but
+    # checks each distinct answer once per zero set: per (a, b) when m > 0,
+    # and once per sweep at m = 0, where the zero set is the whole domain.
     depends_on_hash_zero_set = False
 
     def produce_histogram(self) -> Sequence[Fraction]:
@@ -467,6 +479,44 @@ class ProverStrategy:
         return [(Fraction(1), self)]
 
 
+class ZeroSetMemo:
+    """The sets answers of a prover that reads the hash f only through its
+    zero set (``ProverStrategy.depends_on_hash_zero_set``), kept for the
+    rows of the hash it was last asked about.
+
+    The zero set of a ``HashFunction`` is fixed by its ``rows`` and
+    ``c_low``, so each answer is kept under (s, k, f.c_low) for the
+    current rows tuple. Rows are compared by identity, and the tuple is
+    held, so its id cannot be reused while its answers are kept; another
+    tuple clears them, so at most one tuple's answers are kept (at most
+    2**m per challenge). The members of one (a, b) share one tuple
+    (``members_sharing_rows``), and every member at m = 0 has the rows
+    ``()``. Any other f, such as a subclass or a test double, is answered
+    directly. Every call returns a fresh dict of fresh lists.
+    """
+
+    __slots__ = ("_rows", "_answers")
+
+    def __init__(self):
+        self._rows = None
+        # (s, k, c_low) -> the answer's (band, list) pairs, never handed out
+        self._answers: dict[tuple[int, int, int], tuple] = {}
+
+    def sets(self, choose, s, k, f, g, m):
+        """``choose(s, k, f, g, m)``, answered from the memo when it can be."""
+        if type(f) is not HashFunction:
+            return choose(s, k, f, g, m)
+        if f.rows is not self._rows:
+            self._rows, self._answers = f.rows, {}
+        key = (s, k, f.c_low)
+        answer = self._answers.get(key)
+        if answer is None:
+            answer = self._answers[key] = tuple(
+                (i, list(xs)) for i, xs in choose(s, k, f, g, m).items()
+            )
+        return {i: xs[:] for i, xs in answer}
+
+
 def compute_live_bands(weights: Sequence[Fraction], params: ProtocolParams) -> set[int]:
     """Band indices whose mass clears the verifier's sampling threshold."""
     thresh = params.live_threshold
@@ -484,7 +534,8 @@ class HonestProver(ProverStrategy):
     verifier's compiled ``ChallengeContext`` for this prover's histogram.
     The histogram, the banding, the planes and the plans are built on
     first read: a fallback run reads only ``produce_table``, and its t can
-    reach millions of bands.
+    reach millions of bands. Each answer is worked out once per challenge
+    and zero set of the current hash rows (``ZeroSetMemo``).
     """
 
     depends_on_hash_zero_set = True
@@ -494,6 +545,7 @@ class HonestProver(ProverStrategy):
             raise ValueError("distribution width does not match parameters")
         self.dist = dist
         self.params = params
+        self._memo = ZeroSetMemo()
 
     @functools.cached_property
     def histogram(self) -> Histogram:
@@ -539,6 +591,9 @@ class HonestProver(ProverStrategy):
         return self.histogram.weights
 
     def produce_sets(self, s, k, f, g, m):
+        return self._memo.sets(self._choose_sets, s, k, f, g, m)
+
+    def _choose_sets(self, s, k, f, g, m):
         plan = self._plans.get((s, k))
         if plan is None:
             return {}

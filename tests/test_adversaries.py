@@ -302,6 +302,112 @@ class TestInflatingProver:
         assert exact.reject_by_reason == {"histogram-sum": Fraction(1)}
 
 
+class Unmemoized(HashFunction):
+    """A HashFunction subclass: ``ZeroSetMemo`` answers it directly, so a
+    prover answers it as it would without the memo."""
+
+
+def unmemoized(f):
+    return Unmemoized(n=f.n, m=f.m, a=f.a, b=f.b, c=f.c)
+
+
+MEMO_MASSES = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 6), Fraction(1, 8), Fraction(1, 8))
+MEMO_PROVERS = ["honest", "mixture", "inflating:1", "inflating:2", "overlapping", "rejecting:1/3"]
+
+
+def memo_provers(n, eps):
+    """The oracle-n4 mass profile at width n, t = 8, sampling gap 0, where
+    challenges hash to m = 0 and m > 0: the params and each bundled prover
+    that keeps its answers in a ``ZeroSetMemo``."""
+    params = ProtocolParams.raw(
+        n=n, eps=eps, delta=0.5, t=8, gap_size=1, interval_size=2, sampling_gap=0.0,
+    )
+    rng = random.Random(7)
+    main, other = (
+        ExplicitDistribution(n=n, mass=dict(zip(rng.sample(range(1 << n), 5), MEMO_MASSES)))
+        for _ in range(2)
+    )
+    return params, {
+        "honest": HonestProver(main, params),
+        "mixture": MixtureProver([(Fraction(1, 2), main), (Fraction(1, 4), other)], 11, params),
+        "inflating:1": inflating_prover(main, 1, params),
+        "inflating:2": inflating_prover(main, 2, params),
+        "overlapping": overlapping_sets_prover(main, params),
+        "rejecting:1/3": rejecting_prover(main, Fraction(1, 3), 5, params),
+    }
+
+
+def drawable_challenges(strat, params):
+    """(s, k, g, m) of every challenge the verifier can ask ``strat``."""
+    tables, _ = validate_histogram_message(strat.produce_histogram(), params)
+    if tables is None:
+        return []
+    return [(s, k, ctx.g, ctx.m) for (s, k), ctx in tables.challenges.items() if ctx.m <= params.n]
+
+
+class TestZeroSetMemo:
+    """The bundled provers answer each zero set once per hash rows tuple;
+    every answer must equal the one given without the memo."""
+
+    @pytest.mark.parametrize("label", MEMO_PROVERS)
+    @pytest.mark.parametrize("eps", [1.0, 0.5])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_memoized_answers_equal_direct_answers(self, n, eps, label):
+        """Over every drawable challenge and every family member, asked as
+        the flat cross-check asks (per member, every challenge of its
+        width) and then in a shuffled order, of the prover and of each
+        strategy in its support."""
+        params, provers = memo_provers(n, eps)
+        prover = provers[label]
+        widths = set()
+        for strat in [prover] + [strat for _, strat in prover.randomness_support()]:
+            by_width = {}
+            for s, k, g, m in drawable_challenges(strat, params):
+                by_width.setdefault(m, []).append((s, k, g))
+            widths |= set(by_width)
+            asked = [
+                (s, k, g, HashFunction(n=n, m=m, a=a, b=b, c=c))
+                for m, group in by_width.items()
+                for a, b, c in family(n)
+                for s, k, g in group
+            ]
+            direct = [strat.produce_sets(s, k, unmemoized(f), g, f.m) for s, k, g, f in asked]
+            for (s, k, g, f), want in zip(asked, direct):
+                assert strat.produce_sets(s, k, f, g, f.m) == want, (s, k, f)
+            order = list(range(len(asked)))
+            random.Random(n).shuffle(order)
+            for i in order:
+                s, k, g, f = asked[i]
+                assert strat.produce_sets(s, k, f, g, f.m) == direct[i], (s, k, f)
+        # every case reaches m > 0; all but inflating:2 at eps 1.0 also m = 0
+        assert max(widths) > 0 and (0 in widths or (label, eps) == ("inflating:2", 1.0))
+
+    @pytest.mark.parametrize("label", MEMO_PROVERS)
+    def test_editing_an_answer_changes_no_later_answer(self, label):
+        """Lists and dict of a returned answer are the caller's: editing
+        them changes neither the same member's next answer nor that of a
+        member sharing its zero set, at m = 0 and at m > 0."""
+        params, provers = memo_provers(4, 1.0)
+        widths = set()
+        for strat in [provers[label]] + [strat for _, strat in provers[label].randomness_support()]:
+            for s, k, g, m in drawable_challenges(strat, params):
+                widths.add(m)
+                f = HashFunction(n=4, m=m, a=3, b=5, c=1)
+                twin = HashFunction(n=4, m=m, a=3, b=5, c=1 + (1 << m))  # same rows and c_low
+                want = strat.produce_sets(s, k, unmemoized(f), g, m)
+                first = strat.produce_sets(s, k, f, g, m)
+                assert first == want
+                for xs in first.values():
+                    xs.append(99)
+                    xs.reverse()
+                if first:
+                    del first[next(iter(first))]
+                first[99] = [1]
+                assert strat.produce_sets(s, k, f, g, m) == want
+                assert strat.produce_sets(s, k, twin, g, m) == want
+        assert max(widths) > 0 and (0 in widths or label == "inflating:2")
+
+
 class TestScriptedProver:
     def test_unscripted_rounds_are_garbage(self):
         params = params_n3()

@@ -285,3 +285,17 @@ def test_oracle_refusal_is_an_error(workspace, capsys, params):
                                 "params": params}))
     assert main(["oracle", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["derived", "all-given"])
+def test_eps_past_a_double_is_a_config_error(workspace, capsys, given):
+    """An eps whose raw constants overflow a double is a config error, not a
+    traceback from ``ProtocolParams.raw``."""
+    params = {"mode": "raw", "n": 3, "eps": 5e-324, "delta": 0.5}
+    if given:
+        params.update(t=6, gap_size=1, interval_size=2, sampling_gap=1.0)
+    path = workspace / "tiny-eps.json"
+    path.write_text(json.dumps({"distribution": "dist.json", "params": params}))
+    assert main(["oracle", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflows a double" in err

@@ -41,9 +41,12 @@ from coinpress.protocol import (
     Outcome,
     ProtocolParams,
     ProverStrategy,
+    check_sets,
     compute_live_bands,
     derive_params,
+    finalize,
     honest_prover,
+    parse_sets,
     replay,
     run_protocol,
     scale_weights,
@@ -906,6 +909,151 @@ class TestFlatAnswerMemo:
             assert exact == exact_output_distribution(ExactConfig(params=params, prover=honest))
 
 
+class RecordingProver(FullEnumeration):
+    """A deterministic prover that records every sets query, in order, as
+    (s, k, m, a, b, c)."""
+
+    def __init__(self, inner: ProverStrategy):
+        super().__init__(inner)
+        self.calls = []
+
+    def produce_sets(self, s, k, f, g, m):
+        self.calls.append((s, k, m, f.a, f.b, f.c))
+        return super().produce_sets(s, k, f, g, m)
+
+    def randomness_support(self):
+        return [(Fraction(1), self)]
+
+
+def abc_sets_prover(honest, shared):
+    """The honest prover, except that its sets depend on the member (a, b, c)
+    asked about, by (a + 3b + 5c) % 4: the honest answer; a band's first
+    element swapped for an element no set holds; every set emptied; or one
+    band's first element copied into another band. With ``shared`` every
+    answer is written into one dict, rewritten on every call."""
+    n = honest.params.n
+    out = {}
+
+    def sets(s, k, f, g, m):
+        answer = honest.produce_sets(s, k, f, g, m)
+        held = {x for xs in answer.values() for x in xs}
+        variant = (f.a + 3 * f.b + 5 * f.c) % 4
+        full = [i for i, xs in answer.items() if xs]
+        if variant == 1 and full:
+            answer[full[-1]][0] = min(x for x in range(1 << n) if x not in held)
+        elif variant == 2:
+            answer = {i: [] for i in answer}
+        elif variant == 3 and full and len(answer) > 1:
+            donor = answer[full[0]][0]
+            answer[next(i for i in answer if i != full[0])].append(donor)
+        if not shared:
+            return answer
+        out.clear()
+        out.update(answer)
+        return out
+
+    return ScriptedProver(
+        {"histogram": honest.produce_histogram(), "sets": sets, "probability": honest.produce_probability}
+    )
+
+
+def per_ab_reference(params, prover):
+    """Output masses and reject masses by reason of a deterministic prover,
+    tallied per (a, b): each answer is read (``parse_sets``) when it is
+    returned and checked by the engine's ``check_sets``, and the outcomes
+    of one (a, b) are counted and turned into masses before the next."""
+    tables, reason = validate_histogram_message(prover.produce_histogram(), params)
+    assert reason is None
+    n, size = params.n, 1 << params.n
+    total = sum(tables.shift_weights.values(), Fraction(0))
+    outputs, rejects = Counter(), Counter()
+    for (s, k), ctx in tables.challenges.items():
+        per_interval = tables.interval_weights[s][k]
+        pr_k = per_interval / total
+        if ctx.m > n:
+            rejects["hash-width"] += pr_k
+            continue
+        for a in range(size):
+            for b in range(size):
+                tally = Counter()
+                for c in range(size):
+                    f = HashFunction(n=n, m=ctx.m, a=a, b=b, c=c)
+                    record = parse_sets(prover.produce_sets(s, k, f, ctx.g, ctx.m))
+                    sets, why = check_sets(record, f, ctx, params)
+                    tally[why or tuple(sorted(sets.items()))] += 1
+                for key, count in tally.items():
+                    pr_f = pr_k * Fraction(count, size**3)
+                    if isinstance(key, str):
+                        rejects[key] += pr_f
+                        continue
+                    sets = dict(key)
+                    for j in ctx.interval:
+                        if tables.weights[j] == 0:
+                            continue
+                        pr_j = pr_f * tables.weights[j] / per_interval
+                        if j not in ctx.active:
+                            rejects["band-not-live"] += pr_j
+                        elif not sets[j]:
+                            rejects["empty-set"] += pr_j
+                        else:
+                            for x in sets[j]:
+                                p = finalize(j, x, prover.produce_probability(j, x), params).p
+                                outputs[(x, j, p)] += pr_j / len(sets[j])
+    return dict(outputs), dict(rejects)
+
+
+class TestFlatSweep:
+    """The flat cross-check counts answers across the whole sweep at m = 0,
+    where every member has the one zero set, and per (a, b) when m > 0. It
+    still asks every pair once, in family order, and snapshots each answer
+    when it is returned."""
+
+    @pytest.mark.parametrize("sampling_gap", [1.0, 0.0], ids=["m-0", "m-0-and-1"])
+    def test_asks_every_pair_once_in_family_order(self, sampling_gap):
+        params, provers = profile_provers(1.0, sampling_gap=sampling_gap)
+        honest = provers["honest"]
+        recording = RecordingProver(honest)
+        assert exact_output_distribution_flat(params, recording) == (
+            exact_output_distribution_flat(params, honest)
+        )
+        tables, reason = validate_histogram_message(honest.produce_histogram(), params)
+        assert reason is None
+        by_width = {}  # in the layout order of each width's first challenge
+        for (s, k), ctx in tables.challenges.items():
+            if ctx.m <= params.n:
+                by_width.setdefault(ctx.m, []).append((s, k))
+        expected = [
+            (s, k, m, a, b, c)
+            for m, group in by_width.items()
+            for a, b, c in family(params.n)
+            for s, k in group
+        ]
+        assert recording.calls == expected
+        assert len(expected) == sum(map(len, by_width.values())) * 8**params.n
+        assert (0 in by_width) and (max(by_width) > 0) == (sampling_gap == 0.0)
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared-dict"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_zero_width_answers_that_depend_on_the_member(self, n, shared):
+        """At m = 0 a callable prover whose answer depends on (a, b, c), in
+        fresh dicts or in one dict rewritten on every call: the structured
+        oracle, which asks every member, equals the flat one, and both equal
+        a per-(a, b) tally of the engine's own checks."""
+        params, provers = profile_provers(1.0, n=n)
+        honest = provers["honest"]
+        tables, _ = validate_histogram_message(honest.produce_histogram(), params)
+        assert {ctx.m for ctx in tables.challenges.values()} == {0}
+        prover = abc_sets_prover(honest, shared)
+        assert not prover.depends_on_hash_zero_set
+        exact = assert_oracles_agree(params, prover)
+        outputs, rejects = per_ab_reference(params, prover)
+        assert exact.outputs == outputs
+        assert exact.reject_by_reason == rejects
+        # every variant shows: swapped-in elements, empty sets, overlaps
+        assert {x for x, _, _ in outputs} - set(honest.dist.mass)
+        assert rejects["check-b"] > 0 and rejects["check-c"] > 0
+
+
 # ---------------------------------------------------------------------------
 # Messages that used to crash the verifier or the oracles
 
@@ -1319,6 +1467,71 @@ class TestSetsIntakeFuzz:
                 assert exact.outputs.get((out.x, out.band, out.p), 0) > 0
             else:
                 assert exact.reject_by_reason.get(out.reason, 0) > 0
+
+
+def checked_edits():
+    """Edits of the honest sets that keep the message well formed: ``pos``
+    picks a band by position, and each band stays a list of distinct
+    elements of [0, 8)."""
+    ops = st.sampled_from(["reorder", "outside", "empty", "grow", "share"])
+    return st.lists(st.tuples(ops, st.integers(0, 3)), max_size=2)
+
+
+def apply_checked_edits(honest_sets, edits, f):
+    out = {i: list(xs) for i, xs in honest_sets.items()}
+    size = 1 << SETS_FUZZ_PARAMS.n
+    for op, pos in edits:
+        if not out:
+            break
+        keys = list(out)
+        band = keys[pos % len(keys)]
+        held = {x for xs in out.values() for x in xs}
+        if op == "reorder":
+            out[band].reverse()
+        elif op == "outside":  # in place of the first element; none at m = 0
+            out[band][:1] = [x for x in range(size) if f.eval(x) != 0][:1]
+        elif op == "empty":
+            out[band].clear()
+        elif op == "grow":  # pos + 1 more zero-set elements that no set holds
+            out[band].extend([x for x in range(size) if f.eval(x) == 0 and x not in held][: pos + 1])
+        elif op == "share":  # an element another band holds
+            out[band].extend([x for i in keys if i != band for x in out[i] if x not in out[band]][:1])
+    return out
+
+
+class TestSetsEditFuzz:
+    def test_edited_honest_answers_reach_every_check(self):
+        """Well-formed edits of the honest sets get past the shape checks, so
+        seeded runs end in check (a), (b), (c) rejects and in outputs; the
+        oracles agree on each message and give each run's outcome positive
+        mass."""
+        params = SETS_FUZZ_PARAMS
+        reached = Counter()
+
+        @given(checked_edits())
+        @settings(
+            max_examples=60, deadline=None, derandomize=True, database=None,
+            suppress_health_check=[HealthCheck.too_slow],
+        )
+        def run(edits):
+            def sets(s, k, f, g, m):
+                return apply_checked_edits(SETS_FUZZ_HONEST.produce_sets(s, k, f, g, m), edits, f)
+
+            prover = scripted_sets_prover(params, sets)
+            exact = assert_oracles_agree(params, prover)
+            for seed in range(4):
+                tr = run_protocol(params, prover, rng=random.Random(seed))
+                assert replay(params, prover, tr).to_json() == tr.to_json()
+                out = tr.outcome
+                if out.kind == "output":
+                    assert exact.outputs.get((out.x, out.band, out.p), 0) > 0
+                else:
+                    assert exact.reject_by_reason.get(out.reason, 0) > 0
+                reached[out.reason or out.kind] += 1
+
+        run()
+        assert {"output", "check-a", "check-b", "check-c"} <= reached.keys(), reached
+        assert "malformed-sets" not in reached
 
 
 # Set sizes at the edges of check (b)'s window [lo, hi]: just outside it and

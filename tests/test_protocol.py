@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from coinpress import protocol
 from coinpress.dist import ExplicitDistribution, buckets, build_histogram
-from coinpress.hashing import HashFunction, sample_hash
+from coinpress.hashing import HashFunction, members_sharing_rows, sample_hash
 from coinpress.protocol import (
     MODE_RAW,
     MODE_TRIVIAL,
@@ -20,6 +20,7 @@ from coinpress.protocol import (
     DegenerateChoiceError,
     ProtocolParams,
     ProverStrategy,
+    ZeroSetMemo,
     band_mass_sum,
     challenge_width,
     check_sets,
@@ -100,6 +101,28 @@ class TestDeriveParams:
     def test_digest_stable(self):
         assert tiny_params().digest() == tiny_params().digest()
         assert tiny_params().digest() != tiny_params(t=8).digest()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(eps=5e-324, delta=0.5),
+            dict(eps=5e-324, delta=0.5, t=6, gap_size=1, interval_size=2, sampling_gap=1.0),
+            dict(eps=1e-300, delta=1e-20),
+            dict(eps=1.0, delta=5e-324),
+        ],
+        ids=["eps", "eps-all-given", "eps-and-delta", "delta"],
+    )
+    def test_constants_past_a_double_are_a_value_error(self, kwargs):
+        """Below about eps = 1e-308, or delta that small, the raw gap and
+        interval sizes overflow a double; that is a ValueError, not an
+        OverflowError from taking the ceiling of infinity."""
+        with pytest.raises(ValueError, match="overflows a double"):
+            ProtocolParams.raw(n=3, **kwargs)
+
+    def test_tiny_eps_whose_constants_fit_still_builds(self):
+        params = ProtocolParams.raw(n=3, eps=1e-300, delta=0.5)
+        assert math.isfinite(params.interval_size_raw)
+        assert params.t == math.ceil(6 / 1e-300)
 
 
 class TestWeightedChoice:
@@ -554,6 +577,90 @@ class TestRunProtocol:
             outputs += out.kind == "output"
             rejects += out.kind == "reject"
         assert outputs + rejects == 500
+
+
+def with_rows(f, rows):
+    """A HashFunction equal to f but holding the tuple ``rows``, built as
+    ``members_sharing_rows`` builds members, so its type is exactly
+    HashFunction."""
+    g = object.__new__(HashFunction)
+    g.__dict__.update(vars(f), rows=rows)
+    return g
+
+
+class TestZeroSetMemo:
+    @staticmethod
+    def planner():
+        """A sets answer reading f only through its zero set over [0, 16),
+        and the list of (s, k, c) it was worked out for."""
+        planned = []
+
+        def choose(s, k, f, g, m):
+            planned.append((s, k, f.c))
+            return {k: [x for x in range(16) if f.eval(x) == 0]}
+
+        return choose, planned
+
+    def test_answers_once_per_zero_set_of_the_current_rows(self):
+        memo = ZeroSetMemo()
+        choose, planned = self.planner()
+        members = members_sharing_rows(4, 2, 3, 5)
+        for f in members:
+            for k in (0, 1):
+                assert memo.sets(choose, 0, k, f, 1.0, 2) == choose(0, k, f, 1.0, 2)
+        del planned[:]
+        # c = 0 .. 3 hold the four zero sets; c >= 4 repeats them
+        for f in members:
+            memo.sets(choose, 0, 1, f, 1.0, 2)
+        assert planned == []
+
+    def test_a_new_rows_tuple_clears_the_memo(self):
+        """Rows are compared by identity: an equal tuple that is another
+        object is planned afresh, and so is the first tuple after it."""
+        memo = ZeroSetMemo()
+        choose, planned = self.planner()
+        f = HashFunction(n=4, m=2, a=3, b=5, c=1)
+        twin = with_rows(f, tuple(list(f.rows)))
+        assert twin.rows == f.rows and twin.rows is not f.rows
+        for h in (f, f, twin, twin, f):
+            memo.sets(choose, 0, 1, h, 1.0, 2)
+        assert planned == [(0, 1, 1)] * 3
+
+    def test_a_freed_rows_tuple_cannot_alias_the_next(self):
+        """The memo holds the rows tuple it keys by, so a tuple freed by
+        everyone else cannot hand its id to the next one."""
+        memo = ZeroSetMemo()
+        choose, planned = self.planner()
+        f = HashFunction(n=4, m=2, a=3, b=5, c=1)
+        other = HashFunction(n=4, m=2, a=9, b=2, c=1)
+        assert other.rows != f.rows
+        for _ in range(20):
+            # a fresh copy of f's rows, referenced only by the memo once
+            # the loop drops it, then a fresh copy of other's rows
+            memo.sets(choose, 0, 1, with_rows(f, tuple(list(f.rows))), 1.0, 2)
+            h = with_rows(other, tuple(list(other.rows)))
+            assert memo.sets(choose, 0, 1, h, 1.0, 2) == choose(0, 1, h, 1.0, 2)
+
+    def test_every_call_returns_fresh_lists(self):
+        memo = ZeroSetMemo()
+        choose, planned = self.planner()
+        f = HashFunction(n=4, m=0, a=0, b=0, c=0)
+        first = memo.sets(choose, 0, 1, f, 1.0, 0)
+        first[1].append(99)
+        first[7] = [1]
+        assert memo.sets(choose, 0, 1, f, 1.0, 0) == {1: list(range(16))}
+        assert len(planned) == 1
+
+    def test_other_hash_types_are_answered_directly(self):
+        class Subclass(HashFunction):
+            pass
+
+        memo = ZeroSetMemo()
+        choose, planned = self.planner()
+        f = Subclass(n=4, m=2, a=3, b=5, c=1)
+        for _ in range(3):
+            assert memo.sets(choose, 0, 1, f, 1.0, 2) == choose(0, 1, f, 1.0, 2)
+        assert len(planned) == 6
 
 
 class TestHonestProver:
