@@ -1,11 +1,16 @@
 """Canonical cheating provers and the scripted prover used by tests.
 
 The mixture prover draws one of several distributions and plays honestly
-for it; the rejecting prover forces a round-1 rejection with some
-probability; the inflating prover shifts its reported histogram toward
-smaller claimed probabilities and pads its sets to survive the cardinality
-check. A randomized prover is its ``randomness_support``, which the exact
-oracle enumerates; a trial draws one strategy up front with
+for it; the rejecting prover is a mixture whose residual weight sends no
+histogram at all (``ScriptedProver({})``), which round 1 rejects. The
+inflating prover shifts its reported histogram toward smaller claimed
+probabilities and pads its sets to survive the cardinality check; the
+overlapping-sets prover smuggles one element into every set. Both start
+from honest play, so both subclass ``protocol.HonestProver``: they inherit
+its width check, its true histogram, its fallback table, its read of the
+verifier's compiled challenges and its ``ZeroSetMemo``, and override only
+what they change. A randomized prover is its ``randomness_support``, which
+the exact oracle enumerates; a trial draws one strategy up front with
 ``reseeded(seed)``. The verifier checks the sets as recorded.
 """
 
@@ -25,26 +30,8 @@ from coinpress.protocol import (
     HonestProver,
     ProtocolParams,
     ProverStrategy,
-    ZeroSetMemo,
     cumulative_weights,
-    validate_histogram_message,
 )
-
-
-class RejectNowProver(ProverStrategy):
-    """Sends no histogram (None), which round 1 rejects as malformed."""
-
-    def produce_histogram(self):
-        return None
-
-    def produce_sets(self, s, k, f, g, m):
-        return None
-
-    def produce_probability(self, j, x):
-        return Fraction(0)
-
-    def produce_table(self):
-        return None
 
 
 class MixtureProver(ProverStrategy):
@@ -52,8 +39,9 @@ class MixtureProver(ProverStrategy):
 
     ``components`` is a list of (weight, distribution) pairs whose weights
     sum to at most 1; the residual weight is an outright rejection (the
-    prover sends a histogram that cannot pass round 1). The component is
-    drawn by ``CoinSource.pick`` when the prover is built or ``reseeded``.
+    prover sends no histogram, as ``ScriptedProver({})`` does). The
+    component is drawn by ``CoinSource.pick`` when the prover is built or
+    ``reseeded``.
     """
 
     def __init__(
@@ -73,7 +61,7 @@ class MixtureProver(ProverStrategy):
             (Fraction(q), HonestProver(dist, params)) for q, dist in components
         ]
         self.residual = 1 - total
-        self._reject = RejectNowProver()
+        self._reject = ScriptedProver({})
         self._strategies = [strat for _, strat in self.components] + [self._reject]
         self._draw = cumulative_weights(weights + [self.residual])
         self._active = self._pick(seed)
@@ -123,7 +111,7 @@ def rejecting_prover(
     return MixtureProver([(1 - reject_prob, dist)], seed, params)
 
 
-class InflatingProver(ProverStrategy):
+class InflatingProver(HonestProver):
     """Reports every band shifted toward smaller claimed probabilities.
 
     Band mass at index i is claimed at index i + shift, so claimed
@@ -132,34 +120,29 @@ class InflatingProver(ProverStrategy):
     spare elements that hash to the zero target, so the cardinality check
     passes whenever enough spares exist. A stress strategy for soundness
     diagnostics; ``inflating_prover`` plays shift 0 with the honest prover.
-    Each challenge's plan takes its active bands and check (b)'s windows
-    from the verifier's compiled tables for the claimed histogram. The
-    claimed histogram, the buckets and the plans are built on first read,
-    as the honest prover's are. Each bucket, and the spare pool of all
-    2**n inputs, is hashed in one ``eval_batch`` call on its bit planes.
-    Each answer is worked out once per challenge and zero set of the
-    current hash rows (``ZeroSetMemo``); at m = 0, where every input hashes
-    to the zero target, that is once per challenge.
+    The claimed histogram, the plans, the sets and the claims override the
+    honest prover's; the rest is inherited, including the verifier's
+    compiled contexts for the histogram sent (``_challenges``), from which
+    each challenge's plan takes its active bands and check (b)'s windows,
+    and the memo (``ZeroSetMemo``). The claimed histogram, the buckets and
+    the plans are built on first read. Each bucket, and the spare pool of
+    all 2**n inputs, is hashed in one ``eval_batch`` call on its bit planes.
+    Members and spares are both filtered by f(x) == 0, so the inherited
+    ``depends_on_hash_zero_set`` holds.
     """
-
-    # Members and spares are both filtered by f(x) == 0.
-    depends_on_hash_zero_set = True
 
     def __init__(self, dist: ExplicitDistribution, shift: int, params: ProtocolParams):
         if shift < 1:
             raise ValueError("shift must be at least 1")
         if params.n > 16:
             raise ValueError("inflating prover enumerates {0,1}^n; needs n <= 16")
+        super().__init__(dist, params)
         self.shift = shift
-        self.params = params
-        self.dist = dist
-        self._honest = HonestProver(dist, params)
-        self._memo = ZeroSetMemo()
 
     @functools.cached_property
     def claimed_weights(self) -> tuple[Fraction, ...]:
         # mass shifted past band t is dropped
-        shifted = (Fraction(0),) * self.shift + self._honest.histogram.weights
+        shifted = (Fraction(0),) * self.shift + self.histogram.weights
         return shifted[: self.params.t + 1]
 
     @functools.cached_property
@@ -181,20 +164,21 @@ class InflatingProver(ProverStrategy):
         """(s, k) -> per active band of that challenge, in order: the true
         members claimed there with their planes, and the smallest and
         largest set sizes inside its check (b) window."""
-        tables = validate_histogram_message(self.claimed_weights, self.params)[0]
         empty = ([], BitPlanes.of([], self.params.n))
         return {
             key: tuple(
                 (i, self._true_buckets.get(i - self.shift, empty), max(0, math.ceil(lo)), math.floor(hi))
                 for i, (lo, hi) in zip(ctx.active, ctx.windows)
             )
-            for key, ctx in (tables.challenges if tables else {}).items()
+            for key, ctx in self._challenges.items()
         }
 
     def produce_histogram(self):
         return self.claimed_weights
 
     def produce_sets(self, s, k, f, g, m):
+        # The honest prover's front door, defined again so that per-class
+        # instrumentation (perfbench's tracer) tells the two apart.
         return self._memo.sets(self._choose_sets, s, k, f, g, m)
 
     def _choose_sets(self, s, k, f, g, m):
@@ -224,15 +208,36 @@ class InflatingProver(ProverStrategy):
         # as the exact value of its double approximation.
         return Fraction(pow2(-j * self.params.eps))
 
-    def produce_table(self):
-        return self._honest.produce_table()
-
 
 def inflating_prover(dist: ExplicitDistribution, shift: int, params: ProtocolParams) -> ProverStrategy:
     """The inflating prover for ``shift``; shift 0 is the honest prover."""
     if shift == 0:
         return HonestProver(dist, params)
     return InflatingProver(dist, shift, params)
+
+
+class OverlappingSetsProver(HonestProver):
+    """Honest play, but every set also smuggles in the first bucket member.
+
+    With more than one live band in an interval this violates pairwise
+    disjointness and must be caught by the set checks. Only the sets
+    differ from the honest prover's, and they read f only through its
+    filter, so its memo answers them once per zero set too.
+    """
+
+    def _choose_sets(self, s, k, f, g, m):
+        out = super()._choose_sets(s, k, f, g, m)
+        donors = [xs[0] for xs in out.values() if xs]
+        if donors:
+            for i in out:
+                if donors[0] not in out[i]:
+                    out[i] = sorted(out[i] + [donors[0]])
+        return out
+
+
+def overlapping_sets_prover(dist: ExplicitDistribution, params: ProtocolParams) -> OverlappingSetsProver:
+    """The overlapping-sets prover for ``dist``."""
+    return OverlappingSetsProver(dist, params)
 
 
 class ScriptedProver(ProverStrategy):
@@ -269,37 +274,6 @@ class ScriptedProver(ProverStrategy):
 
     def produce_table(self):
         return self._lookup("table")
-
-
-def overlapping_sets_prover(dist: ExplicitDistribution, params: ProtocolParams) -> ScriptedProver:
-    """Honest histogram, but every set also smuggles in the first bucket member.
-
-    With more than one live band in an interval this violates pairwise
-    disjointness and must be caught by the set checks.
-    """
-    honest = HonestProver(dist, params)
-
-    def smuggled(s, k, f, g, m):
-        out = honest.produce_sets(s, k, f, g, m)
-        donors = [xs[0] for xs in out.values() if xs]
-        if donors:
-            for i in out:
-                if donors[0] not in out[i]:
-                    out[i] = sorted(out[i] + [donors[0]])
-        return out
-
-    prover = ScriptedProver(
-        {
-            "histogram": honest.produce_histogram(),
-            "sets": functools.partial(ZeroSetMemo().sets, smuggled),
-            "probability": lambda j, x: honest.produce_probability(j, x),
-            "table": honest.produce_table(),
-        }
-    )
-    # The sets read f only through the honest prover's filter, and are
-    # answered once per zero set of the current hash rows.
-    prover.depends_on_hash_zero_set = True
-    return prover
 
 
 # ---------------------------------------------------------------------------

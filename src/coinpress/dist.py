@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
@@ -191,6 +192,8 @@ def build_histogram(dist: ExplicitDistribution, eps: float, t: int) -> Histogram
         raise ValueError(f"eps {eps} outside (0, 1]")
     if t < 1:
         raise ValueError("t must be at least 1")
+    if t + 1 > sys.maxsize:
+        raise ValueError("t is too large: its t + 1 bands cannot be indexed")
     weights = [Fraction(0)] * (t + 1)
     dropped = Fraction(0)
     for x, p in dist.mass.items():
@@ -262,6 +265,8 @@ def interval_layout(t: int, gap_size: int, interval_size: int) -> IntervalLayout
         )
     if t < 1:
         raise InvalidLayoutError("t must be at least 1")
+    if t + 1 > sys.maxsize:
+        raise InvalidLayoutError("t is too large: its t + 1 bands cannot be indexed")
     shifts = tuple(c * g - 1 for c in range(iv // g + 1))
     k_max = -(-t // (iv + g))  # ceil
     index_range = tuple(range(k_max + 1))

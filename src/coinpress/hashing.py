@@ -20,7 +20,6 @@ recorded transcripts.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -86,14 +85,6 @@ def gf2n_inv(a: int, n: int) -> int:
     return gf2n_pow(a, 2**n - 2, n)
 
 
-# Family order varies c innermost, so the members sharing (a, b), and with
-# them the rows, come in runs of 2**n that ``members_sharing_rows`` builds
-# from one lookup; random draws miss the cache and keep at most this many
-# tuples alive.
-ROW_CACHE_SIZE = 16
-
-
-@functools.lru_cache(maxsize=ROW_CACHE_SIZE)
 def row_masks(n: int, m: int, a: int, b: int) -> tuple[int, ...]:
     """The m row masks of x -> a*x^2 + b*x: output bit r is the parity of
     ``x & rows[r]``. They do not depend on c."""

@@ -448,9 +448,9 @@ class ProverStrategy:
     # True when ``produce_sets`` reads the hash f only through its zero set
     # {x in [0, 2**n) : f(x) = 0}. The exact oracle then asks once per
     # distinct zero set, weighted by how many hash functions share it,
-    # instead of once per hash function. The bundled provers that declare
-    # it work out each answer once per zero set of the current hash rows
-    # (``ZeroSetMemo``), at most 2**m answers per challenge. The flat
+    # instead of once per hash function. ``HonestProver`` and the provers
+    # built on it work out each answer once per zero set of the current
+    # hash rows (``ZeroSetMemo``), at most 2**m answers per challenge. The flat
     # cross-check ignores the flag and asks about every function, but
     # checks each distinct answer once per zero set: per (a, b) when m > 0,
     # and once per sweep at m = 0, where the zero set is the whole domain.
@@ -492,7 +492,9 @@ class ZeroSetMemo:
     2**m per challenge). The members of one (a, b) share one tuple
     (``members_sharing_rows``), and every member at m = 0 has the rows
     ``()``. Any other f, such as a subclass or a test double, is answered
-    directly. Every call returns a fresh dict of fresh lists.
+    directly. Every call returns a fresh dict of fresh lists. Each
+    ``HonestProver``, and so each prover built on it, holds one, and its
+    ``produce_sets`` asks it first.
     """
 
     __slots__ = ("_rows", "_answers")
@@ -531,11 +533,15 @@ class HonestProver(ProverStrategy):
     occupies ``support[offsets[k]:offsets[k + 1]]``, so the bands of any
     interval form one contiguous slice, hashed in one ``eval_batch`` call
     on the same slice of the planes, and planned per challenge from the
-    verifier's compiled ``ChallengeContext`` for this prover's histogram.
-    The histogram, the banding, the planes and the plans are built on
-    first read: a fallback run reads only ``produce_table``, and its t can
-    reach millions of bands. Each answer is worked out once per challenge
-    and zero set of the current hash rows (``ZeroSetMemo``).
+    verifier's compiled ``ChallengeContext`` for this prover's histogram
+    message (``_challenges``). The histogram, the banding, the planes and
+    the plans are built on first read: a fallback run reads only
+    ``produce_table``, and its t can reach millions of bands. Each answer
+    is worked out once per challenge and zero set of the current hash rows
+    (``ZeroSetMemo``); at m = 0 the rows are ``()`` for every hash and the
+    batch keeps every input, so that is once per challenge. The cheating
+    provers in ``adversaries`` that start from honest play subclass this
+    one and override only what they change.
     """
 
     depends_on_hash_zero_set = True
@@ -565,15 +571,21 @@ class HonestProver(ProverStrategy):
         return BitPlanes.of(self._banding[2], self.params.n)
 
     @functools.cached_property
+    def _challenges(self) -> dict[tuple[int, int], ChallengeContext]:
+        """The verifier's compiled contexts, per (s, k), for this prover's
+        histogram message; empty when round 1 rejects it."""
+        tables = validate_histogram_message(self.produce_histogram(), self.params)[0]
+        return tables.challenges if tables else {}
+
+    @functools.cached_property
     def _plans(self) -> dict[tuple[int, int], tuple]:
         """(s, k) -> what ``produce_sets`` needs of that challenge besides
         f: its active bands, the support slice holding the interval's bands
         and its planes, and each active band's cut of that slice. Only
         challenges with an active band have a plan."""
-        tables = validate_histogram_message(self.histogram.weights, self.params)[0]
         bands, offsets, support = self._banding
         plans = {}
-        for key, ctx in (tables.challenges if tables else {}).items():
+        for key, ctx in self._challenges.items():
             if not ctx.active:
                 continue
             first = bisect.bisect_left(bands, ctx.interval[0])
@@ -599,10 +611,6 @@ class HonestProver(ProverStrategy):
             return {}
         active, block, planes, cuts = plan
         out = {i: [] for i in active}
-        if not f.rows:  # m = 0: every input hashes to the zero target
-            for i, a, b in cuts:
-                out[i] = block[a:b]
-            return out
         keep = f.eval_batch(planes)
         for i, a, b in cuts:
             out[i] = [block[a + j] for j in set_bits((keep >> a) & ((1 << (b - a)) - 1))]

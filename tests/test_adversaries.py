@@ -1,6 +1,7 @@
 """Cheating-prover behavior, checked against the exact oracle."""
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -343,6 +344,34 @@ def drawable_challenges(strat, params):
     if tables is None:
         return []
     return [(s, k, ctx.g, ctx.m) for (s, k), ctx in tables.challenges.items() if ctx.m <= params.n]
+
+
+N4_ANSWER_DIGESTS = {
+    "honest": "08c4fc5b71fa72887cfa1db8b39ba12bc69cac49422ac0234ba065b67901b936",
+    "overlapping": "af3d910736c10ecee89d7ec1e659eb9de2c0eff41bd1eda836a4090f5c9af079",
+}
+
+
+@pytest.mark.parametrize("label", sorted(N4_ANSWER_DIGESTS))
+def test_n4_answers_pinned(label):
+    """Every answer of the prover over the whole n=4 family, at each
+    challenge the verifier can draw, on the oracle-n4 configs (sampling gap
+    1, where every challenge hashes to m = 0) and at sampling gap 0 (which
+    reaches m > 0); the digests were computed before these provers were
+    built on ``HonestProver``'s plans."""
+    make = {"honest": HonestProver, "overlapping": overlapping_sets_prover}[label]
+    digest = hashlib.sha256()
+    for eps, sampling_gap in itertools.product((1.0, 0.5), (1.0, 0.0)):
+        params = ProtocolParams.raw(
+            n=4, eps=eps, delta=0.5, t=8, gap_size=1, interval_size=2, sampling_gap=sampling_gap,
+        )
+        dist = ExplicitDistribution(n=4, mass=dict(zip(random.Random(7).sample(range(16), 5), MEMO_MASSES)))
+        prover = make(dist, params)
+        for s, k, g, m in sorted(drawable_challenges(prover, params)):
+            for a, b, c in family(params.n):
+                sets = prover.produce_sets(s, k, HashFunction(n=params.n, m=m, a=a, b=b, c=c), g, m)
+                digest.update(repr((s, k, a, b, c, list(sets.items()))).encode())
+    assert digest.hexdigest() == N4_ANSWER_DIGESTS[label]
 
 
 class TestZeroSetMemo:

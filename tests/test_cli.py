@@ -299,3 +299,17 @@ def test_eps_past_a_double_is_a_config_error(workspace, capsys, given):
     assert main(["oracle", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "overflows a double" in err
+
+
+@pytest.mark.parametrize("command", ["sample", "oracle"])
+def test_t_past_an_index_is_a_config_error(workspace, capsys, command):
+    """An eps whose raw constants fit a double can still derive a t with
+    more bands than a list can index (here t = ceil(6 / 1e-300)). Building
+    the histogram or the layout is a config error, not a traceback."""
+    path = workspace / "tiny-eps.json"
+    path.write_text(json.dumps({
+        "distribution": "dist.json", "params": {"mode": "raw", "n": 3, "eps": 1e-300, "delta": 0.5},
+    }))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cannot be indexed" in err

@@ -721,8 +721,9 @@ class TestHonestProver:
 
     @pytest.mark.parametrize("n", [4, 16])
     def test_m_zero_sets_match_scalar_filter(self, n):
-        """At m = 0 the sets skip hashing; they still equal the scalar
-        filter, and editing one answer leaves the next one whole."""
+        """At m = 0 the hash has no rows, so its batch keeps every input;
+        the sets equal the scalar filter, and editing one answer leaves the
+        next one whole."""
         rng = random.Random(n)
         if n == 16:
             dist, params = self.n16_instance(rng)
