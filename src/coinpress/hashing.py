@@ -9,8 +9,11 @@ enumerable for tiny n, which the verification helpers below exploit.
 
 Everything is pure Python. Evaluation goes one input at a time by parity
 masks, or a batch held as bit planes (``BitPlanes``), so the whole batch
-is hashed by xors of its planes. The exhaustive self-check counts members
-through the field arithmetic; the tests hold a vectorized reference for it.
+is hashed by xors of its planes. Whether a whole list hashes to the
+all-zero target is answered without transposing it, on the list packed
+into one int of fixed-width lanes (``HashFunction.zero_on``). The
+exhaustive self-check counts members through the field arithmetic; the
+tests hold a vectorized reference for it.
 
 Field elements are Python ints holding polynomial bitmasks. Each width n
 uses a fixed reduction polynomial (the smallest irreducible of degree n);
@@ -21,6 +24,7 @@ recorded transcripts.
 from __future__ import annotations
 
 import itertools
+import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -48,6 +52,24 @@ IRREDUCIBLE_POLY = {
     59: 0x80000000000007b, 60: 0x1000000000000003, 61: 0x2000000000000027,
     62: 0x4000000000000069, 63: 0x8000000000000003, 64: 0x1000000000000001b,
 }
+
+# Lane width w, ``struct`` format code and xor-fold shifts per input width
+# n, for packing n-bit inputs side by side into one int (``zero_on``): w is
+# the smallest of 8, 16, 32 and 64 that holds n bits, the code's standard
+# size is w / 8 bytes (the tests assert these sizes), and the shifts w/2,
+# ..., 1 take the parity of each lane down to its lowest bit. struct rather
+# than array: the program already loads struct, and array's extension
+# module would add to every process's memory.
+_LANE_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def _lane(n: int) -> tuple[int, str, tuple[int, ...]]:
+    w = min(w for w in _LANE_CODES if w >= n)
+    return w, _LANE_CODES[w], tuple(w >> k for k in range(1, w.bit_length()))
+
+
+LANES = {n: _lane(n) for n in range(1, MAX_BITS + 1)}
+
 
 class WidthError(ValueError):
     """Raised when requested input/output widths are out of range."""
@@ -172,8 +194,10 @@ class HashFunction:
 
     Squaring is the Frobenius map, so x -> a*x^2 + b*x is linear over GF(2)
     and output bit r is the parity of ``x & rows[r]`` xor bit r of c. The
-    row masks come from ``row_masks`` at construction; inputs must lie in
-    [0, 2**n).
+    row masks come from ``row_masks`` at construction; inputs must be
+    exact ints (or bools) in [0, 2**n). ``eval`` hashes one input,
+    ``eval_batch`` a batch held as bit planes, and ``zero_on`` answers
+    whether a whole list hashes to the all-zero target.
     """
 
     n: int
@@ -202,6 +226,26 @@ class HashFunction:
         for r, ones in enumerate(output_planes(self.rows, planes)):
             keep &= ones if self.c_low >> r & 1 else ~ones
         return keep
+
+    def zero_on(self, xs: Sequence[int]) -> bool:
+        """Whether every input of ``xs`` hashes to the all-zero target, as
+        ``all(self.eval(x) == 0 for x in xs)``.
+
+        The inputs are packed side by side into one int, in lanes of the
+        ``LANES`` width w. Per row, each lane is masked by the row and
+        xor-folded onto its lowest bit, so bit 0 of every lane is that
+        input's output bit; all of them must equal bit r of c."""
+        w, code, folds = LANES[self.n]
+        packed = int.from_bytes(struct.pack(f"<{len(xs)}{code}", *xs), "little")
+        ones = ((1 << (w * len(xs))) - 1) // ((1 << w) - 1)  # bit 0 of every lane
+        c_low = self.c_low
+        for r, row in enumerate(self.rows):
+            v = packed & (row * ones)
+            for s in folds:
+                v ^= v >> s
+            if v & ones != (ones if c_low >> r & 1 else 0):
+                return False
+        return True
 
     def to_json_obj(self) -> dict:
         return {

@@ -29,7 +29,10 @@ snapshots each answer as it is returned (``marshal``, which keeps exact
 types), counts equal snapshots per zero set, and checks every distinct one
 in full: per (a, b) when m > 0, and once per sweep at m = 0, where every
 member's zero set is the whole domain. Tests fail the build if they
-disagree.
+disagree. Both read set elements by the one rule of
+``protocol.exact_ints``; the flat one keeps its zero sets from scalar
+``eval``, so check (a)'s ``HashFunction.zero_on`` kernel is checked
+against an independent path.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from typing import Optional
 
 from coinpress.dist import TAU, buckets, build_histogram, fraction_to_str, pow2
@@ -57,6 +59,7 @@ from coinpress.protocol import (
     VerifierTables,
     check_sets,
     compute_live_bands,
+    exact_ints,
     finalize,
     parse_sets,
     parse_table,
@@ -670,13 +673,15 @@ def _flat_read(sets, active, active_set):
 def _flat_check(read, windows, size, zeros, set_cap):
     """The sets of the active bands in order, each sorted, when every check
     passes on ``read`` (``_flat_read``'s tuple); else None. ``windows``
-    holds check (b)'s widened bounds per active band, elements must lie
-    below ``size``, and check (a) asks that they all lie in ``zeros``, the
-    hash function's zero set."""
+    holds check (b)'s widened bounds per active band, elements are read as
+    the verifier reads them (``exact_ints``) and must lie below ``size``,
+    and check (a) asks that they all lie in ``zeros``, the hash function's
+    zero set."""
     norm = []
     total = 0
     for xs in read:
-        if not all(map(isinstance, xs, repeat(int))):
+        xs = exact_ints(xs)
+        if xs is None:
             return None
         xs = sorted(xs)
         if xs and (xs[0] < 0 or xs[-1] >= size) or len(set(xs)) != len(xs):

@@ -843,6 +843,25 @@ def check_b_window(i: int, w_f: float, m: int, g: float, z: float, eps: float) -
     return lo, hi
 
 
+# Element types whose comparisons, hashing and bit operations are int's own:
+# bool cannot be subclassed, so no prover code runs in them.
+_EXACT_INT_TYPES = frozenset((int, bool))
+
+
+def exact_ints(xs):
+    """The elements of a sets entry as the verifier reads them: xs itself
+    when every element is an int or a bool, else a list with each other
+    int subclass replaced by its exact int value. The value is read by
+    ``int.__index__``, which copies the int without calling any method the
+    subclass defines. None when an element is not an int."""
+    if set(map(type, xs)) <= _EXACT_INT_TYPES:
+        return xs
+    try:
+        return [x if type(x) is bool else int.__index__(x) for x in xs]
+    except TypeError:
+        return None
+
+
 def check_sets(sets, f: HashFunction, ctx: ChallengeContext, params: ProtocolParams):
     """Validate the sets message as ``parse_sets`` records it, under the
     drawn hash f; returns (normalized sets, reject reason).
@@ -851,6 +870,12 @@ def check_sets(sets, f: HashFunction, ctx: ChallengeContext, params: ProtocolPar
     (a) every listed element hashes to the all-zero target, (b) every
     set's size lies in its ``ctx.windows`` entry, and (c) the sets are
     pairwise disjoint. Real-valued bounds in (b) are widened by TAU.
+
+    Only exact ints and bools are compared as they stand: an entry holding
+    any other element is read through ``exact_ints`` first, so no method
+    of a prover's int subclass runs, and an exact value outside [0, 2**n)
+    is malformed. Check (a) is one ``HashFunction.zero_on`` call over the
+    elements of every active band, and evaluates nothing at m = 0.
     """
     if sets is None or sets.keys() != set(ctx.active):
         return None, REJECT_MALFORMED_SETS
@@ -858,19 +883,21 @@ def check_sets(sets, f: HashFunction, ctx: ChallengeContext, params: ProtocolPar
     total = 0
     for i in ctx.active:
         xs = sets[i]
-        if any((not isinstance(x, int)) or x < 0 or (x >> params.n) for x in xs):
-            return None, REJECT_MALFORMED_SETS
+        # Exact ints and bools in range pass the first test as they stand;
+        # an entry with any other element is read through exact_ints.
+        if any(type(x) not in _EXACT_INT_TYPES or x < 0 or (x >> params.n) for x in xs):
+            xs = exact_ints(xs)
+            if xs is None or any(x < 0 or (x >> params.n) for x in xs):
+                return None, REJECT_MALFORMED_SETS
         if len(set(xs)) != len(xs):
             return None, REJECT_MALFORMED_SETS
         normalized[i] = tuple(sorted(xs))
         total += len(xs)
     if total > params.set_cap:
         return None, REJECT_OVERSIZE
-    if f.rows:  # with no rows (m = 0) every input hashes to the zero target
-        for i in ctx.active:
-            for x in normalized[i]:
-                if f.eval(x) != 0:
-                    return None, REJECT_CHECK_A
+    # with no rows (m = 0) every input hashes to the zero target
+    if f.rows and not f.zero_on(list(itertools.chain.from_iterable(normalized.values()))):
+        return None, REJECT_CHECK_A
     for i, (lo, hi) in zip(ctx.active, ctx.windows):
         if not (lo * (1.0 - TAU) <= len(normalized[i]) <= hi * (1.0 + TAU)):
             return None, REJECT_CHECK_B

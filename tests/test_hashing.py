@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import struct
+
 from coinpress.hashing import (
     IRREDUCIBLE_POLY,
+    LANES,
     BitPlanes,
     HashFunction,
     WidthError,
@@ -240,6 +243,85 @@ class TestHashFunction:
         h = HashFunction(n=12, m=3, a=0xABC, b=1, c=0)
         obj = h.to_json_obj()
         assert obj == {"n": 12, "m": 3, "a": "abc", "b": "001", "c": "000"}
+
+
+def zero_set_sample(f, count, rng):
+    """count random elements of f's zero set, or [] when it is empty. The
+    zero set is the solution set of the GF(2) system parity(x & rows[r]) =
+    bit r of c_low; the rows are put in reduced echelon form, so each pivot
+    bit occurs in its own row only and is set after the free bits."""
+    pivots = []  # (pivot bit, row, right-hand side)
+    for r, row in enumerate(f.rows):
+        rhs = f.c_low >> r & 1
+        for bit, prow, prhs in pivots:
+            if row >> bit & 1:
+                row, rhs = row ^ prow, rhs ^ prhs
+        if not row:
+            if rhs:
+                return []
+            continue
+        bit = row.bit_length() - 1
+        pivots = [
+            (pb, prow ^ row, prhs ^ rhs) if prow >> bit & 1 else (pb, prow, prhs)
+            for pb, prow, prhs in pivots
+        ]
+        pivots.append((bit, row, rhs))
+    out = []
+    for _ in range(count):
+        x = rng.getrandbits(f.n)
+        for bit, row, rhs in pivots:
+            x &= ~(1 << bit)
+            if (x & row).bit_count() & 1 != rhs:
+                x |= 1 << bit
+        out.append(x)
+    return out
+
+
+# Input widths at and around each lane boundary of ``LANES``.
+LANE_EDGE_WIDTHS = [1, 3, 8, 9, 16, 17, 32, 33, 64]
+
+
+class TestZeroOn:
+    def test_lane_table(self):
+        """Each width packs into the smallest lane of 8, 16, 32 or 64 bits
+        that holds it, and the little-endian struct code has that lane's
+        size, which the packing relies on."""
+        for n in range(1, 65):
+            w, code, folds = LANES[n]
+            assert w in (8, 16, 32, 64) and n <= w and (w == 8 or n > w // 2)
+            assert struct.calcsize("<" + code) * 8 == w
+            assert folds == tuple(w >> k for k in range(1, w.bit_length())) and folds[-1] == 1
+
+    @pytest.mark.parametrize("n", LANE_EDGE_WIDTHS)
+    def test_matches_scalar_eval(self, n):
+        """For every m, zero_on equals all(eval(x) == 0) on the empty list,
+        single elements, the top element 2**n - 1, zero-set elements, and
+        zero-set elements with one stranger among them."""
+        rng = random.Random(n)
+        top = (1 << n) - 1
+        for m in range(n + 1):
+            for _ in range(3):
+                h = sample_hash(n, m, rng)
+                zeros = zero_set_sample(h, 12, rng)
+                assert all(h.eval(x) == 0 for x in zeros)
+                stranger = rng.getrandbits(n)
+                mixed = zeros[:]
+                mixed.insert(rng.randrange(len(mixed) + 1), stranger)
+                lists = [[], [top], [0], [stranger], zeros, zeros[:1], mixed, zeros + [top]]
+                for xs in lists:
+                    assert h.zero_on(xs) == all(h.eval(x) == 0 for x in xs), (m, xs)
+                if zeros:
+                    assert h.zero_on(zeros)
+
+    @given(st.sampled_from(LANE_EDGE_WIDTHS), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_lists(self, n, data):
+        m = data.draw(st.integers(0, n))
+        a, b, c = (data.draw(st.integers(0, (1 << n) - 1)) for _ in range(3))
+        h = HashFunction(n=n, m=m, a=a, b=b, c=c)
+        xs = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=20))
+        xs += zero_set_sample(h, data.draw(st.integers(0, 20)), random.Random(a ^ b))
+        assert h.zero_on(xs) == all(h.eval(x) == 0 for x in xs)
 
 
 class TestKwiseIndependence:

@@ -53,6 +53,7 @@ from coinpress.protocol import (
     validate_histogram_message,
 )
 from test_numpy_reference import zero_set_masks
+from test_protocol import LyingSetsProver
 
 
 def raw_params(n=3, t=6, gap_size=1, interval_size=2, sampling_gap=4.0, eps=1.0):
@@ -1532,6 +1533,31 @@ class TestSetsEditFuzz:
         run()
         assert {"output", "check-a", "check-b", "check-c"} <= reached.keys(), reached
         assert "malformed-sets" not in reached
+
+
+class TestIntSubclassSets:
+    @pytest.mark.parametrize("extra", [(), (8,), (-1,)])
+    def test_oracles_read_exact_values(self, extra):
+        """Set elements handed over as an int subclass whose operators lie or
+        raise are worth exactly what their exact values are worth, in both
+        oracles, and in range they are worth what the honest sets are."""
+        params = SETS_FUZZ_PARAMS
+        lying = LyingSetsProver(SETS_FUZZ_HONEST, extra)
+
+        def exact_sets(s, k, f, g, m):
+            sets = SETS_FUZZ_HONEST.produce_sets(s, k, f, g, m)
+            return {i: xs + list(extra) if i == min(sets) else xs for i, xs in sets.items()}
+
+        exact = assert_oracles_agree(params, scripted_sets_prover(params, lying.produce_sets))
+        reference = assert_oracles_agree(params, scripted_sets_prover(params, exact_sets))
+        assert exact.outputs == reference.outputs
+        assert exact.reject_by_reason == reference.reject_by_reason
+        if extra:
+            assert exact.reject_by_reason["malformed-sets"] > 0
+        else:
+            assert exact.outputs == OracleRun(
+                ExactConfig(params=params, prover=SETS_FUZZ_HONEST)
+            ).distribution.outputs
 
 
 # Set sizes at the edges of check (b)'s window [lo, hi]: just outside it and

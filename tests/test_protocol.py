@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinpress import protocol
-from coinpress.dist import ExplicitDistribution, buckets, build_histogram
+from coinpress.dist import TAU, ExplicitDistribution, buckets, build_histogram
 from coinpress.hashing import HashFunction, members_sharing_rows, sample_hash
 from coinpress.protocol import (
     MODE_RAW,
@@ -31,6 +31,7 @@ from coinpress.protocol import (
     derive_params,
     finalize,
     honest_prover,
+    parse_sets,
     pick_by_offset,
     replay,
     run_protocol,
@@ -450,6 +451,219 @@ class TestCheckSets:
         params = tiny_params(set_cap=2)
         _, reason = check_sets({1: [0], 2: [3, 5]}, M0_HASH, self.ctx, params)
         assert reason == "oversize"
+
+
+def scalar_check_sets(sets, f, ctx, params):
+    """Reference for ``check_sets`` on elements that are exact ints or
+    bools: the same checks in the same order, with check (a) as one scalar
+    ``eval`` per listed element."""
+    if sets is None or sets.keys() != set(ctx.active):
+        return None, "malformed-sets"
+    normalized = {}
+    total = 0
+    for i in ctx.active:
+        xs = sets[i]
+        if any((not isinstance(x, int)) or x < 0 or (x >> params.n) for x in xs):
+            return None, "malformed-sets"
+        if len(set(xs)) != len(xs):
+            return None, "malformed-sets"
+        normalized[i] = tuple(sorted(xs))
+        total += len(xs)
+    if total > params.set_cap:
+        return None, "oversize"
+    for i in ctx.active:
+        for x in normalized[i]:
+            if f.eval(x) != 0:
+                return None, "check-a"
+    for i, (lo, hi) in zip(ctx.active, ctx.windows):
+        if not (lo * (1.0 - TAU) <= len(normalized[i]) <= hi * (1.0 + TAU)):
+            return None, "check-b"
+    seen = set()
+    for i in ctx.active:
+        for x in normalized[i]:
+            if x in seen:
+                return None, "check-c"
+            seen.add(x)
+    return normalized, None
+
+
+def two_level_instance(n, size, t, sampling_gap):
+    """An honest prover over ``size`` random n-bit elements at two mass
+    levels (1:3), as in the estimate-wide benchmark, with its params."""
+    rng = random.Random(0)
+    support = rng.sample(range(1 << n), size)
+    mass = {x: Fraction(3 if i % 2 else 1, 2 * size) for i, x in enumerate(support)}
+    params = ProtocolParams.raw(n=n, eps=0.5, delta=0.5, t=t, sampling_gap=sampling_gap)
+    return honest_prover(ExplicitDistribution(n=n, mass=mass), params), params
+
+
+# The estimate-wide instance (n = 16, 4096 elements, hash widths 4 and 5,
+# about 120 listed elements per run) and one at n = 9, past the 8-bit lane.
+WIDE_INSTANCES = {
+    16: two_level_instance(16, 4096, 64, 6.0),
+    9: two_level_instance(9, 256, 40, 3.0),
+}
+
+SETS_EDITS = [
+    "reorder", "outside", "empty", "grow", "share", "dup", "bool", "top", "over", "neg", "float",
+]
+
+
+def edit_sets(sets, edits, f, rng):
+    """The honest sets with each (op, pos) edit applied to the band at
+    position pos: well-formed edits that reach checks (a) to (c), and
+    elements that are bools, the top element, out of range or not ints."""
+    out = {i: list(xs) for i, xs in sets.items()}
+    n = f.n
+
+    def draw(zero):
+        # a random element inside (zero) or outside the zero set, if found
+        for _ in range(512):
+            x = rng.getrandbits(n)
+            if (f.eval(x) == 0) == zero:
+                return [x]
+        return []
+
+    for op, pos in edits:
+        if not out:
+            break
+        keys = list(out)
+        band = keys[pos % len(keys)]
+        xs = out[band]
+        if op == "reorder":
+            xs.reverse()
+        elif op == "outside":
+            xs[:1] = draw(False)
+        elif op == "empty":
+            xs.clear()
+        elif op == "grow":
+            held = {x for ys in out.values() for x in ys}
+            xs.extend(x for x in draw(True) * (pos + 1) if x not in held)
+        elif op == "share":
+            xs.extend([x for i in keys if i != band for x in out[i] if x not in xs][:1])
+        elif op == "dup":
+            xs.extend(xs[:1])
+        elif op == "bool":
+            xs.append(bool(pos & 1))
+        elif op == "top":
+            xs.append((1 << n) - 1)
+        elif op == "over":
+            xs.append(1 << n)
+        elif op == "neg":
+            xs.append(-1 - pos)
+        elif op == "float":
+            xs.append(float(pos))
+    return out
+
+
+class TestCheckSetsAgainstScalarReference:
+    @given(
+        st.sampled_from(sorted(WIDE_INSTANCES)),
+        st.integers(0, 2**32),
+        st.lists(st.tuples(st.sampled_from(SETS_EDITS), st.integers(0, 3)), max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_verdict_as_scalar_eval(self, n, seed, edits):
+        """On honest answers and edits of them, check_sets returns exactly
+        the reference's normalized sets (element types included) and reject
+        reason."""
+        honest, params = WIDE_INSTANCES[n]
+        tables, _ = validate_histogram_message(honest.produce_histogram(), params)
+        ctx, f, _ = choose_challenge(tables, params, CoinSource(rng=random.Random(seed)))
+        sets = edit_sets(honest.produce_sets(ctx.s, ctx.k, f, ctx.g, ctx.m), edits, f, random.Random(seed))
+        record = parse_sets(sets)
+        got = check_sets(record, f, ctx, params)
+        want = scalar_check_sets(record, f, ctx, params)
+        assert repr(got) == repr(want)
+
+    def test_reference_sees_every_verdict(self):
+        """The edits reach every verdict of check_sets on the wide instances."""
+        verdicts = set()
+        rng = random.Random(5)
+        for seed in range(300):
+            honest, params = WIDE_INSTANCES[(9, 16)[seed % 2]]
+            tables, _ = validate_histogram_message(honest.produce_histogram(), params)
+            ctx, f, _ = choose_challenge(tables, params, CoinSource(rng=random.Random(seed)))
+            edits = [(rng.choice(SETS_EDITS), rng.randrange(4)) for _ in range(rng.randrange(3))]
+            sets = edit_sets(honest.produce_sets(ctx.s, ctx.k, f, ctx.g, ctx.m), edits, f, rng)
+            record = parse_sets(sets)
+            got = check_sets(record, f, ctx, params)
+            assert repr(got) == repr(scalar_check_sets(record, f, ctx, params))
+            verdicts.add(got[1])
+        assert verdicts >= {None, "malformed-sets", "check-a", "check-b", "check-c"}
+
+
+class LyingInt(int):
+    """An int subclass whose bit operations lie (``&`` gives a str, ``>>``
+    gives 0) and whose comparisons, hashing and conversions raise, so a
+    verifier that runs any of them fails."""
+
+    def __and__(self, other):
+        return "lie"
+
+    __rand__ = __and__
+
+    def __rshift__(self, other):
+        return 0
+
+    def _refuse(self, *args):
+        raise AssertionError("the verifier ran a method of a prover's int subclass")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = __hash__ = _refuse
+    __index__ = __int__ = __bool__ = _refuse
+
+
+class LyingSetsProver(ProverStrategy):
+    """An inner prover whose set elements are handed over as ``LyingInt``s,
+    plus the elements of ``extra`` in the first band."""
+
+    def __init__(self, inner, extra=()):
+        self.inner = inner
+        self.extra = extra
+
+    def produce_histogram(self):
+        return self.inner.produce_histogram()
+
+    def produce_sets(self, s, k, f, g, m):
+        sets = {i: [LyingInt(x) for x in xs] for i, xs in self.inner.produce_sets(s, k, f, g, m).items()}
+        if sets and self.extra:
+            sets[min(sets)] += [LyingInt(x) for x in self.extra]
+        return sets
+
+    def produce_probability(self, j, x):
+        return self.inner.produce_probability(j, x)
+
+
+class TestIntSubclassElements:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_runs_read_exact_values(self, seed):
+        """On the estimate-wide instance the verifier reads each element's
+        exact value: the run ends as the honest run does, and replays to
+        the same bytes."""
+        honest, params = WIDE_INSTANCES[16]
+        prover = LyingSetsProver(honest)
+        tr = run_protocol(params, prover, rng=random.Random(seed))
+        assert tr.outcome == run_protocol(params, honest, rng=random.Random(seed)).outcome
+        assert type(tr.outcome.x) is int
+        assert replay(params, prover, tr).to_json() == tr.to_json()
+
+    @pytest.mark.parametrize("extra", [(1 << 16,), (-1,), (2**70,)])
+    def test_exact_value_out_of_range_is_malformed(self, extra):
+        honest, params = WIDE_INSTANCES[16]
+        prover = LyingSetsProver(honest, extra)
+        for seed in range(3):
+            tr = run_protocol(params, prover, rng=random.Random(seed))
+            assert tr.outcome.reason == "malformed-sets"
+            assert replay(params, prover, tr).to_json() == tr.to_json()
+
+    def test_check_sets_normalizes_to_exact_ints(self):
+        params = tiny_params()
+        w = build_histogram(tiny_dist(), 1.0, 6).weights
+        ctx = compiled_context(w, params, -1, 1)
+        sets = {1: [LyingInt(0)], 2: [LyingInt(5), True]}
+        normalized, reason = check_sets(sets, M0_HASH, ctx, params)
+        assert reason is None
+        assert repr(normalized) == repr({1: (0,), 2: (True, 5)})
 
 
 class TestChooseElement:
