@@ -53,6 +53,7 @@ from coinpress.hashing import (
     row_masks,
 )
 from coinpress.protocol import (
+    MARSHAL_BYTES,
     MODE_TRIVIAL,
     ProtocolParams,
     ProverStrategy,
@@ -564,12 +565,6 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
     return outputs, reject
 
 
-# Marshal's type code for bytes, which it also writes for any other buffer
-# object. It is looked for as an int: ``115 in snapshot`` scans the bytes
-# several times faster than the one-byte needle ``b"s"``.
-_MARSHAL_BYTES = ord("s")
-
-
 def _flat_sweep(strat, n, m, group, set_cap):
     """Ask ``strat`` about every member of the width-n family at hash width
     m, for each challenge of ``group``, and tally the checked outcomes.
@@ -581,16 +576,17 @@ def _flat_sweep(strat, n, m, group, set_cap):
     ``marshal.dumps(answer, 2)``: marshal records the exact type of every
     part (1, True and 1.0 differ), refuses anything not built from exact
     builtin types, and at version 2 writes no back-references, so equal
-    bytes mean the same answer down to its types. Per challenge the
-    (c & low, snapshot) pairs are counted, and each distinct pair is
-    loaded back, read (``_flat_read``) and checked in full
-    (``_flat_check``) once per zero set: after each (a, b) when m > 0, and
-    once after the whole sweep at m = 0. Marshal writes any buffer object
-    (a bytearray, a memoryview, an array) as plain bytes, under type code
-    ``s``, so a snapshot holding that byte anywhere (``_MARSHAL_BYTES``) is
-    not trusted. Such an answer, and one marshal refuses (an int subclass,
-    a non-dict mapping, an iterator, a self-referential list), is read and
-    checked at once, on its own.
+    bytes mean the same answer down to its types. Each challenge's
+    (s, k, g) is unpacked once per sweep, beside one snapshot -> count dict
+    per c & low, so a call adds one count keyed by its snapshot alone.
+    Each distinct snapshot is loaded back, read (``_flat_read``) and
+    checked in full (``_flat_check``) once per zero set: after each (a, b)
+    when m > 0, and once after the whole sweep at m = 0. Marshal writes any
+    buffer object (a bytearray, a memoryview, an array) as plain bytes,
+    under type code ``s``, so a snapshot holding that byte anywhere
+    (``MARSHAL_BYTES``) is not trusted. Such an answer, and one marshal
+    refuses (an int subclass, a non-dict mapping, an iterator, a
+    self-referential list), is read and checked at once, on its own.
 
     At m = 0 the counts live for the whole sweep, so a prover whose every
     answer differs keeps one snapshot per call: 8**n per challenge, 32,768
@@ -603,7 +599,9 @@ def _flat_sweep(strat, n, m, group, set_cap):
     inputs = range(size)
     ask, dumps = strat.produce_sets, marshal.dumps
     zero_sets = [frozenset(inputs)]  # at m = 0 every input hashes to zero
-    seen = [{} for _ in group]  # per challenge: (c & low, snapshot) -> count
+    # per challenge: (s, k, g), its snapshot -> count dict per c & low, and
+    # its whole row of ``group`` for the checks
+    asks = [(row[0], row[1], row[2], [{} for _ in range(low + 1)], row) for row in group]
     for a in range(size):
         for b in range(size):
             members = members_sharing_rows(n, m, a, b)
@@ -617,34 +615,34 @@ def _flat_sweep(strat, n, m, group, set_cap):
                 ]
             for c, f in enumerate(members):
                 target = c & low
-                for (s, k, g, act, act_set, windows, tally), counts in zip(group, seen):
+                for s, k, g, counts, row in asks:
                     answer = ask(s, k, f, g, m)
                     try:
                         snapshot = dumps(answer, 2)
                     except ValueError:
                         snapshot = None
-                    if snapshot is None or _MARSHAL_BYTES in snapshot:
+                    if snapshot is None or MARSHAL_BYTES in snapshot:
+                        _, _, _, act, act_set, windows, tally = row
                         key = _flat_outcome(answer, act, act_set, windows, size, zero_sets[target], set_cap)
                         tally[key] = tally.get(key, 0) + 1
                     else:
-                        pair = (target, snapshot)
-                        counts[pair] = counts.get(pair, 0) + 1
+                        seen = counts[target]
+                        seen[snapshot] = seen.get(snapshot, 0) + 1
             if m:
-                _flat_flush(group, seen, size, zero_sets, set_cap)
-                seen = [{} for _ in group]
+                _flat_flush(asks, size, zero_sets, set_cap)
     if not m:
-        _flat_flush(group, seen, size, zero_sets, set_cap)
+        _flat_flush(asks, size, zero_sets, set_cap)
 
 
-def _flat_flush(group, seen, size, zero_sets, set_cap):
-    """Check each distinct (c & low, snapshot) pair counted per challenge
-    of ``group`` once, and add its count to the challenge's tally."""
-    for (s, k, g, act, act_set, windows, tally), counts in zip(group, seen):
-        for (target, snapshot), count in counts.items():
-            key = _flat_outcome(
-                marshal.loads(snapshot), act, act_set, windows, size, zero_sets[target], set_cap
-            )
-            tally[key] = tally.get(key, 0) + count
+def _flat_flush(asks, size, zero_sets, set_cap):
+    """Check each distinct snapshot counted per challenge and c & low once,
+    add its count to the challenge's tally, and empty the counts."""
+    for _, _, _, counts, (_, _, _, act, act_set, windows, tally) in asks:
+        for zeros, seen in zip(zero_sets, counts):
+            for snapshot, count in seen.items():
+                key = _flat_outcome(marshal.loads(snapshot), act, act_set, windows, size, zeros, set_cap)
+                tally[key] = tally.get(key, 0) + count
+            seen.clear()
 
 
 def _flat_outcome(sets, active, active_set, windows, size, zeros, set_cap):
@@ -656,16 +654,22 @@ def _flat_outcome(sets, active, active_set, windows, size, zeros, set_cap):
 def _flat_read(sets, active, active_set):
     """The entries of the active bands in order, each read once into a
     tuple; None unless ``sets`` is a mapping keyed by exactly the active
-    bands whose entries are iterable."""
-    # dict first: the Mapping ABC check costs several times a type test, and
-    # a dict's key view compares with a set without building one
-    if type(sets) is dict:
-        if sets.keys() != active_set:
-            return None
-    elif not isinstance(sets, Mapping) or set(sets.keys()) != active_set:
+    bands, each once, whose entries are iterable. Keys are compared by
+    their exact values (``exact_ints``), so no method of a key's int
+    subclass runs."""
+    # dict first: the Mapping ABC check costs several times a type test
+    if type(sets) is not dict and not isinstance(sets, Mapping):
         return None
     try:
-        return tuple([tuple(sets[i]) for i in active])
+        pairs = list(sets.items())
+    except TypeError:
+        return None
+    keys = exact_ints([i for i, _ in pairs])
+    if keys is None or len(keys) != len(active) or set(keys) != active_set:
+        return None
+    entries = dict(zip(keys, [xs for _, xs in pairs]))
+    try:
+        return tuple([tuple(entries[i]) for i in active])
     except TypeError:
         return None
 

@@ -21,6 +21,7 @@ import functools
 import hashlib
 import itertools
 import json
+import marshal
 import math
 import operator
 from collections.abc import Mapping
@@ -377,6 +378,10 @@ def _message_json(msg: tuple):
         n = msg[2]
         if msg[1] is None:
             return {"kind": kind, "sets": None}
+        # Bands and elements are rendered by their exact values, so no
+        # method of a prover's int subclass runs: ``parse_sets`` keeps
+        # exact bands (a bool stays a bool), and ``_element_json`` reads
+        # each element's value.
         return {
             "kind": kind,
             "sets": {
@@ -408,8 +413,9 @@ def _weight_json(w):
 
 def _element_json(x, n: int):
     # A malformed sets message may list non-integers; keep only their type.
+    # An int is rendered by its exact value (a bool renders as its int).
     if isinstance(x, int):
-        return element_to_hex(x, n)
+        return element_to_hex(int.__index__(x), n)
     return {"malformed": type(x).__name__}
 
 
@@ -450,10 +456,11 @@ class ProverStrategy:
     # distinct zero set, weighted by how many hash functions share it,
     # instead of once per hash function. ``HonestProver`` and the provers
     # built on it work out each answer once per zero set of the current
-    # hash rows (``ZeroSetMemo``), at most 2**m answers per challenge. The flat
-    # cross-check ignores the flag and asks about every function, but
-    # checks each distinct answer once per zero set: per (a, b) when m > 0,
-    # and once per sweep at m = 0, where the zero set is the whole domain.
+    # hash rows (``HonestProver.produce_sets``), at most 2**m answers per
+    # challenge. The flat cross-check ignores the flag and asks about every
+    # function, but checks each distinct answer once per zero set: per
+    # (a, b) when m > 0, and once per sweep at m = 0, where the zero set is
+    # the whole domain.
     depends_on_hash_zero_set = False
 
     def produce_histogram(self) -> Sequence[Fraction]:
@@ -479,44 +486,11 @@ class ProverStrategy:
         return [(Fraction(1), self)]
 
 
-class ZeroSetMemo:
-    """The sets answers of a prover that reads the hash f only through its
-    zero set (``ProverStrategy.depends_on_hash_zero_set``), kept for the
-    rows of the hash it was last asked about.
-
-    The zero set of a ``HashFunction`` is fixed by its ``rows`` and
-    ``c_low``, so each answer is kept under (s, k, f.c_low) for the
-    current rows tuple. Rows are compared by identity, and the tuple is
-    held, so its id cannot be reused while its answers are kept; another
-    tuple clears them, so at most one tuple's answers are kept (at most
-    2**m per challenge). The members of one (a, b) share one tuple
-    (``members_sharing_rows``), and every member at m = 0 has the rows
-    ``()``. Any other f, such as a subclass or a test double, is answered
-    directly. Every call returns a fresh dict of fresh lists. Each
-    ``HonestProver``, and so each prover built on it, holds one, and its
-    ``produce_sets`` asks it first.
-    """
-
-    __slots__ = ("_rows", "_answers")
-
-    def __init__(self):
-        self._rows = None
-        # (s, k, c_low) -> the answer's (band, list) pairs, never handed out
-        self._answers: dict[tuple[int, int, int], tuple] = {}
-
-    def sets(self, choose, s, k, f, g, m):
-        """``choose(s, k, f, g, m)``, answered from the memo when it can be."""
-        if type(f) is not HashFunction:
-            return choose(s, k, f, g, m)
-        if f.rows is not self._rows:
-            self._rows, self._answers = f.rows, {}
-        key = (s, k, f.c_low)
-        answer = self._answers.get(key)
-        if answer is None:
-            answer = self._answers[key] = tuple(
-                (i, list(xs)) for i, xs in choose(s, k, f, g, m).items()
-            )
-        return {i: xs[:] for i, xs in answer}
+# Marshal's type code for bytes, which it also writes for any other buffer
+# object (a bytearray, a memoryview, an array), so such a part would load
+# back as bytes. It is looked for as an int: ``115 in blob`` scans the bytes
+# several times faster than the one-byte needle ``b"s"``.
+MARSHAL_BYTES = ord("s")
 
 
 def compute_live_bands(weights: Sequence[Fraction], params: ProtocolParams) -> set[int]:
@@ -536,12 +510,15 @@ class HonestProver(ProverStrategy):
     verifier's compiled ``ChallengeContext`` for this prover's histogram
     message (``_challenges``). The histogram, the banding, the planes and
     the plans are built on first read: a fallback run reads only
-    ``produce_table``, and its t can reach millions of bands. Each answer
-    is worked out once per challenge and zero set of the current hash rows
-    (``ZeroSetMemo``); at m = 0 the rows are ``()`` for every hash and the
-    batch keeps every input, so that is once per challenge. The cheating
-    provers in ``adversaries`` that start from honest play subclass this
-    one and override only what they change.
+    ``produce_table``, and its t can reach millions of bands.
+
+    ``produce_sets`` memoizes: ``_choose_sets`` works out each answer once
+    per challenge and zero set of the current hash rows, and the answer is
+    kept as one ``marshal`` blob (see ``produce_sets``). At m = 0 the rows
+    are ``()`` for every hash and the batch keeps every input, so that is
+    once per challenge. The cheating provers in ``adversaries`` that start
+    from honest play subclass this one, override only what they change
+    (``_choose_sets`` for the sets) and inherit the memo.
     """
 
     depends_on_hash_zero_set = True
@@ -551,7 +528,10 @@ class HonestProver(ProverStrategy):
             raise ValueError("distribution width does not match parameters")
         self.dist = dist
         self.params = params
-        self._memo = ZeroSetMemo()
+        # The memo: the rows tuple its answers belong to, held so that its
+        # id cannot be reused, and (s, k, c_low) -> the answer's blob.
+        self._rows = None
+        self._answers: dict[tuple[int, int, int], bytes] = {}
 
     @functools.cached_property
     def histogram(self) -> Histogram:
@@ -603,7 +583,43 @@ class HonestProver(ProverStrategy):
         return self.histogram.weights
 
     def produce_sets(self, s, k, f, g, m):
-        return self._memo.sets(self._choose_sets, s, k, f, g, m)
+        """``_choose_sets(s, k, f, g, m)``, answered from the memo when it
+        can be.
+
+        The zero set of a ``HashFunction`` is fixed by its ``rows`` and
+        ``c_low``, so each answer is kept under (s, k, f.c_low) for the
+        current rows tuple. Rows are compared by identity, and the tuple is
+        held, so its id cannot be reused while its answers are kept; another
+        tuple clears them, so at most one tuple's answers are kept (at most
+        2**m per challenge). The members of one (a, b) share one tuple
+        (``members_sharing_rows``), and every member at m = 0 has the rows
+        ``()``. Any other f, such as a subclass or a test double, is
+        answered directly.
+
+        An answer is kept as ``marshal.dumps(answer, 2)``, and a hit returns
+        ``marshal.loads`` of it: a fresh dict of fresh lists, built in C,
+        with the exact types of the answer worked out. An answer marshal
+        refuses (an int subclass, a non-dict mapping) is returned as worked
+        out and not kept, and so is one whose blob holds marshal's bytes code
+        anywhere (``MARSHAL_BYTES``), since marshal writes any buffer as
+        bytes.
+        """
+        if type(f) is HashFunction:
+            if f.rows is self._rows:
+                blob = self._answers.get((s, k, f.c_low))
+                if blob is not None:
+                    return marshal.loads(blob)
+            else:
+                self._rows, self._answers = f.rows, {}
+            answer = self._choose_sets(s, k, f, g, m)
+            try:
+                blob = marshal.dumps(answer, 2)
+            except ValueError:
+                return answer
+            if MARSHAL_BYTES not in blob:
+                self._answers[s, k, f.c_low] = blob
+            return answer
+        return self._choose_sets(s, k, f, g, m)
 
     def _choose_sets(self, s, k, f, g, m):
         plan = self._plans.get((s, k))
@@ -849,11 +865,12 @@ _EXACT_INT_TYPES = frozenset((int, bool))
 
 
 def exact_ints(xs):
-    """The elements of a sets entry as the verifier reads them: xs itself
-    when every element is an int or a bool, else a list with each other
-    int subclass replaced by its exact int value. The value is read by
-    ``int.__index__``, which copies the int without calling any method the
-    subclass defines. None when an element is not an int."""
+    """The elements of a sets entry, or the bands of a sets message, as the
+    verifier reads them: xs itself when every element is an int or a bool,
+    else a list with each other int subclass replaced by its exact int
+    value. The value is read by ``int.__index__``, which copies the int
+    without calling any method the subclass defines. None when an element
+    is not an int."""
     if set(map(type, xs)) <= _EXACT_INT_TYPES:
         return xs
     try:
@@ -999,16 +1016,27 @@ def _histogram_record(raw):
 def parse_sets(raw_sets):
     """The sets message as the transcript records it and the verifier checks
     it: {band: tuple of elements}, or None unless a mapping from int bands
-    to iterables. Each entry is iterated once."""
+    to iterables. Each entry is iterated once. Bands are read by their
+    exact value (``exact_ints``), so no method of a key's int subclass
+    runs, and two bands of one value are malformed."""
+    if type(raw_sets) is dict and _EXACT_INT_TYPES.issuperset(map(type, raw_sets)):
+        # The exact bands of a dict are distinct values, and hashing them
+        # runs no prover code, so the entries are read in one pass.
+        try:
+            return {i: tuple(xs) for i, xs in raw_sets.items()}
+        except TypeError:
+            return None
     if not isinstance(raw_sets, Mapping):
         return None
     try:
-        record = {i: tuple(xs) for i, xs in raw_sets.items()}
+        entries = [(i, tuple(xs)) for i, xs in raw_sets.items()]
     except TypeError:
         return None
-    if not all(isinstance(i, int) for i in record):
+    bands = exact_ints([i for i, _ in entries])
+    if bands is None:
         return None
-    return record
+    record = dict(zip(bands, [xs for _, xs in entries]))
+    return record if len(record) == len(entries) else None
 
 
 def _finish(params, messages, coins, outcome, trial) -> Transcript:

@@ -304,8 +304,8 @@ class TestInflatingProver:
 
 
 class Unmemoized(HashFunction):
-    """A HashFunction subclass: ``ZeroSetMemo`` answers it directly, so a
-    prover answers it as it would without the memo."""
+    """A HashFunction subclass: ``HonestProver.produce_sets`` answers it
+    directly, so a prover answers it as it would without the memo."""
 
 
 def unmemoized(f):
@@ -319,7 +319,7 @@ MEMO_PROVERS = ["honest", "mixture", "inflating:1", "inflating:2", "overlapping"
 def memo_provers(n, eps):
     """The oracle-n4 mass profile at width n, t = 8, sampling gap 0, where
     challenges hash to m = 0 and m > 0: the params and each bundled prover
-    that keeps its answers in a ``ZeroSetMemo``."""
+    that keeps its answers in ``HonestProver.produce_sets``' memo."""
     params = ProtocolParams.raw(
         n=n, eps=eps, delta=0.5, t=8, gap_size=1, interval_size=2, sampling_gap=0.0,
     )

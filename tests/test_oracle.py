@@ -53,7 +53,7 @@ from coinpress.protocol import (
     validate_histogram_message,
 )
 from test_numpy_reference import zero_set_masks
-from test_protocol import LyingSetsProver
+from test_protocol import LyingBand, LyingSetsProver, RekeyedSetsProver, TwinBand
 
 
 def raw_params(n=3, t=6, gap_size=1, interval_size=2, sampling_gap=4.0, eps=1.0):
@@ -1558,6 +1558,25 @@ class TestIntSubclassSets:
             assert exact.outputs == OracleRun(
                 ExactConfig(params=params, prover=SETS_FUZZ_HONEST)
             ).distribution.outputs
+
+
+    def test_oracles_read_exact_bands(self):
+        """Band keys whose comparisons raise are worth what the exact bands
+        are worth, in both oracles."""
+        params = SETS_FUZZ_PARAMS
+        lying = RekeyedSetsProver(SETS_FUZZ_HONEST, band=LyingBand)
+        exact = assert_oracles_agree(params, scripted_sets_prover(params, lying.produce_sets))
+        assert exact.outputs == OracleRun(
+            ExactConfig(params=params, prover=SETS_FUZZ_HONEST)
+        ).distribution.outputs
+
+    def test_two_bands_of_one_value_are_malformed_in_both_oracles(self):
+        def twins(s, k, f, g, m):
+            sets = SETS_FUZZ_HONEST.produce_sets(s, k, f, g, m)
+            return {**sets, TwinBand(min(sets)): sets[min(sets)]} if sets else sets
+
+        exact = assert_oracles_agree(SETS_FUZZ_PARAMS, scripted_sets_prover(SETS_FUZZ_PARAMS, twins))
+        assert exact.reject_by_reason["malformed-sets"] > 0
 
 
 # Set sizes at the edges of check (b)'s window [lo, hi]: just outside it and

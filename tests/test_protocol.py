@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+from array import array
 from dataclasses import replace
 from fractions import Fraction
 
@@ -18,9 +19,9 @@ from coinpress.protocol import (
     MODE_TRIVIAL,
     CoinSource,
     DegenerateChoiceError,
+    HonestProver,
     ProtocolParams,
     ProverStrategy,
-    ZeroSetMemo,
     band_mass_sum,
     challenge_width,
     check_sets,
@@ -666,6 +667,82 @@ class TestIntSubclassElements:
         assert repr(normalized) == repr({1: (0,), 2: (True, 5)})
 
 
+class LyingBand(LyingInt):
+    """A ``LyingInt`` that hashes as its value, so a prover can key a dict
+    by it; comparing it still raises."""
+
+    __hash__ = int.__hash__
+
+
+class TwinBand(int):
+    """An int subclass equal only to itself, so a dict can hold it beside
+    the exact int of the same value."""
+
+    __hash__ = int.__hash__
+
+    def __eq__(self, other):
+        return self is other
+
+
+class RefusingFormat(int):
+    """An int subclass whose ``format`` raises."""
+
+    def __format__(self, spec):
+        raise AssertionError("the transcript ran a method of a prover's int subclass")
+
+
+class RekeyedSetsProver(LyingSetsProver):
+    """An inner prover whose sets are handed over with each band key and
+    each element passed through ``band`` and ``element``."""
+
+    def __init__(self, inner, band=int, element=int):
+        super().__init__(inner)
+        self.band, self.element = band, element
+
+    def produce_sets(self, s, k, f, g, m):
+        sets = self.inner.produce_sets(s, k, f, g, m)
+        return {self.band(i): [self.element(x) for x in xs] for i, xs in sets.items()}
+
+
+class TestIntSubclassBands:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_runs_read_exact_bands(self, seed):
+        """Band keys whose comparisons raise are read by their exact values:
+        the run and its replay give the honest run's transcript bytes."""
+        params = tiny_params()
+        honest = honest_prover(tiny_dist(), params)
+        prover = RekeyedSetsProver(honest, band=LyingBand)
+        tr = run_protocol(params, prover, rng=random.Random(seed))
+        assert tr.to_json() == run_protocol(params, honest, rng=random.Random(seed)).to_json()
+        assert replay(params, prover, tr).to_json() == tr.to_json()
+
+    def test_two_bands_of_one_value_are_malformed(self):
+        params = tiny_params()
+        honest = honest_prover(tiny_dist(), params)
+
+        class Twins(LyingSetsProver):
+            def produce_sets(self, s, k, f, g, m):
+                sets = self.inner.produce_sets(s, k, f, g, m)
+                return {**sets, TwinBand(min(sets)): []}
+
+        prover = Twins(honest)
+        assert parse_sets({TwinBand(1): [0], 1: [3]}) is None
+        for seed in range(3):
+            tr = run_protocol(params, prover, rng=random.Random(seed))
+            assert tr.outcome.reason == "malformed-sets"
+            assert replay(params, prover, tr).to_json() == tr.to_json()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_transcript_renders_exact_elements(self, seed):
+        """Elements whose ``format`` raises are rendered by their exact
+        values, as the honest run's are."""
+        params = tiny_params()
+        honest = honest_prover(tiny_dist(), params)
+        prover = RekeyedSetsProver(honest, element=RefusingFormat)
+        tr = run_protocol(params, prover, rng=random.Random(seed))
+        assert tr.to_json() == run_protocol(params, honest, rng=random.Random(seed)).to_json()
+
+
 class TestChooseElement:
     def test_certain_pick(self):
         params = tiny_params()
@@ -802,79 +879,157 @@ def with_rows(f, rows):
     return g
 
 
+class PlannerProver(HonestProver):
+    """An n = 4 ``HonestProver`` whose ``_choose_sets`` is a sets answer
+    reading f only through its zero set over [0, 16); ``planned`` lists
+    the (s, k, c) it was worked out for."""
+
+    def __init__(self):
+        params = ProtocolParams.raw(n=4, eps=1.0, delta=0.5, t=8, gap_size=1, interval_size=2)
+        super().__init__(ExplicitDistribution.point(4, 0), params)
+        self.planned = []
+
+    def _choose_sets(self, s, k, f, g, m):
+        self.planned.append((s, k, f.c))
+        return {k: [x for x in range(16) if f.eval(x) == 0]}
+
+
 class TestZeroSetMemo:
-    @staticmethod
-    def planner():
-        """A sets answer reading f only through its zero set over [0, 16),
-        and the list of (s, k, c) it was worked out for."""
-        planned = []
-
-        def choose(s, k, f, g, m):
-            planned.append((s, k, f.c))
-            return {k: [x for x in range(16) if f.eval(x) == 0]}
-
-        return choose, planned
+    """``HonestProver.produce_sets`` keeps each answer once per zero set of
+    the current hash rows."""
 
     def test_answers_once_per_zero_set_of_the_current_rows(self):
-        memo = ZeroSetMemo()
-        choose, planned = self.planner()
+        prover = PlannerProver()
+        planned = prover.planned
         members = members_sharing_rows(4, 2, 3, 5)
         for f in members:
             for k in (0, 1):
-                assert memo.sets(choose, 0, k, f, 1.0, 2) == choose(0, k, f, 1.0, 2)
+                assert prover.produce_sets(0, k, f, 1.0, 2) == prover._choose_sets(0, k, f, 1.0, 2)
         del planned[:]
         # c = 0 .. 3 hold the four zero sets; c >= 4 repeats them
         for f in members:
-            memo.sets(choose, 0, 1, f, 1.0, 2)
+            prover.produce_sets(0, 1, f, 1.0, 2)
         assert planned == []
 
     def test_a_new_rows_tuple_clears_the_memo(self):
         """Rows are compared by identity: an equal tuple that is another
         object is planned afresh, and so is the first tuple after it."""
-        memo = ZeroSetMemo()
-        choose, planned = self.planner()
+        prover = PlannerProver()
         f = HashFunction(n=4, m=2, a=3, b=5, c=1)
         twin = with_rows(f, tuple(list(f.rows)))
         assert twin.rows == f.rows and twin.rows is not f.rows
         for h in (f, f, twin, twin, f):
-            memo.sets(choose, 0, 1, h, 1.0, 2)
-        assert planned == [(0, 1, 1)] * 3
+            prover.produce_sets(0, 1, h, 1.0, 2)
+        assert prover.planned == [(0, 1, 1)] * 3
 
     def test_a_freed_rows_tuple_cannot_alias_the_next(self):
         """The memo holds the rows tuple it keys by, so a tuple freed by
         everyone else cannot hand its id to the next one."""
-        memo = ZeroSetMemo()
-        choose, planned = self.planner()
+        prover = PlannerProver()
         f = HashFunction(n=4, m=2, a=3, b=5, c=1)
         other = HashFunction(n=4, m=2, a=9, b=2, c=1)
         assert other.rows != f.rows
         for _ in range(20):
             # a fresh copy of f's rows, referenced only by the memo once
             # the loop drops it, then a fresh copy of other's rows
-            memo.sets(choose, 0, 1, with_rows(f, tuple(list(f.rows))), 1.0, 2)
+            prover.produce_sets(0, 1, with_rows(f, tuple(list(f.rows))), 1.0, 2)
             h = with_rows(other, tuple(list(other.rows)))
-            assert memo.sets(choose, 0, 1, h, 1.0, 2) == choose(0, 1, h, 1.0, 2)
+            assert prover.produce_sets(0, 1, h, 1.0, 2) == prover._choose_sets(0, 1, h, 1.0, 2)
 
     def test_every_call_returns_fresh_lists(self):
-        memo = ZeroSetMemo()
-        choose, planned = self.planner()
+        prover = PlannerProver()
         f = HashFunction(n=4, m=0, a=0, b=0, c=0)
-        first = memo.sets(choose, 0, 1, f, 1.0, 0)
+        first = prover.produce_sets(0, 1, f, 1.0, 0)
         first[1].append(99)
         first[7] = [1]
-        assert memo.sets(choose, 0, 1, f, 1.0, 0) == {1: list(range(16))}
-        assert len(planned) == 1
+        assert prover.produce_sets(0, 1, f, 1.0, 0) == {1: list(range(16))}
+        assert len(prover.planned) == 1
 
     def test_other_hash_types_are_answered_directly(self):
         class Subclass(HashFunction):
             pass
 
-        memo = ZeroSetMemo()
-        choose, planned = self.planner()
+        prover = PlannerProver()
         f = Subclass(n=4, m=2, a=3, b=5, c=1)
         for _ in range(3):
-            assert memo.sets(choose, 0, 1, f, 1.0, 2) == choose(0, 1, f, 1.0, 2)
-        assert len(planned) == 6
+            assert prover.produce_sets(0, 1, f, 1.0, 2) == prover._choose_sets(0, 1, f, 1.0, 2)
+        assert len(prover.planned) == 6
+
+    def test_memo_answers_keep_exact_types(self):
+        """A kept answer loads back with the worked-out answer's container
+        and element types: bools stay bools, tuples stay tuples."""
+
+        class Mixed(PlannerProver):
+            def _choose_sets(self, s, k, f, g, m):
+                out = super()._choose_sets(s, k, f, g, m)
+                return {k: out[k][:2] + [True, False], k + 1: tuple(out[k][2:4])}
+
+        prover = Mixed()
+        f = HashFunction(n=4, m=0, a=0, b=0, c=0)
+        want = prover._choose_sets(0, 1, f, 1.0, 0)
+        answers = [prover.produce_sets(0, 1, f, 1.0, 0) for _ in range(3)]
+        assert len(prover.planned) == 2  # the direct answer and the first call
+        for got in answers:
+            assert repr(got) == repr(want)
+            assert [type(xs) for xs in got.values()] == [list, tuple]
+            assert [type(x) for x in got[1]] == [int, int, bool, bool]
+
+    @pytest.mark.parametrize("kind", ["int-subclass", "array"])
+    def test_answers_marshal_cannot_keep_are_answered_directly(self, kind):
+        """An honest support of int-subclass elements (which marshal
+        refuses), or an answer listing an array (which marshal would write
+        as bytes), is worked out on every call, equal to the direct answer,
+        and fresh."""
+
+        class Element(int):
+            pass
+
+        class Counting(HonestProver):
+            calls = 0
+
+            def _choose_sets(self, s, k, f, g, m):
+                self.calls += 1
+                out = super()._choose_sets(s, k, f, g, m)
+                if kind == "array":
+                    out = {i: array("q", xs) for i, xs in out.items()}
+                return out
+
+        params = tiny_params()
+        dist = tiny_dist()
+        if kind == "int-subclass":
+            # ExplicitDistribution reads its keys with int(); put the
+            # subclass back, as a support built elsewhere could hold it
+            object.__setattr__(dist, "mass", {Element(x): p for x, p in dist.mass.items()})
+        prover = Counting(dist, params)
+        f = HashFunction(n=3, m=0, a=0, b=0, c=0)
+        want = prover._choose_sets(-1, 1, f, params.sampling_gap, 0)
+        assert {i: list(xs) for i, xs in want.items()} == {1: [0], 2: [3, 5]}
+        answers = [prover.produce_sets(-1, 1, f, params.sampling_gap, 0) for _ in range(3)]
+        assert prover.calls == 4
+        for got in answers:
+            assert got == want and repr(got) == repr(want)
+        element_type = Element if kind == "int-subclass" else int
+        assert {type(x) for xs in answers[0].values() for x in xs} == {element_type}
+        ids = [id(xs) for got in answers for xs in got.values()]
+        assert len(set(ids)) == len(ids)
+
+    def test_memo_answers_equal_direct_answers_on_the_wide_instance(self):
+        """On the estimate-wide instance (n = 16, m > 0), a hash's answer
+        and those of its siblings sharing its rows equal the direct answers,
+        whether worked out or loaded from the memo."""
+        honest, params = WIDE_INSTANCES[16]
+        prover = HonestProver(honest.dist, params)
+        tables, _ = validate_histogram_message(prover.produce_histogram(), params)
+        rng = random.Random(3)
+        for seed in range(4):
+            ctx, f, _ = choose_challenge(tables, params, CoinSource(rng=random.Random(seed)))
+            assert ctx.m > 0
+            siblings = [f] + [with_rows(replace(f, c=rng.getrandbits(16)), f.rows) for _ in range(3)]
+            for h in siblings * 2:
+                want = prover._choose_sets(ctx.s, ctx.k, h, ctx.g, ctx.m)
+                got = prover.produce_sets(ctx.s, ctx.k, h, ctx.g, ctx.m)
+                assert repr(got) == repr(want)
+            assert len(prover._answers) <= len(siblings)
 
 
 class TestHonestProver:
