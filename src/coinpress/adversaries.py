@@ -7,9 +7,10 @@ inflating prover shifts its reported histogram toward smaller claimed
 probabilities and pads its sets to survive the cardinality check; the
 overlapping-sets prover smuggles one element into every set. Both start
 from honest play, so both subclass ``protocol.HonestProver``: they inherit
-its width check, its true histogram, its fallback table, its read of the
-verifier's compiled challenges and its memoizing ``produce_sets``, and
-override only what they change (``_choose_sets`` for the sets). A
+its width check, its true histogram, its banding of the support with its
+bit planes, its fallback table, its read of the verifier's compiled
+challenges and its memoizing ``produce_sets``, and override only what
+they change (``_choose_sets`` for the sets). A
 randomized prover is its ``randomness_support``, which the exact oracle
 enumerates; a trial draws one strategy up front with ``reseeded(seed)``.
 The verifier checks the sets as recorded.
@@ -24,6 +25,7 @@ import random
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+# buckets is read by nothing here; perfbench's tracer wraps adversaries.buckets
 from coinpress.dist import ExplicitDistribution, buckets, pow2
 from coinpress.hashing import BitPlanes, set_bits
 from coinpress.protocol import (
@@ -125,10 +127,12 @@ class InflatingProver(HonestProver):
     honest prover's; the rest is inherited, including the verifier's
     compiled contexts for the histogram sent (``_challenges``), from which
     each challenge's plan takes its active bands and check (b)'s windows,
-    and the memoizing ``produce_sets``, which keeps each answer once per
-    zero set as a marshal blob. The claimed histogram, the buckets and
-    the plans are built on first read. Each bucket, and the spare pool of
-    all 2**n inputs, is hashed in one ``eval_batch`` call on its bit planes.
+    the honest banding (``_banding``, ``_planes``), whose slice for band
+    i - shift gives the true members claimed at band i and their bit
+    planes, and the memoizing ``produce_sets``, which keeps each answer
+    once per zero set as a marshal blob. The claimed histogram and the
+    plans are built on first read. Each bucket, and the spare pool of all
+    2**n inputs, is hashed in one ``eval_batch`` call on its bit planes.
     Members and spares are both filtered by f(x) == 0, so the inherited
     ``depends_on_hash_zero_set`` holds.
     """
@@ -148,28 +152,24 @@ class InflatingProver(HonestProver):
         return shifted[: self.params.t + 1]
 
     @functools.cached_property
-    def _true_buckets(self) -> dict[int, tuple[list[int], BitPlanes]]:
-        """Band -> (its members in order, their bit planes)."""
-        params = self.params
-        out = {}
-        for i, xs in buckets(self.dist, params.eps, params.t).items():
-            members = sorted(xs)
-            out[i] = members, BitPlanes.of(members, params.n)
-        return out
-
-    @functools.cached_property
     def _all_planes(self) -> BitPlanes:
         return BitPlanes.of(range(1 << self.params.n), self.params.n)
 
     @functools.cached_property
     def _plans(self) -> dict[tuple[int, int], tuple]:
         """(s, k) -> per active band of that challenge, in order: the true
-        members claimed there with their planes, and the smallest and
-        largest set sizes inside its check (b) window."""
+        members claimed there with their planes, cut from the honest
+        banding, and the smallest and largest set sizes inside its check
+        (b) window."""
+        bands, offsets, support = self._banding
+        true = {
+            i: (support[lo:hi], self._planes.slice(lo, hi))
+            for i, lo, hi in zip(bands, offsets, offsets[1:])
+        }
         empty = ([], BitPlanes.of([], self.params.n))
         return {
             key: tuple(
-                (i, self._true_buckets.get(i - self.shift, empty), max(0, math.ceil(lo)), math.floor(hi))
+                (i, true.get(i - self.shift, empty), max(0, math.ceil(lo)), math.floor(hi))
                 for i, (lo, hi) in zip(ctx.active, ctx.windows)
             )
             for key, ctx in self._challenges.items()

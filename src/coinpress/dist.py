@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
@@ -27,6 +26,12 @@ from typing import Iterable, Mapping, Optional, Union
 TAU = 1e-12
 
 MAX_BITS = 64
+
+# The most bands (t + 1) a histogram or an interval layout is built for.
+# Both allocate per band: at 2**20 bands ``interval_layout(t, 1, 2)`` alone
+# holds about 148 MB (tracemalloc), so t near 6e9 (eps = 1e-9 at n = 3)
+# would ask for GBs. No desk-scale run comes near it.
+MAX_BANDS = 2**20
 
 
 class InvalidDistributionError(ValueError):
@@ -185,15 +190,17 @@ class Histogram:
 
 
 def build_histogram(dist: ExplicitDistribution, eps: float, t: int) -> Histogram:
-    """Accumulate the exact band masses of ``dist`` for band width eps."""
+    """Accumulate the exact band masses of ``dist`` for band width eps.
+
+    Refuses a t whose t + 1 bands exceed ``MAX_BANDS``, before allocating."""
     # eps in (0, 1) in calibrated use; eps == 1 is the classic dyadic grid
     # and is accepted for raw-mode experiments.
     if not 0 < eps <= 1:
         raise ValueError(f"eps {eps} outside (0, 1]")
     if t < 1:
         raise ValueError("t must be at least 1")
-    if t + 1 > sys.maxsize:
-        raise ValueError("t is too large: its t + 1 bands cannot be indexed")
+    if t + 1 > MAX_BANDS:
+        raise ValueError(f"t is too large: its t + 1 bands cannot be indexed within MAX_BANDS = {MAX_BANDS}")
     weights = [Fraction(0)] * (t + 1)
     dropped = Fraction(0)
     for x, p in dist.mass.items():
@@ -255,7 +262,8 @@ def interval_layout(t: int, gap_size: int, interval_size: int) -> IntervalLayout
     interval_size % gap_size == 0. Shift s ranges over
     {-1, G-1, 2G-1, ..., I-1} (taking G = gap_size and I = interval_size),
     one shift per gap position inside a period of length G + I; this is
-    what makes the per-shift gaps partition 0..t.
+    what makes the per-shift gaps partition 0..t. Refuses a t whose t + 1
+    bands exceed ``MAX_BANDS``, before allocating.
     """
     g, iv = gap_size, interval_size
     if g < 1 or iv < g or iv % g != 0:
@@ -265,8 +273,8 @@ def interval_layout(t: int, gap_size: int, interval_size: int) -> IntervalLayout
         )
     if t < 1:
         raise InvalidLayoutError("t must be at least 1")
-    if t + 1 > sys.maxsize:
-        raise InvalidLayoutError("t is too large: its t + 1 bands cannot be indexed")
+    if t + 1 > MAX_BANDS:
+        raise InvalidLayoutError(f"t is too large: its t + 1 bands cannot be indexed within MAX_BANDS = {MAX_BANDS}")
     shifts = tuple(c * g - 1 for c in range(iv // g + 1))
     k_max = -(-t // (iv + g))  # ceil
     index_range = tuple(range(k_max + 1))

@@ -13,7 +13,9 @@ the family has few distinct zero sets (172 of 4096 functions at n=4, m=2).
 A prover that declares ``depends_on_hash_zero_set`` is therefore asked
 once per zero set, on its first member in family order, and the answer is
 weighted by how many members share it. Other provers are asked once per
-hash function.
+hash function. Within a challenge the structured enumerator counts that
+integer weight per outcome first and weighs each count once as an exact
+mass; each claim is finalized once per (band, element) and component.
 
 Randomized provers are decomposed through ``randomness_support`` and every
 structural statement is checked per deterministic component, mirroring the
@@ -253,12 +255,15 @@ def _build_component(
     # draw is never degenerate: shift_total > 0.
     comp.shift_total = sum(tables.shift_weights.values(), Fraction(0))
     weights = tables.weights
-    family_size = Fraction(1, 8 ** params.n)
+    claims = {}  # (band, element) -> the p that finalize outputs for the claim
     for s in params.layout.shifts:
         st = comp.shifts[s] = ShiftTables(challenges={})
         w_s, per_interval = tables.shift_weights[s], tables.interval_weights[s]
         if w_s == 0:  # no interval of s has mass
             continue
+        # Given s, one hash function of challenge k weighs per_interval[k] *
+        # unit, and one of its bands j weights[j] * unit.
+        unit = Fraction(1, 8 ** params.n) / w_s
         s_outputs: dict[OutputKey, Fraction] = {}
         s_rejects: dict[str, Fraction] = {}
         for k in params.layout.index_range:
@@ -266,43 +271,43 @@ def _build_component(
             if pending is None:  # an interval of zero mass is never drawn
                 continue
             m, g = pending.m, pending.g
-            k_prob = per_interval[k] / w_s
             if m > params.n:
                 st.challenges[k] = (m, g, (), pending.band_mass_sum, None)
-                _accumulate(s_rejects, REJECT_HASH_WIDTH, k_prob)
+                _accumulate(s_rejects, REJECT_HASH_WIDTH, per_interval[k] / w_s)
                 continue
-            if strat.depends_on_hash_zero_set:
-                source = hash_family.patterns(m)
-            else:
-                source = hash_family.members(m)
+            source = hash_family.patterns(m) if strat.depends_on_hash_zero_set else hash_family.members(m)
+            # Count, then weigh: the rows add integer pattern weight per
+            # reject reason, per passing row (None), per active band left
+            # empty, and per (x, band, set size) placed; each entry becomes
+            # a mass once, after the rows.
             rows = []
-            hits: dict[tuple[int, int], int] = {}
+            tally: dict = {}
             for f, count in source:
                 record = parse_sets(strat.produce_sets(s, k, f, g, m))
                 sets, why = check_sets(record, f, pending, params)
                 rows.append((count, why, sets))
-                f_prob = k_prob * count * family_size
+                tally[why] = tally.get(why, 0) + count
                 if why is not None:
-                    _accumulate(s_rejects, why, f_prob)
                     continue
-                for j, members in sets.items():
-                    for x in members:
-                        hits[(x, j)] = hits.get((x, j), 0) + count
-                for j in pending.interval:
-                    if weights[j] == 0:
-                        continue
-                    j_prob = f_prob * weights[j] / per_interval[k]
-                    if j not in pending.active:
-                        _accumulate(s_rejects, REJECT_BAND_NOT_LIVE, j_prob)
-                        continue
-                    members = sets[j]
-                    if not members:
-                        _accumulate(s_rejects, REJECT_EMPTY_SET, j_prob)
-                        continue
-                    x_prob = j_prob / len(members)
-                    for x in members:
-                        outcome = finalize(j, x, strat.produce_probability(j, x), params)
-                        _accumulate(s_outputs, (x, j, outcome.p), x_prob)
+                for j, members in sets.items():  # an empty band counts under j alone
+                    for key in [(x, j, len(members)) for x in members] or [j]:
+                        tally[key] = tally.get(key, 0) + count
+            not_live = sum((weights[j] for j in pending.interval if j not in pending.active), Fraction(0))
+            hits: dict[tuple[int, int], int] = {}
+            for key, count in tally.items():
+                if key is None:
+                    _accumulate(s_rejects, REJECT_BAND_NOT_LIVE, count * not_live * unit)
+                elif isinstance(key, str):
+                    _accumulate(s_rejects, key, count * per_interval[k] * unit)
+                elif isinstance(key, int):
+                    _accumulate(s_rejects, REJECT_EMPTY_SET, count * weights[key] * unit)
+                else:
+                    x, j, size = key
+                    hits[x, j] = hits.get((x, j), 0) + count
+                    p = claims.get((j, x))
+                    if p is None:
+                        p = claims[j, x] = finalize(j, x, strat.produce_probability(j, x), params).p
+                    _accumulate(s_outputs, (x, j, p), count * weights[j] * unit / size)
             st.challenges[k] = (m, g, pending.active, pending.band_mass_sum, rows)
             st.placements[k] = hits
         comp.per_shift[s] = s_outputs
@@ -752,9 +757,11 @@ def verify_band_sandwich(run: OracleRun) -> StructuralReport:
     the four bound factors, enclosure endpoint over shift weight times
     band enclosure endpoint, once per (shift, band); each cell multiplies
     them by its placement probability, and a cell of placement 0 has all
-    four bounds 0.
+    four bounds 0. A fallback run places nothing, and its report is empty.
     """
     params = run.params
+    if params.mode == MODE_TRIVIAL:  # before any per-band work: t may exceed 10**9
+        return StructuralReport(checked=0, violations=[], indeterminate=[])
     eps = params.eps
     lo_factor = pow2_bounds(-2 * eps)
     hi_factor = pow2_bounds(eps)
@@ -796,8 +803,11 @@ def verify_band_sandwich(run: OracleRun) -> StructuralReport:
 
 
 def verify_band_sums(run: OracleRun) -> StructuralReport:
-    """Placement probabilities over each interval sum to at most 1, exactly."""
+    """Placement probabilities over each interval sum to at most 1, exactly.
+    A fallback run places nothing, and its report is empty."""
     params = run.params
+    if params.mode == MODE_TRIVIAL:  # before params.layout: t may exceed 10**9
+        return StructuralReport(checked=0, violations=[], indeterminate=[])
     layout = params.layout
     violations = []
     checked = 0

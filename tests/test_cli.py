@@ -313,3 +313,16 @@ def test_t_past_an_index_is_a_config_error(workspace, capsys, command):
     assert main([command, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "cannot be indexed" in err
+
+
+@pytest.mark.parametrize("command", ["sample", "oracle"])
+def test_t_past_the_band_cap_is_a_config_error(workspace, capsys, command):
+    """eps = 1e-9 at n = 3 derives t = 6e9: indexable, but its bands would
+    take GBs. It is refused at the band cap, before anything is built."""
+    path = workspace / "small-eps.json"
+    path.write_text(json.dumps({
+        "distribution": "dist.json", "params": {"mode": "raw", "n": 3, "eps": 1e-9, "delta": 0.5},
+    }))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "MAX_BANDS" in err

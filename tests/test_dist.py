@@ -16,6 +16,7 @@ from coinpress.dist import (
     ExplicitDistribution,
     InvalidDistributionError,
     InvalidLayoutError,
+    MAX_BANDS,
     TAU,
     bucket_of,
     build_histogram,
@@ -203,6 +204,14 @@ class TestIntervalLayout:
             interval_layout(10, 2, 1)
         with pytest.raises(InvalidLayoutError):
             interval_layout(10, 2, 3)
+
+    def test_refuses_one_band_past_the_cap(self):
+        """t = MAX_BANDS needs MAX_BANDS + 1 bands: refused before anything
+        is allocated."""
+        with pytest.raises(InvalidLayoutError, match="MAX_BANDS"):
+            interval_layout(MAX_BANDS, 1, 2)
+        with pytest.raises(ValueError, match="MAX_BANDS"):
+            build_histogram(ExplicitDistribution.point(3, 0), 1e-9, MAX_BANDS)
 
     def test_unit_gap_pair_intervals(self):
         # t=10, gap 1, interval 2: shifts -1, 0, 1; frozen expansion for s=-1

@@ -141,6 +141,17 @@ class TestExactDistribution:
                 (x, p): p for x, p in dist.mass.items()
             }
 
+    def test_structural_checks_on_a_fallback_run(self):
+        """A fallback component places nothing, so both checks report
+        nothing checked and no violation, and read no per-band table."""
+        params = derive_params(2, 0.9, 0.9)
+        assert params.t == 40000
+        dist = ExplicitDistribution(n=2, mass={0: Fraction(1, 2), 3: Fraction(1, 2)})
+        run = OracleRun(ExactConfig(params=params, prover=honest_prover(dist, params)))
+        for check in (verify_band_sandwich, verify_band_sums):
+            report = check(run)
+            assert report.ok and report_fields(report) == (0, [], [])
+
     def test_budget_guard(self):
         # 8001 intervals x 8^6 hash functions: about 2.1e9 branches
         params = ProtocolParams.raw(n=6, eps=1.0, delta=0.5, t=8000, gap_size=1, interval_size=1)
@@ -520,10 +531,10 @@ def canonical(obj):
     return obj
 
 
-def oracle_profile(eps):
+def oracle_profile(eps, sampling_gap=1.0):
     """Everything the structured oracle reports about the four profile
     provers at width 4, in a fixed order."""
-    params, provers = profile_provers(eps)
+    params, provers = profile_provers(eps, sampling_gap=sampling_gap)
     out = []
     for name, prover in provers.items():
         run = OracleRun(ExactConfig(params=params, prover=prover))
@@ -547,16 +558,59 @@ def oracle_profile(eps):
 
 
 class TestOraclePinned:
-    # Recorded before the oracle built each component in one pass.
+    # Per (eps, sampling gap). Gap 1 (every challenge at m = 0) was recorded
+    # before the oracle built each component in one pass; gap 0 (m in
+    # {0, 1, 2}, many pattern rows per challenge) before it counted pattern
+    # weight first and weighed each count once.
     DIGESTS = {
-        1.0: "22a1fda11e89aa6cdac50ed2f6d6d4e0765bedc699f9ab8a614f60270d359aa5",
-        0.5: "993b6f10cac59045afcb03b6fb3ee8c6f59f06d740c95b4cf664113bb7adbc28",
+        (1.0, 1.0): "22a1fda11e89aa6cdac50ed2f6d6d4e0765bedc699f9ab8a614f60270d359aa5",
+        (0.5, 1.0): "993b6f10cac59045afcb03b6fb3ee8c6f59f06d740c95b4cf664113bb7adbc28",
+        (1.0, 0.0): "b0c7880f37d2a95adbd9e82942b49f062aff692449988753f116d93c5fc275c8",
+        (0.5, 0.0): "81418e0eb56ecbebbb5e72235d10c8de76d09e749062affc7344734d750fabe1",
     }
 
-    @pytest.mark.parametrize("eps", [1.0, 0.5])
-    def test_profile_pinned(self, eps):
-        blob = repr(canonical(oracle_profile(eps))).encode()
-        assert hashlib.sha256(blob).hexdigest() == self.DIGESTS[eps]
+    @pytest.mark.parametrize(
+        "eps, sampling_gap",
+        [pytest.param(eps, gap, id=f"{eps}" + ("-gap0" if gap == 0 else "")) for eps, gap in sorted(DIGESTS)],
+    )
+    def test_profile_pinned(self, eps, sampling_gap):
+        blob = repr(canonical(oracle_profile(eps, sampling_gap))).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.DIGESTS[eps, sampling_gap]
+
+
+class ClaimCounting(FullEnumeration):
+    """Delegates to ``inner``, keeps its zero-set flag, and counts the
+    probability claims it is asked for per (band, element)."""
+
+    def __init__(self, inner: ProverStrategy):
+        super().__init__(inner)
+        self.depends_on_hash_zero_set = inner.depends_on_hash_zero_set
+        self.claims = Counter()
+        self.parts = []
+
+    def produce_probability(self, j, x):
+        self.claims[j, x] += 1
+        return super().produce_probability(j, x)
+
+    def randomness_support(self):
+        self.parts = [(q, ClaimCounting(strat)) for q, strat in self.inner.randomness_support()]
+        return self.parts
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.5])
+def test_each_claim_is_asked_once_per_component(eps):
+    """Each component is asked for its claim on (band, element) at most
+    once, however many pattern rows and shifts list the element; at
+    sampling gap 0 challenges hash to m in {0, 1, 2}."""
+    params, provers = profile_provers(eps, sampling_gap=0.0)
+    for prover in provers.values():
+        counting = ClaimCounting(prover)
+        run = OracleRun(ExactConfig(params=params, prover=counting))
+        reference = OracleRun(ExactConfig(params=params, prover=prover)).distribution
+        assert run.distribution.outputs == reference.outputs
+        assert run.distribution.reject_by_reason == reference.reject_by_reason
+        claims = [part.claims for _q, part in counting.parts]
+        assert any(claims) and all(set(c.values()) <= {1} for c in claims)
 
 
 class TestZeroSetPatterns:
@@ -767,9 +821,16 @@ class TestFlatEnumerator:
         self.assert_asks_every_function_once(params, provers["honest"])
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("name", ["honest", "mixture", "inflating", "overlapping"])
-    def test_structured_equals_flat_at_n5(self, name):
-        params, provers = profile_provers(1.0, n=5)
+    @pytest.mark.parametrize(
+        "name, sampling_gap",
+        [
+            pytest.param(name, gap, id=name + ("-gap0" if gap == 0 else ""))
+            for gap in (1.0, 0.0)
+            for name in ("honest", "mixture", "inflating", "overlapping")
+        ],
+    )
+    def test_structured_equals_flat_at_n5(self, name, sampling_gap):
+        params, provers = profile_provers(1.0, n=5, sampling_gap=sampling_gap)
         prover = provers[name]
         run = OracleRun(ExactConfig(params=params, prover=prover))
         exact = run.distribution
