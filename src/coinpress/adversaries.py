@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 # buckets is read by nothing here; perfbench's tracer wraps adversaries.buckets
 from coinpress.dist import ExplicitDistribution, buckets, pow2
-from coinpress.hashing import BitPlanes, set_bits
+from coinpress.hashing import BitPlanes, select
 from coinpress.protocol import (
     CoinSource,
     HonestProver,
@@ -188,14 +188,14 @@ class InflatingProver(HonestProver):
         used: set[int] = set()
         out = {}
         for i, (bucket, planes), want_lo, want_hi in self._plans.get((s, k), ()):
-            members = [bucket[j] for j in set_bits(f.eval_batch(planes))]
+            members = select(bucket, f.eval_batch(planes))
             chosen = [x for x in members if x not in used][: max(want_hi, want_lo)]
             if len(chosen) < want_lo:
                 if pool is None:
                     # Spare pool: everything hashing to the zero target, used
                     # to pad sets up to the cardinality window's lower edge.
                     # Input j of the planes is j itself.
-                    pool = set_bits(f.eval_batch(self._all_planes))
+                    pool = select(range(1 << self.params.n), f.eval_batch(self._all_planes))
                 for x in pool:
                     if len(chosen) >= want_lo:
                         break

@@ -11,7 +11,8 @@ Everything is pure Python. Evaluation goes one input at a time by parity
 masks, or a batch held as bit planes (``BitPlanes``), so the whole batch
 is hashed by xors of its planes. Whether a whole list hashes to the
 all-zero target is answered without transposing it, on the list packed
-into one int of fixed-width lanes (``HashFunction.zero_on``). The
+into one int of fixed-width lanes (``HashFunction.zero_on``), and
+``select`` lists the members of a batch's zero set. The
 exhaustive self-check counts members through the field arithmetic; the
 tests hold a vectorized reference for it.
 
@@ -24,6 +25,7 @@ recorded transcripts.
 from __future__ import annotations
 
 import itertools
+import operator
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -69,6 +71,12 @@ def _lane(n: int) -> tuple[int, str, tuple[int, ...]]:
 
 
 LANES = {n: _lane(n) for n in range(1, MAX_BITS + 1)}
+
+# Per input width n, for ``row_masks``: the lane width w, the packer of n
+# columns into n such lanes, and the 1 just above the top lane.
+_COLUMN_LANES = {
+    n: (w, struct.Struct(f"<{n}{code}").pack, 1 << (w * n)) for n, (w, code, _) in LANES.items()
+}
 
 
 class WidthError(ValueError):
@@ -129,10 +137,13 @@ def row_masks(n: int, m: int, a: int, b: int) -> tuple[int, ...]:
         lin <<= 1
         if lin & top:
             lin ^= poly
-    return tuple(
-        sum(((col >> r) & 1) << i for i, col in enumerate(cols))
-        for r in range(m)
-    )
+    # Transpose by one lane pack: column i fills lane i of the ``LANES``
+    # width w, under a 1 just above the top lane. Bit r of lane i is then
+    # binary digit w * (n - i) - r, so row r is the stride-w slice from
+    # digit w - r, last column first.
+    w, pack, above = _COLUMN_LANES[n]
+    digits = format(int.from_bytes(pack(*cols), "little") | above, "b")
+    return tuple([int(digits[w - r::w], 2) for r in range(m)])
 
 
 @dataclass(frozen=True)
@@ -175,12 +186,26 @@ def output_planes(rows: Sequence[int], planes: BitPlanes) -> list[int]:
     return out
 
 
-def set_bits(bits: int) -> list[int]:
-    """The indices of the set bits of ``bits``, ascending."""
+def select(xs: Sequence, bits: int) -> list:
+    """The ``xs[j]`` for the set bits j of ``bits`` (a nonnegative int), in
+    ascending j: ``[xs[j] for j in range(len(xs)) if bits >> j & 1]`` when
+    bits < 2**len(xs).
+
+    Past one 64-bit word, the binary digits of bits split on "1" into the
+    empty run above the top set bit and, read bottom up, the run of zeros
+    below each set bit: the k-th set bit (from 0) sits at the sum of the
+    first k + 1 of those run lengths, plus k, and every step iterates in C.
+    Within one word, where each int operation is cheap and that pipeline's
+    fixed cost would dominate, the lowest set bit is taken off in turn. (An
+    n = 4 band holds a few elements; an n = 16 one can hold thousands.)"""
+    if bits >> 64:
+        runs = f"{bits:b}".split("1")[:0:-1]
+        indices = map(operator.add, itertools.accumulate(map(len, runs)), itertools.count())
+        return [*map(xs.__getitem__, indices)]
     out = []
     while bits:
         low = bits & -bits
-        out.append(low.bit_length() - 1)
+        out.append(xs[low.bit_length() - 1])
         bits ^= low
     return out
 

@@ -933,12 +933,16 @@ def completeness_diagnostics(run: OracleRun, dist) -> CompletenessDiagnostics:
     unions the buckets falling in gaps. Checks that the per-shift excluded
     regions partition the covered set and reports the factor between each
     covered element's conditional mass at its true probability and
-    prob / shift weight (flagged against the 1 +- 132*eps window).
+    prob / shift weight (flagged against the 1 +- 132*eps window). A
+    fallback run has no shifts to diagnose, and is refused as a rejecting
+    prover is, before any per-band work: its t may exceed 10**9.
     """
+    params = run.params
+    if params.mode == MODE_TRIVIAL:
+        raise ValueError("completeness diagnostics need a protocol run, not a fallback one")
     comp = run.components[0]
     if comp.reject_reason is not None:
         raise ValueError("completeness diagnostics need a non-rejecting prover")
-    params = run.params
     bucket_map = buckets(dist, params.eps, params.t)
     weights = build_histogram(dist, params.eps, params.t).weights
     live = compute_live_bands(weights, params)

@@ -44,7 +44,7 @@ from coinpress.dist import (
     interval_weights,
     pow2,
 )
-from coinpress.hashing import BitPlanes, HashFunction, sample_hash, set_bits
+from coinpress.hashing import BitPlanes, HashFunction, sample_hash, select
 
 MODE_RAW = "raw"
 MODE_TRIVIAL = "trivial-fallback"
@@ -560,9 +560,10 @@ class HonestProver(ProverStrategy):
     @functools.cached_property
     def _plans(self) -> dict[tuple[int, int], tuple]:
         """(s, k) -> what ``produce_sets`` needs of that challenge besides
-        f: its active bands, the support slice holding the interval's bands
-        and its planes, and each active band's cut of that slice. Only
-        challenges with an active band have a plan."""
+        f: its active bands, the planes of the support slice holding the
+        interval's bands, and per active band with members its cut of that
+        slice: (band, offset in the slice, mask of its size, its members).
+        Only challenges with an active band have a plan."""
         bands, offsets, support = self._banding
         plans = {}
         for key, ctx in self._challenges.items():
@@ -570,13 +571,18 @@ class HonestProver(ProverStrategy):
                 continue
             first = bisect.bisect_left(bands, ctx.interval[0])
             last = bisect.bisect_right(bands, ctx.interval[-1])
-            lo, hi = offsets[first], offsets[last]
+            lo = offsets[first]
             cuts = tuple(
-                (bands[pos], offsets[pos] - lo, offsets[pos + 1] - lo)
+                (
+                    bands[pos],
+                    offsets[pos] - lo,
+                    (1 << (offsets[pos + 1] - offsets[pos])) - 1,
+                    support[offsets[pos]:offsets[pos + 1]],
+                )
                 for pos in range(first, last)
                 if bands[pos] in ctx.active
             )
-            plans[key] = ctx.active, support[lo:hi], self._planes.slice(lo, hi), cuts
+            plans[key] = ctx.active, self._planes.slice(lo, offsets[last]), cuts
         return plans
 
     def produce_histogram(self) -> Sequence[Fraction]:
@@ -625,11 +631,11 @@ class HonestProver(ProverStrategy):
         plan = self._plans.get((s, k))
         if plan is None:
             return {}
-        active, block, planes, cuts = plan
+        active, planes, cuts = plan
         out = {i: [] for i in active}
         keep = f.eval_batch(planes)
-        for i, a, b in cuts:
-            out[i] = [block[a + j] for j in set_bits((keep >> a) & ((1 << (b - a)) - 1))]
+        for i, a, mask, members in cuts:
+            out[i] = select(members, keep >> a & mask)
         return out
 
     def produce_probability(self, j: int, x: int) -> Fraction:
@@ -888,27 +894,27 @@ def check_sets(sets, f: HashFunction, ctx: ChallengeContext, params: ProtocolPar
     set's size lies in its ``ctx.windows`` entry, and (c) the sets are
     pairwise disjoint. Real-valued bounds in (b) are widened by TAU.
 
-    Only exact ints and bools are compared as they stand: an entry holding
-    any other element is read through ``exact_ints`` first, so no method
-    of a prover's int subclass runs, and an exact value outside [0, 2**n)
-    is malformed. Check (a) is one ``HashFunction.zero_on`` call over the
-    elements of every active band, and evaluates nothing at m = 0.
+    Each entry is read once through ``exact_ints``, so no method of a
+    prover's int subclass runs, and sorted; an exact value outside
+    [0, 2**n), found on the sorted ends, is malformed. Check (a) is one
+    ``HashFunction.zero_on`` call over the elements of every active band,
+    and evaluates nothing at m = 0. Check (c) compares the size of the
+    union with the total, since each set is duplicate-free.
     """
     if sets is None or sets.keys() != set(ctx.active):
         return None, REJECT_MALFORMED_SETS
     normalized = {}
     total = 0
     for i in ctx.active:
-        xs = sets[i]
-        # Exact ints and bools in range pass the first test as they stand;
-        # an entry with any other element is read through exact_ints.
-        if any(type(x) not in _EXACT_INT_TYPES or x < 0 or (x >> params.n) for x in xs):
-            xs = exact_ints(xs)
-            if xs is None or any(x < 0 or (x >> params.n) for x in xs):
-                return None, REJECT_MALFORMED_SETS
+        xs = exact_ints(sets[i])
+        if xs is None:
+            return None, REJECT_MALFORMED_SETS
+        xs = sorted(xs)
+        if xs and (xs[0] < 0 or xs[-1] >> params.n):
+            return None, REJECT_MALFORMED_SETS
         if len(set(xs)) != len(xs):
             return None, REJECT_MALFORMED_SETS
-        normalized[i] = tuple(sorted(xs))
+        normalized[i] = tuple(xs)
         total += len(xs)
     if total > params.set_cap:
         return None, REJECT_OVERSIZE
@@ -918,12 +924,8 @@ def check_sets(sets, f: HashFunction, ctx: ChallengeContext, params: ProtocolPar
     for i, (lo, hi) in zip(ctx.active, ctx.windows):
         if not (lo * (1.0 - TAU) <= len(normalized[i]) <= hi * (1.0 + TAU)):
             return None, REJECT_CHECK_B
-    seen: set[int] = set()
-    for i in ctx.active:
-        for x in normalized[i]:
-            if x in seen:
-                return None, REJECT_CHECK_C
-            seen.add(x)
+    if len(set().union(*normalized.values())) != total:
+        return None, REJECT_CHECK_C
     return normalized, None
 
 

@@ -19,8 +19,9 @@ from coinpress.hashing import (
     gf2n_mul,
     members_sharing_rows,
     mixing_experiment,
+    row_masks,
     sample_hash,
-    set_bits,
+    select,
     verify_kwise_exhaustive,
 )
 
@@ -180,7 +181,7 @@ class TestHashFunction:
             for m in {0, 1, rng.randint(0, n), n}:
                 h = sample_hash(n, m, rng)
                 zeros = [j for j, x in enumerate(xs) if h.eval(x) == 0]
-                assert set_bits(h.eval_batch(planes)) == zeros
+                assert select(range(len(xs)), h.eval_batch(planes)) == zeros
                 assert h.eval_batch(empty) == 0
 
     @given(st.integers(1, 64), st.data())
@@ -239,10 +240,58 @@ class TestHashFunction:
         with pytest.raises(AttributeError):
             built[0].c = 1  # still frozen
 
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_row_masks_match_generator_transpose(self, n):
+        """The lane-packed transpose equals a bit-by-bit transpose of the
+        columns a*t^(2i) + b*t^i, worked out by field multiplication."""
+        rng = random.Random(n)
+        top = (1 << n) - 1
+        pairs = [(0, 0), (top, top), (1, 0), (0, 1)] + [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(4)]
+        for a, b in pairs:
+            cols = [gf2n_mul(a, gf2n_mul(1 << i, 1 << i, n), n) ^ gf2n_mul(b, 1 << i, n) for i in range(n)]
+            for m in sorted({0, 1, n}):
+                want = tuple(sum(((col >> r) & 1) << i for i, col in enumerate(cols)) for r in range(m))
+                assert row_masks(n, m, a, b) == want, (n, m, a, b)
+
     def test_json_shape(self):
         h = HashFunction(n=12, m=3, a=0xABC, b=1, c=0)
         obj = h.to_json_obj()
         assert obj == {"n": 12, "m": 3, "a": "abc", "b": "001", "c": "000"}
+
+
+# Lengths around the 64-bit word boundary and the estimate-wide block sizes.
+SELECT_LENGTHS = [0, 1, 63, 64, 65, 2048, 4096]
+
+
+def select_reference(xs, bits):
+    """``select`` bit by bit."""
+    return [xs[j] for j in range(len(xs)) if bits >> j & 1]
+
+
+class TestSelect:
+    @pytest.mark.parametrize("length", SELECT_LENGTHS)
+    def test_edge_masks(self, length):
+        """No bits, every bit and the top bit only, on a list and a range."""
+        rng = random.Random(length)
+        for xs in ([rng.getrandbits(16) for _ in range(length)], range(7, 7 + length)):
+            for bits in (0, (1 << length) - 1, (1 << length) >> 1):
+                got = select(xs, bits)
+                assert type(got) is list and got == select_reference(xs, bits)
+
+    @given(st.sampled_from(SELECT_LENGTHS), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_bit_reference(self, length, data):
+        """Dense masks and sparse ones, whose runs of zeros are long."""
+        if data.draw(st.booleans()):
+            bits = data.draw(st.integers(0, (1 << length) - 1))
+        else:
+            ones = data.draw(st.sets(st.integers(0, max(length - 1, 0)), max_size=8)) if length else set()
+            bits = sum(1 << j for j in ones)
+        xs = [object() for _ in range(length)]
+        got = select(xs, bits)
+        want = select_reference(xs, bits)
+        assert len(got) == len(want) and all(x is y for x, y in zip(got, want))
+        assert select(range(length), bits) == select_reference(range(length), bits)
 
 
 def zero_set_sample(f, count, rng):

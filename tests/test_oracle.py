@@ -37,6 +37,7 @@ from coinpress.oracle import (
     verify_band_sums,
 )
 from coinpress.protocol import (
+    MODE_TRIVIAL,
     HonestProver,
     Outcome,
     ProtocolParams,
@@ -443,6 +444,18 @@ class TestCompletenessDiagnostics:
         assert diag.wrong_probability_mass == 0
         # at eps=1 the deviation window 1 +- 132*eps is generous
         assert diag.in_band
+
+    @pytest.mark.parametrize("n,eps,delta,t", [(2, 0.9, 0.9, 40000), (8, 0.1, 0.5, 1_440_000)])
+    def test_fallback_run_refused(self, n, eps, delta, t):
+        """A fallback run is refused before any histogram or layout is built:
+        at n = 2 the report would be vacuous, and at n = 8 its t exceeds the
+        band cap."""
+        params = derive_params(n, eps, delta)
+        assert params.mode == MODE_TRIVIAL and params.t == t
+        dist = ExplicitDistribution(n=n, mass={0: Fraction(1, 2), 3: Fraction(1, 2)})
+        run = OracleRun(ExactConfig(params=params, prover=honest_prover(dist, params)))
+        with pytest.raises(ValueError, match="fallback"):
+            completeness_diagnostics(run, dist)
 
     def test_every_output_element_is_covered(self):
         params = raw_params()
