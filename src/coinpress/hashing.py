@@ -7,13 +7,16 @@ to m bits preserves that, so for any three distinct inputs the outputs are
 independent and uniform over the family choice. The family is exactly
 enumerable for tiny n, which the verification helpers below exploit.
 
-Everything is pure Python. Evaluation goes one input at a time by parity
-masks, or a batch held as bit planes (``BitPlanes``), so the whole batch
-is hashed by xors of its planes. Whether a whole list hashes to the
-all-zero target is answered without transposing it, on the list packed
-into one int of fixed-width lanes (``HashFunction.zero_on``), and
-``select`` lists the members of a batch's zero set. The
-exhaustive self-check counts members through the field arithmetic; the
+Everything is pure Python. The parity masks of a hash (``row_masks``)
+are linear in its coefficients, so they are one lookup per 4-bit nibble of
+the coefficients in per-width tables. Evaluation goes one input at a time
+by those masks, or a batch held as bit planes (``BitPlanes``), so the
+whole batch is hashed by xors of its planes, one lookup per nibble of each
+mask in the batch's own tables of plane xors. Whether a whole list hashes
+to the all-zero target is answered without transposing it, on the list
+packed into one int of fixed-width lanes (``HashFunction.zero_on``), and
+``select`` lists the members of a batch's zero set. The exhaustive
+self-check counts members through the field arithmetic; the
 tests hold a vectorized reference for it.
 
 Field elements are Python ints holding polynomial bitmasks. Each width n
@@ -24,7 +27,9 @@ recorded transcripts.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
 import struct
 from collections import Counter
@@ -56,12 +61,13 @@ IRREDUCIBLE_POLY = {
 }
 
 # Lane width w, ``struct`` format code and xor-fold shifts per input width
-# n, for packing n-bit inputs side by side into one int (``zero_on``): w is
-# the smallest of 8, 16, 32 and 64 that holds n bits, the code's standard
-# size is w / 8 bytes (the tests assert these sizes), and the shifts w/2,
-# ..., 1 take the parity of each lane down to its lowest bit. struct rather
-# than array: the program already loads struct, and array's extension
-# module would add to every process's memory.
+# n, for packing n-bit inputs side by side into one int (``zero_on``, and
+# the columns in ``_packed_rows``): w is the smallest of 8, 16, 32 and 64
+# that holds n bits, the code's standard size is w / 8 bytes (the tests
+# assert these sizes), and the shifts w/2, ..., 1 take the parity of each
+# lane down to its lowest bit. struct rather than array: the program
+# already loads struct, and array's extension module would add to every
+# process's memory.
 _LANE_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
@@ -71,12 +77,6 @@ def _lane(n: int) -> tuple[int, str, tuple[int, ...]]:
 
 
 LANES = {n: _lane(n) for n in range(1, MAX_BITS + 1)}
-
-# Per input width n, for ``row_masks``: the lane width w, the packer of n
-# columns into n such lanes, and the 1 just above the top lane.
-_COLUMN_LANES = {
-    n: (w, struct.Struct(f"<{n}{code}").pack, 1 << (w * n)) for n, (w, code, _) in LANES.items()
-}
 
 
 class WidthError(ValueError):
@@ -115,11 +115,9 @@ def gf2n_inv(a: int, n: int) -> int:
     return gf2n_pow(a, 2**n - 2, n)
 
 
-def row_masks(n: int, m: int, a: int, b: int) -> tuple[int, ...]:
-    """The m row masks of x -> a*x^2 + b*x: output bit r is the parity of
-    ``x & rows[r]``. They do not depend on c."""
-    if not m:
-        return ()
+def _packed_rows(n: int, a: int, b: int) -> int:
+    """All n row masks of x -> a*x^2 + b*x packed into one int, row r at
+    bits r*n .. r*n + n - 1. Builds the ``row_masks`` tables."""
     # Column i is the image of the basis element t^i: a*t^(2i) + b*t^i.
     # Each step multiplies sq by t twice and lin by t once, reducing the
     # carry out of bit n-1 after every shift.
@@ -141,15 +139,58 @@ def row_masks(n: int, m: int, a: int, b: int) -> tuple[int, ...]:
     # width w, under a 1 just above the top lane. Bit r of lane i is then
     # binary digit w * (n - i) - r, so row r is the stride-w slice from
     # digit w - r, last column first.
-    w, pack, above = _COLUMN_LANES[n]
-    digits = format(int.from_bytes(pack(*cols), "little") | above, "b")
-    return tuple([int(digits[w - r::w], 2) for r in range(m)])
+    w, code, _ = LANES[n]
+    packed = int.from_bytes(struct.pack(f"<{n}{code}", *cols), "little") | 1 << (w * n)
+    digits = format(packed, "b")
+    return int("".join([digits[w - r::w] for r in reversed(range(n))]), 2)
+
+
+def _subset_xors(values: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Per run of four entries of ``values`` (the last run may be shorter),
+    the xors of its subsets: entry s of table k is the xor of values[4k + i]
+    over the set bits i of s. So a value with bit j set for each chosen
+    entry j maps to the xor of those entries as one lookup per nibble."""
+    tables = []
+    for k in range(0, len(values), 4):
+        table = [0]
+        for v in values[k:k + 4]:
+            table += [t ^ v for t in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+@functools.cache
+def _row_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """The ``_subset_xors`` tables of the packed rows (``_packed_rows``) of
+    the 2n basis coefficients: (t^j, 0) for j < n, then (0, t^j)."""
+    basis = [_packed_rows(n, 1 << j, 0) for j in range(n)]
+    basis += [_packed_rows(n, 0, 1 << j) for j in range(n)]
+    return _subset_xors(basis)
+
+
+def row_masks(n: int, m: int, a: int, b: int) -> tuple[int, ...]:
+    """The m row masks of x -> a*x^2 + b*x: output bit r is the parity of
+    ``x & rows[r]``. They do not depend on c.
+
+    The rows are GF(2)-linear in (a, b), so the packed rows of (a, b) are
+    the xor of those of its set coefficient bits: one ``_row_tables``
+    lookup per nibble of a | b << n."""
+    if not m:
+        return ()
+    key = a | b << n
+    packed = 0
+    for table in _row_tables(n):
+        packed ^= table[key & 15]
+        key >>= 4
+    mask = (1 << n) - 1
+    return tuple([packed >> (r * n) & mask for r in range(m)])
 
 
 @dataclass(frozen=True)
 class BitPlanes:
     """A sequence of ``count`` n-bit inputs stored bit-sliced: bit j of
-    ``planes[i]`` is bit i of input j."""
+    ``planes[i]`` is bit i of input j. ``nibble_xors`` holds the xors of
+    the planes by runs of four, for ``output_planes``."""
 
     count: int
     planes: tuple[int, ...]
@@ -168,20 +209,28 @@ class BitPlanes:
         mask = (1 << (hi - lo)) - 1
         return BitPlanes(hi - lo, tuple((plane >> lo) & mask for plane in self.planes))
 
+    @functools.cached_property
+    def nibble_xors(self) -> tuple[tuple[int, ...], ...]:
+        """Per run of four planes, the xors of its subsets
+        (``_subset_xors``). Built on first read and kept on the instance,
+        outside the dataclass fields, so equality and hash ignore it."""
+        return _subset_xors(self.planes)
+
     def __len__(self) -> int:
         return self.count
 
 
 def output_planes(rows: Sequence[int], planes: BitPlanes) -> list[int]:
     """Plane r of the images of a batch under x -> a*x^2 + b*x given by its
-    ``row_masks``: the xor of the input planes of the set bits of rows[r]."""
+    ``row_masks``: the xor of the input planes of the set bits of rows[r],
+    as one ``BitPlanes.nibble_xors`` lookup per nibble of the row."""
+    tables = planes.nibble_xors
     out = []
     for row in rows:
         ones = 0
-        while row:
-            low = row & -row
-            ones ^= planes.planes[low.bit_length() - 1]
-            row ^= low
+        for table in tables:
+            ones ^= table[row & 15]
+            row >>= 4
         out.append(ones)
     return out
 
@@ -282,21 +331,28 @@ class HashFunction:
         }
 
 
-def members_sharing_rows(n: int, m: int, a: int, b: int) -> list[HashFunction]:
-    """The 2**n members (a, b, c), c = 0 .. 2**n - 1, of the width-n family
-    at output width m, in family order. They share one ``row_masks`` tuple,
-    so each is filled in directly instead of through the frozen dataclass
-    constructor; each equals, hashes as, and has the same ``rows`` and
+def _members(
+    n: int, m: int, a: int, b: int, rows: tuple[int, ...], cs: Iterable[int]
+) -> list[HashFunction]:
+    """The members (a, b, c) for c in ``cs``, around the given ``rows``,
+    filled in directly instead of through the frozen dataclass
+    constructor: each equals, hashes as, and has the same ``rows`` and
     ``c_low`` as ``HashFunction(n, m, a, b, c)``."""
-    rows = row_masks(n, m, a, b)
     low = (1 << m) - 1
     new = object.__new__
     out = []
-    for c in range(1 << n):
+    for c in cs:
         f = new(HashFunction)
         f.__dict__.update(n=n, m=m, a=a, b=b, c=c, rows=rows, c_low=c & low)
         out.append(f)
     return out
+
+
+def members_sharing_rows(n: int, m: int, a: int, b: int) -> list[HashFunction]:
+    """The 2**n members (a, b, c), c = 0 .. 2**n - 1, of the width-n family
+    at output width m, in family order. They share one ``row_masks`` tuple
+    and are built by ``_members``."""
+    return _members(n, m, a, b, row_masks(n, m, a, b), range(1 << n))
 
 
 def sample_hash(n: int, m: int, rng) -> HashFunction:
@@ -309,7 +365,7 @@ def sample_hash(n: int, m: int, rng) -> HashFunction:
     a = rng.randrange(size)
     b = rng.randrange(size)
     c = rng.randrange(size)
-    return HashFunction(n=n, m=m, a=a, b=b, c=c)
+    return _members(n, m, a, b, row_masks(n, m, a, b), (c,))[0]
 
 
 def family(n: int) -> Iterable[tuple[int, int, int]]:
@@ -415,6 +471,9 @@ def mixing_experiment(
     same bound applies for x outside B, and for x inside B the window
     becomes 1 + (1 +- gamma)(|B| - 1)/2**m with bound
     2**m / (gamma^2 (|B| - 1)).
+
+    Raises ``ValueError`` unless B is a nonempty subset of [0, 2**n),
+    trials >= 1, 0 < gamma < inf and the pivot, if any, lies in [0, 2**n).
     """
     bset = sorted(set(int(y) for y in members))
     if not bset:
@@ -423,6 +482,10 @@ def mixing_experiment(
         raise ValueError(f"members must lie in [0, 2**{n})")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if pivot is not None and not 0 <= int(pivot) < 1 << n:
+        raise ValueError(f"pivot must lie in [0, 2**{n})")
     planes = BitPlanes.of(bset, n)
     pivot_in = pivot is not None and int(pivot) in set(bset)
     size = len(bset)

@@ -896,10 +896,13 @@ def check_sets(sets, f: HashFunction, ctx: ChallengeContext, params: ProtocolPar
 
     Each entry is read once through ``exact_ints``, so no method of a
     prover's int subclass runs, and sorted; an exact value outside
-    [0, 2**n), found on the sorted ends, is malformed. Check (a) is one
-    ``HashFunction.zero_on`` call over the elements of every active band,
-    and evaluates nothing at m = 0. Check (c) compares the size of the
-    union with the total, since each set is duplicate-free.
+    [0, 2**n), found on the sorted ends, is malformed. Then one set is
+    built over every listed element: when its size equals the total, no
+    set holds a duplicate and check (c) passes. Only when it falls short
+    are the sets looked at one by one: a duplicate inside one is
+    malformed, else the overlap fails check (c) after (a) and (b). Check
+    (a) is one ``HashFunction.zero_on`` call over the elements of every
+    active band, and evaluates nothing at m = 0.
     """
     if sets is None or sets.keys() != set(ctx.active):
         return None, REJECT_MALFORMED_SETS
@@ -912,19 +915,21 @@ def check_sets(sets, f: HashFunction, ctx: ChallengeContext, params: ProtocolPar
         xs = sorted(xs)
         if xs and (xs[0] < 0 or xs[-1] >> params.n):
             return None, REJECT_MALFORMED_SETS
-        if len(set(xs)) != len(xs):
-            return None, REJECT_MALFORMED_SETS
         normalized[i] = tuple(xs)
         total += len(xs)
+    listed = list(itertools.chain.from_iterable(normalized.values()))
+    overlap = len(set(listed)) != total
+    if overlap and any(len(set(xs)) != len(xs) for xs in normalized.values()):
+        return None, REJECT_MALFORMED_SETS
     if total > params.set_cap:
         return None, REJECT_OVERSIZE
     # with no rows (m = 0) every input hashes to the zero target
-    if f.rows and not f.zero_on(list(itertools.chain.from_iterable(normalized.values()))):
+    if f.rows and not f.zero_on(listed):
         return None, REJECT_CHECK_A
     for i, (lo, hi) in zip(ctx.active, ctx.windows):
         if not (lo * (1.0 - TAU) <= len(normalized[i]) <= hi * (1.0 + TAU)):
             return None, REJECT_CHECK_B
-    if len(set().union(*normalized.values())) != total:
+    if overlap:
         return None, REJECT_CHECK_C
     return normalized, None
 

@@ -149,6 +149,18 @@ def test_hash_check(capsys):
     assert "mixing" in out
 
 
+@pytest.mark.parametrize("gamma", ["0", "-0.5", "nan", "inf"])
+def test_hash_check_refuses_gamma(gamma, capsys):
+    """A gamma outside (0, inf) is a usage error, not a traceback (0) or a
+    vacuous PASS (nan)."""
+    assert main(["hash-check", "--n", "2", "--m", "1", "--trials", "20",
+                 "--set-size", "16", "--mix-n", "6", "--mix-m", "2",
+                 "--gamma", gamma]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "gamma" in captured.err
+    assert "mixing" not in captured.out
+
+
 def test_import_path_loads_no_numpy():
     """Only the exhaustive self-checks behind ``hash-check`` import numpy,
     inside the functions that use it; every command starts without it."""

@@ -19,6 +19,7 @@ from coinpress.hashing import (
     gf2n_mul,
     members_sharing_rows,
     mixing_experiment,
+    output_planes,
     row_masks,
     sample_hash,
     select,
@@ -241,6 +242,39 @@ class TestHashFunction:
             built[0].c = 1  # still frozen
 
     @pytest.mark.parametrize("n", range(1, 65))
+    def test_output_planes_match_per_bit_reference(self, n):
+        """The nibble-table output planes equal the xor of the input planes
+        of each row's set bits, taken one bit at a time, on a batch, on
+        slices of it (the empty one included) and on an empty batch."""
+        rng = random.Random(n)
+        xs = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(30)]
+        planes = BitPlanes.of(xs, n)
+        top = (1 << n) - 1
+        rows = [0, top, 1, 1 << (n - 1)] + [rng.getrandbits(n) for _ in range(6)]
+        batches = [planes, planes.slice(3, 17), planes.slice(5, 5), BitPlanes.of([], n)]
+        for batch in batches:
+            assert output_planes(rows, batch) == output_planes_reference(rows, batch)
+            assert output_planes([], batch) == []
+
+    def test_cached_tables_leave_equality_and_hash(self):
+        """Reading ``nibble_xors`` keeps a planes object equal to, hashing
+        as and printing as a fresh one; the tables hold every subset xor."""
+        xs = [5, 9, 0, 255, 17, 128]
+        planes, fresh = BitPlanes.of(xs, 8), BitPlanes.of(xs, 8)
+        tables = planes.nibble_xors
+        assert planes.nibble_xors is tables
+        assert planes == fresh and hash(planes) == hash(fresh) and repr(planes) == repr(fresh)
+        assert len(tables) == 2 and all(len(table) == 16 for table in tables)
+        for k, table in enumerate(tables):
+            for bits, entry in enumerate(table):
+                want = 0
+                for i in range(4):
+                    if bits >> i & 1:
+                        want ^= planes.planes[4 * k + i]
+                assert entry == want
+        assert [len(t) for t in BitPlanes.of(xs, 9).nibble_xors] == [16, 16, 2]
+
+    @pytest.mark.parametrize("n", range(1, 65))
     def test_row_masks_match_generator_transpose(self, n):
         """The lane-packed transpose equals a bit-by-bit transpose of the
         columns a*t^(2i) + b*t^i, worked out by field multiplication."""
@@ -257,6 +291,19 @@ class TestHashFunction:
         h = HashFunction(n=12, m=3, a=0xABC, b=1, c=0)
         obj = h.to_json_obj()
         assert obj == {"n": 12, "m": 3, "a": "abc", "b": "001", "c": "000"}
+
+
+def output_planes_reference(rows, planes):
+    """``output_planes`` one set bit of each row at a time."""
+    out = []
+    for row in rows:
+        ones = 0
+        while row:
+            low = row & -row
+            ones ^= planes.planes[low.bit_length() - 1]
+            row ^= low
+        out.append(ones)
+    return out
 
 
 # Lengths around the 64-bit word boundary and the estimate-wide block sizes.
@@ -407,6 +454,25 @@ class TestMixing:
     def test_members_outside_the_domain_refused(self, members):
         with pytest.raises(ValueError, match="members must lie in"):
             mixing_experiment(members, n=8, m=2, gamma=0.25, trials=5, rng=random.Random(0))
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.25, float("nan"), float("inf"), float("-inf")])
+    def test_gamma_outside_open_interval_refused(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            mixing_experiment(range(32), n=8, m=2, gamma=gamma, trials=5, rng=random.Random(0))
+
+    @pytest.mark.parametrize("pivot", [-1, 256, 257, 1 << 64])
+    def test_pivot_outside_the_domain_refused(self, pivot):
+        with pytest.raises(ValueError, match="pivot must lie in"):
+            mixing_experiment(
+                range(32), n=8, m=2, gamma=0.25, trials=5, rng=random.Random(0), pivot=pivot
+            )
+
+    @pytest.mark.parametrize("pivot", [0, 255])
+    def test_pivot_at_the_domain_ends_accepted(self, pivot):
+        report = mixing_experiment(
+            range(32), n=8, m=2, gamma=0.25, trials=5, rng=random.Random(0), pivot=pivot
+        )
+        assert report.pivot == pivot and report.pivot_in_set == (pivot < 32)
 
     def test_unconditioned_bound(self):
         rng = random.Random(7)

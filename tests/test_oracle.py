@@ -626,7 +626,56 @@ def test_each_claim_is_asked_once_per_component(eps):
         assert any(claims) and all(set(c.values()) <= {1} for c in claims)
 
 
+def patterns_digest(n, m):
+    """SHA-256 of the (a, b, c, count) rows of ``HashFamily(n).patterns(m)``."""
+    h = hashlib.sha256()
+    for f, count in HashFamily(n).patterns(m):
+        h.update(f"{f.a},{f.b},{f.c},{count};".encode())
+    return h.hexdigest()
+
+
+# ``patterns_digest`` at every m for n <= 6, recorded before the row masks
+# and output planes were computed by nibble tables.
+PATTERN_DIGESTS = {
+    (1, 0): "ef17d5140354dceded596c2e9f07f108565ff5cc6cd8329824713d8841ee4fe2",
+    (1, 1): "4b21e585a7711cd93ee61c18902f7dbe9d28b1762d60b3dc458102b3b937c8ad",
+    (2, 0): "9b8f2ca17a2c7da94590efa68e722d51ea954f15e90fa600ab5f32132f089364",
+    (2, 1): "1adcb12d7ee023906221608f1e11024ab4d7d39544eddaea6ef01b9990851c0c",
+    (2, 2): "ea9534541ae6eaffc3a55c57d9be89d1cbc6dc6c5f44d5c8977692ea6695c563",
+    (3, 0): "f7e904c7ded3a5057de60fba5f337a136a443a35ab259bf39e5aeeecd92a0a6f",
+    (3, 1): "08ac2af7a34f1ac9d7483e72adbdc82ee25611b4880e2e0f40cce788d6757bed",
+    (3, 2): "68781051577da2c2a3e5f826df227bce71b064bd60db7b74e3c3d7355f1c0856",
+    (3, 3): "f55029c6436e056e8e56ab51ae9f0fc9d4adb0958211838423c902603f8fc88e",
+    (4, 0): "1403b2d08ab8ee93a5b318b33e79cec4fec691a6614f3bdab3a38d569ca863e6",
+    (4, 1): "dc08bc83f3bc40ce6580b275637ddf23c470b5a4a96046c39b37728a668246fa",
+    (4, 2): "fa80487954957058ca13795553c94056344f8c2cfa96150a0b4be32c4b284cfd",
+    (4, 3): "957c7709af0d1c6614b85a561d9c40019248ad9327275ebd0bea658667418f24",
+    (4, 4): "49cfcd847532249f5ce6cad83eca9c6cc2e70ab6f5e00a273f1a6a846ac836c1",
+    (5, 0): "36539e1d45e186c000b0a695afb671ff4de7d7af934c8720dd4c5fb2434665e4",
+    (5, 1): "c401b49d55de533845149405dd1070f6bcaaab193b8964cb3bc6a3666a340e60",
+    (5, 2): "e195aeb684bf144ba7aeb0bd551c72eb146c92ced2d772d55c635677699b07a4",
+    (5, 3): "91126bffce237854b8383dd19c818dfe68fa52c7addd65040c02be0d6248ad57",
+    (5, 4): "57828024d5d15cfb7f1ec3c0f1e4d3667e83ba08af5abaaaed2128b9368a16cb",
+    (5, 5): "d40e5b74c9260d8275535eb061823af44d0719b2d800f73251de20ac3fbefcf9",
+    (6, 0): "5a13ea0f2916eda00c2dde0bb7b84b6da1d9b5c3bccccea5d53f584557a63bab",
+    (6, 1): "5e3c24c89790081121d50eec50a3be8609e830f3a1f7557d3f9b79e810411f05",
+    (6, 2): "d28d624edf9ab5639f448145dbcb10b22283abc7f383f2e1c2039a8e98e5040b",
+    (6, 3): "dad611f6cc0161422c08d2afa8ee935b1f3ddf5b3675d0b0a70d93e5c86f11c1",
+    (6, 4): "92ed160e307fdade1981e241bd9bf81d8e2b86dbefc9d5c1d8d9669e3e8d3ba5",
+    (6, 5): "6efb20fdf614028feed222cc6b9499e7dcc9aa969f9e271635ce6bb891fbbe1a",
+    (6, 6): "f3b3859b57e073983db32bb74aded948f47baa29a73d00f46f5e57a9520723f9",
+}
+
+
 class TestZeroSetPatterns:
+    @pytest.mark.parametrize("n, m", sorted(PATTERN_DIGESTS))
+    def test_patterns_pinned(self, n, m):
+        assert patterns_digest(n, m) == PATTERN_DIGESTS[n, m]
+
+    @pytest.mark.slow
+    def test_patterns_pinned_n8_m3(self):
+        assert patterns_digest(8, 3) == "16bb58ad5c5258b146dc4d06b1aa1bf7a4139f8fe12f71e9e34c2865071abc66"
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_patterns_are_first_members_of_distinct_zero_sets(self, n):
         for m in range(n + 1):

@@ -453,6 +453,28 @@ class TestCheckSets:
         _, reason = check_sets({1: [0], 2: [3, 5]}, M0_HASH, self.ctx, params)
         assert reason == "oversize"
 
+    def test_duplicate_with_overlap_malformed(self):
+        """A duplicate inside one set is malformed even when the sets also
+        overlap, which alone would fail check (c)."""
+        _, reason = check_sets({1: [0, 3], 2: [3, 5, 5]}, M0_HASH, self.ctx, self.params)
+        assert reason == "malformed-sets"
+
+    def test_overlap_with_check_a_miss_fails_a(self):
+        ctx = replace(self.ctx, g=1.0, m=1)
+        f = HashFunction(n=3, m=1, a=0, b=0, c=1)  # h(x)=1 for all x
+        _, reason = check_sets({1: [0, 3], 2: [3, 5]}, f, ctx, self.params)
+        assert reason == "check-a"
+
+    def test_overlap_with_window_miss_fails_b(self):
+        # band 2 needs at least 2 elements
+        _, reason = check_sets({1: [0, 3], 2: [3]}, M0_HASH, self.ctx, self.params)
+        assert reason == "check-b"
+
+    def test_duplicate_in_oversize_answer_malformed(self):
+        params = tiny_params(set_cap=2)
+        _, reason = check_sets({1: [0, 0], 2: [3, 5]}, M0_HASH, self.ctx, params)
+        assert reason == "malformed-sets"
+
 
 def scalar_check_sets(sets, f, ctx, params):
     """Reference for ``check_sets`` on elements that are exact ints or
