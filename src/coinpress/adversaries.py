@@ -253,6 +253,9 @@ class ScriptedProver(ProverStrategy):
 
     def __init__(self, responses: Mapping[str, object]):
         self.responses = dict(responses)
+        # A constant list histogram is sent as one tuple, so it compiles once.
+        if type(self.responses.get("histogram")) is list:
+            self.responses["histogram"] = tuple(self.responses["histogram"])
         # A constant sets answer reads nothing of f.
         self.depends_on_hash_zero_set = not callable(self.responses.get("sets"))
 

@@ -93,7 +93,7 @@ def _scripted_from_obj(obj: dict) -> adversaries.ScriptedProver:
     responses = {}
     if "histogram" in obj:
         h = obj["histogram"]
-        responses["histogram"] = None if h is None else [fraction_from_str(w) for w in h]
+        responses["histogram"] = None if h is None else tuple(map(fraction_from_str, h))
     if "sets" in obj:
         responses["sets"] = {
             int(i): [int(x, 16) for x in xs] for i, xs in obj["sets"].items()
@@ -234,7 +234,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_hash_check(args) -> int:
-    rng = random.Random(args.seed)
+    # The mixing run goes first so that its argument checks refuse before
+    # any exhaustive enumeration; its line still prints last.
+    mix = hashing.mixing_experiment(
+        members=range(args.set_size), n=args.mix_n, m=args.mix_m,
+        gamma=args.gamma, trials=args.trials, rng=random.Random(args.seed),
+    )
     results = []
     ok = True
     for n in args.n:
@@ -249,10 +254,6 @@ def cmd_hash_check(args) -> int:
             ok &= report.ok
             print(f"{'PASS' if report.ok else 'FAIL'} 3wise n={n} m={m} "
                   f"count={report.expected_count}")
-    mix = hashing.mixing_experiment(
-        members=range(args.set_size), n=args.mix_n, m=args.mix_m,
-        gamma=args.gamma, trials=args.trials, rng=rng,
-    )
     mix_ok = mix.frequency <= mix.bound + 3 * (mix.bound * (1 - mix.bound) / args.trials) ** 0.5
     ok &= mix_ok
     print(f"{'PASS' if mix_ok else 'FAIL'} mixing |B|={mix.set_size} m={mix.m} "
@@ -275,7 +276,7 @@ def cmd_transform(args) -> int:
         shared = ip2am.HonestTransformProver(spec, None, toy.honest_answer)
         factory = lambda seed: shared
     elif args.prover == "random-answers":
-        factory = lambda seed: ip2am.RandomAnswerTransformProver(spec, None, seed)
+        factory = ip2am.RandomAnswerTransformProver(spec, None, 0).reseeded
     else:
         raise ConfigError(f"unknown transform prover {args.prover!r}")
     rate = ip2am.estimate_acceptance(

@@ -61,13 +61,12 @@ IRREDUCIBLE_POLY = {
 }
 
 # Lane width w, ``struct`` format code and xor-fold shifts per input width
-# n, for packing n-bit inputs side by side into one int (``zero_on``, and
-# the columns in ``_packed_rows``): w is the smallest of 8, 16, 32 and 64
-# that holds n bits, the code's standard size is w / 8 bytes (the tests
-# assert these sizes), and the shifts w/2, ..., 1 take the parity of each
-# lane down to its lowest bit. struct rather than array: the program
-# already loads struct, and array's extension module would add to every
-# process's memory.
+# n, for packing n-bit inputs side by side into one int (``zero_on``): w is
+# the smallest of 8, 16, 32 and 64 that holds n bits, the code's standard
+# size is w / 8 bytes (the tests assert these sizes), and the shifts
+# w/2, ..., 1 take the parity of each lane down to its lowest bit. struct
+# rather than array: the program already loads struct, and array's
+# extension module would add to every process's memory.
 _LANE_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
@@ -135,14 +134,9 @@ def _packed_rows(n: int, a: int, b: int) -> int:
         lin <<= 1
         if lin & top:
             lin ^= poly
-    # Transpose by one lane pack: column i fills lane i of the ``LANES``
-    # width w, under a 1 just above the top lane. Bit r of lane i is then
-    # binary digit w * (n - i) - r, so row r is the stride-w slice from
-    # digit w - r, last column first.
-    w, code, _ = LANES[n]
-    packed = int.from_bytes(struct.pack(f"<{n}{code}", *cols), "little") | 1 << (w * n)
-    digits = format(packed, "b")
-    return int("".join([digits[w - r::w] for r in reversed(range(n))]), 2)
+    # Bit r of column i is bit i of row r, so row r is bit plane r.
+    planes = BitPlanes.of(cols, n).planes
+    return sum(plane << (r * n) for r, plane in enumerate(planes))
 
 
 def _subset_xors(values: Sequence[int]) -> tuple[tuple[int, ...], ...]:

@@ -16,6 +16,7 @@ exactly 1/2.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import random
@@ -321,6 +322,9 @@ class HonestTransformProver(TransformProver):
         self.x = x
         self.private_prover_fn = private_prover_fn
         self._cache: dict[tuple, HonestProver] = {}
+        # One prover per conditional law: transcripts with equal laws share
+        # it, so the verifier compiles its histogram once.
+        self._by_law: dict[tuple, HonestProver] = {}
 
     def sampling_strategy(self, round_index, messages, probs, answers, params):
         key = (round_index, tuple(messages), tuple(answers), params.digest())
@@ -333,7 +337,10 @@ class HonestTransformProver(TransformProver):
                 dist = conditional_randomness_distribution(
                     self.spec, self.x, messages, answers
                 )
-            self._cache[key] = HonestProver(dist, params)
+            law = (dist.n, frozenset(dist.mass.items()), params.digest())
+            if law not in self._by_law:
+                self._by_law[law] = HonestProver(dist, params)
+            self._cache[key] = self._by_law[law]
         return self._cache[key]
 
     def answer(self, round_index, messages, probs, answers):
@@ -346,6 +353,13 @@ class RandomAnswerTransformProver(HonestTransformProver):
     def __init__(self, spec, x, seed: int):
         super().__init__(spec, x)
         self._rng = random.Random(seed)
+
+    def reseeded(self, seed: int) -> "RandomAnswerTransformProver":
+        """``RandomAnswerTransformProver(spec, x, seed)``, sharing these
+        honest provers so that the verifier compiles each histogram once."""
+        twin = copy.copy(self)
+        twin._rng = random.Random(seed)
+        return twin
 
     def answer(self, round_index, messages, probs, answers):
         return self._rng.randrange(1 << self.spec.message_bits)

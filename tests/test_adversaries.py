@@ -471,6 +471,15 @@ class TestScriptedProver:
         assert tr.outcome.kind == "output"
         assert tr.outcome.p == dist.prob(tr.outcome.x)
 
+    def test_constant_list_histogram_compiles_once(self, compiles):
+        params = params_n3()
+        weights = [0, 0, 1, 0, 0, 0, 0]
+        scripted = ScriptedProver({"histogram": weights})
+        for seed in range(5):
+            tr = run_protocol(params, scripted, rng=random.Random(seed))
+            assert tr.outcome.reason not in ("malformed-histogram", "histogram-sum")
+        assert compiles == [tuple(map(Fraction, weights))]
+
 
 class TestNonrealizableTable:
     def test_sums_are_exactly_one(self):

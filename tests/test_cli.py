@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, file formats, determinism, error handling."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -159,6 +160,7 @@ def test_hash_check_refuses_gamma(gamma, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "gamma" in captured.err
     assert "mixing" not in captured.out
+    assert "3wise" not in captured.out
 
 
 def test_import_path_loads_no_numpy():
@@ -227,6 +229,27 @@ def test_prover_flag_variants(workspace, capsys):
         path.write_text(json.dumps(cfg))
         assert main(["sample", "--config", str(path), "--seed", "3"]) == 0
         assert expect in capsys.readouterr().out
+
+
+def test_scripted_histogram_compiles_once(workspace, capsys, compiles):
+    """A scripted prover sends its histogram as one tuple, so the verifier
+    compiles it once across an estimate's trials; the transcript that
+    records it keeps its bytes."""
+    (workspace / "script.json").write_text(json.dumps({
+        "histogram": ["0/1", "1/2", "1/2", "0/1", "0/1", "0/1", "0/1"],
+        "sets": {"1": ["0"], "2": ["3", "5"]},
+        "probability": "1/4",
+    }))
+    cfg = dict(json.loads((workspace / "tiny.json").read_text()), prover="scripted:script.json")
+    (workspace / "scripted.json").write_text(json.dumps(cfg))
+    config = str(workspace / "scripted.json")
+    assert main(["estimate", "--config", config, "--trials", "40", "--seed", "1"]) == 0
+    assert len(compiles) == 1
+    out = workspace / "transcript.json"
+    assert main(["sample", "--config", config, "--seed", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "9cee726a9344f2d8ad9d51ab2eb2134c7d79e59dfbf30788c7fcc3d1642195c9"
+    )
 
 
 def test_invalid_config_exits_nonzero(workspace, capsys):

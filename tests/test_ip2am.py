@@ -177,11 +177,31 @@ class TestTransformRun:
         toy = toy_protocol(NONMEMBER)
         rate = estimate_acceptance(
             toy.spec, None,
-            lambda seed: RandomAnswerTransformProver(toy.spec, None, seed),
+            RandomAnswerTransformProver(toy.spec, None, 0).reseeded,
             600, 8, eps=0.02, delta=0.25,
         )
         c_bound, s_bound = bounds_calculator(1.0, 0.5, 1, 0.02, 0.25)
         assert rate <= s_bound + 0.07
+
+    def test_reseeded_random_answers_match_fresh_prover(self):
+        toy = toy_protocol(NONMEMBER)
+        mp, cp = sampling_params_for(toy.spec, eps=0.02, delta=0.25)
+        base = RandomAnswerTransformProver(toy.spec, None, 0)
+        for seed in range(40):
+            fresh = RandomAnswerTransformProver(toy.spec, None, seed)
+            runs = [
+                transform_run(toy.spec, None, prover, mp, cp, random.Random(seed))
+                for prover in (fresh, base.reseeded(seed))
+            ]
+            assert runs[0] == runs[1]
+
+    def test_equal_laws_compile_once(self, compiles):
+        # Random answers reach many transcripts whose conditional laws are
+        # equal; each law is one honest prover, so one verifier compile.
+        toy = toy_protocol(NONMEMBER)
+        base = RandomAnswerTransformProver(toy.spec, None, 0)
+        estimate_acceptance(toy.spec, None, base.reseeded, 200, 8, eps=0.02, delta=0.25)
+        assert len(compiles) == len(base._by_law) < len(base._cache)
 
     def test_sampling_reject_propagates(self):
         toy = toy_protocol(MEMBER)

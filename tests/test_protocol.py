@@ -192,24 +192,22 @@ class TestVerifierTables:
         assert reason is None
         assert tables.shift_draw[-1] > 0
 
-    def test_tables_built_once_per_histogram(self):
+    def test_tables_built_once_per_histogram(self, compiles):
         params = tiny_params()
         prover = honest_prover(tiny_dist(), params)
-        verifier_tables.cache_clear()
-        before = verifier_tables.cache_info()
         for seed in range(10):
             run_protocol(params, prover, rng=random.Random(seed))
-        after = verifier_tables.cache_info()
-        assert after.misses - before.misses == 1
         # nine later runs hit the cache, and so does the prover's one lookup for its plans
-        assert after.hits - before.hits == 10
+        assert len(compiles) == 1
 
-    def test_equal_values_share_tables(self):
-        # int and Fraction entries of equal value give one key
+    def test_equal_values_give_equal_tables(self, compiles):
+        # int and Fraction entries of equal value compile to equal tables;
+        # each record compiles once, so they are not one object
         params = tiny_params()
         as_ints = [0, 0, 1, 0, 0, 0, 0]
         as_fractions = [Fraction(w) for w in as_ints]
-        assert tables_for(as_ints, params) is tables_for(as_fractions, params)
+        assert tables_for(as_ints, params) == tables_for(as_fractions, params)
+        assert compiles == [tuple(map(Fraction, as_ints))] * 2
 
     def test_sum_and_sign_verdicts(self):
         params = tiny_params()
@@ -230,23 +228,26 @@ class CountingFraction(Fraction):
 
 
 class TestHistogramKeyMemo:
-    """Round 1 keys a tuple of exact int and Fraction entries once."""
+    """Round 1 compiles a tuple of exact int and Fraction entries once per
+    params, keyed by the tuple's identity."""
 
-    def test_repeated_tuple_matches_fresh_list(self):
+    def test_repeated_tuple_matches_fresh_list(self, compiles):
         params = tiny_params()
         honest = build_histogram(tiny_dist(), params.eps, params.t).weights
         too_heavy = (Fraction(1, 2),) * 7
         for message in (honest, too_heavy):
+            del compiles[:]
             first = validate_histogram_message(message, params)
-            assert id(message) in protocol._histogram_keys
             again = validate_histogram_message(message, params)
+            assert len(compiles) == 1
             fresh = validate_histogram_message(list(message), params)
-            assert first[1] == again[1] == fresh[1]
-            assert first[0] is again[0] is fresh[0]
+            assert len(compiles) == 2
+            assert first == again == fresh
+            assert first[0] is again[0]
         assert validate_histogram_message(honest, params)[1] is None
         assert validate_histogram_message(too_heavy, params) == (None, "histogram-sum")
 
-    def test_subclass_entries_are_read_every_run(self):
+    def test_subclass_entries_are_read_every_run(self, compiles):
         params = tiny_params()
         message = (0, 0, CountingFraction(1), 0, 0, 0, 0)
         reads = []
@@ -254,32 +255,56 @@ class TestHistogramKeyMemo:
             assert validate_histogram_message(message, params)[1] is None
             reads.append(CountingFraction.reads)
         assert reads[0] < reads[1] < reads[2]
-        assert id(message) not in protocol._histogram_keys
+        assert len(compiles) == 3
 
-    def test_bool_entry_validates_as_before(self):
+    def test_bool_entry_validates_as_before(self, compiles):
         params = tiny_params()
         message = (0, 0, True, 0, 0, 0, 0)
         for _ in range(2):
-            assert tables_for(message, params) is tables_for([0, 0, 1, 0, 0, 0, 0], params)
-        assert id(message) not in protocol._histogram_keys
+            assert tables_for(message, params) == tables_for([0, 0, 1, 0, 0, 0, 0], params)
+        assert len(compiles) == 4
         assert validate_histogram_message((True,) * 7, params) == (None, "histogram-sum")
 
-    def test_memoized_tuple_under_other_t_is_malformed(self):
+    def test_memoized_tuple_under_other_t_is_malformed(self, compiles):
         params = tiny_params()
         message = build_histogram(tiny_dist(), params.eps, params.t).weights
         assert validate_histogram_message(message, params)[1] is None
-        assert id(message) in protocol._histogram_keys
         for t in (5, 7):
             assert validate_histogram_message(message, tiny_params(t=t)) == (None, "malformed-histogram")
+        assert validate_histogram_message(message, params)[1] is None
+        assert len(compiles) == 1
 
-    def test_memo_is_bounded(self):
+    def test_other_sampling_gap_gets_its_own_tables(self, compiles):
+        wide, narrow = tiny_params(), tiny_params(sampling_gap=2.0)
+        message = build_histogram(tiny_dist(), wide.eps, wide.t).weights
+        expected = {
+            params: verifier_tables(params, tuple(map(Fraction, message)))
+            for params in (wide, narrow)
+        }
+        assert expected[wide] != expected[narrow]
+        for params in (wide, narrow, wide, narrow):
+            assert tables_for(message, params) == expected[params]
+        assert len(compiles) == 4
+
+    def test_equal_params_hit(self, compiles):
+        params, equal = tiny_params(), tiny_params()
+        assert params is not equal and params == equal
+        message = build_histogram(tiny_dist(), params.eps, params.t).weights
+        assert tables_for(message, params) is tables_for(message, equal)
+        assert len(compiles) == 1
+
+    def test_memo_is_bounded(self, compiles):
         params = tiny_params()
         messages = [tuple([0, 0, 1, 0, 0, 0, 0]) for _ in range(100)]
         for message in messages:
             assert validate_histogram_message(message, params)[1] is None
-        assert len(protocol._histogram_keys) <= protocol.TABLES_CACHE_SIZE == 64
-        assert id(messages[-1]) in protocol._histogram_keys
-        assert id(messages[0]) not in protocol._histogram_keys
+        assert protocol.TABLES_CACHE_SIZE == 64
+        del compiles[:]
+        # the newest 64 are kept; the one before them was evicted
+        assert validate_histogram_message(messages[-64], params)[1] is None
+        assert not compiles
+        assert validate_histogram_message(messages[-65], params)[1] is None
+        assert len(compiles) == 1
 
 
 class TestVerifierRound1:
