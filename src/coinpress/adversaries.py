@@ -6,14 +6,14 @@ histogram at all (``ScriptedProver({})``), which round 1 rejects. The
 inflating prover shifts its reported histogram toward smaller claimed
 probabilities and pads its sets to survive the cardinality check; the
 overlapping-sets prover smuggles one element into every set. Both start
-from honest play, so both subclass ``protocol.HonestProver``: they inherit
-its width check, its true histogram, its banding of the support with its
-bit planes, its fallback table, its read of the verifier's compiled
-challenges and its memoizing ``produce_sets``, and override only what
-they change (``_choose_sets`` for the sets). A
-randomized prover is its ``randomness_support``, which the exact oracle
-enumerates; a trial draws one strategy up front with ``reseeded(seed)``.
-The verifier checks the sets as recorded.
+from honest play, so both subclass ``protocol.HonestProver``, override
+only what they change and edit the sets of the honest ``_choose_sets``.
+They inherit its width check, its banding of the support with its bit
+planes (the inflating prover relabels the bands), its fallback table,
+its read of the verifier's compiled challenges and its memoizing
+``produce_sets``. A randomized prover is its ``randomness_support``,
+which the exact oracle enumerates; a trial draws one strategy up front
+with ``reseeded(seed)``. The verifier checks the sets as recorded.
 """
 
 from __future__ import annotations
@@ -123,18 +123,18 @@ class InflatingProver(HonestProver):
     spare elements that hash to the zero target, so the cardinality check
     passes whenever enough spares exist. A stress strategy for soundness
     diagnostics; ``inflating_prover`` plays shift 0 with the honest prover.
-    The claimed histogram, the plans, the sets and the claims override the
-    honest prover's; the rest is inherited, including the verifier's
-    compiled contexts for the histogram sent (``_challenges``), from which
-    each challenge's plan takes its active bands and check (b)'s windows,
-    the honest banding (``_banding``, ``_planes``), whose slice for band
-    i - shift gives the true members claimed at band i and their bit
-    planes, and the memoizing ``produce_sets``, which keeps each answer
-    once per zero set as a marshal blob. The claimed histogram and the
-    plans are built on first read. Each bucket, and the spare pool of all
-    2**n inputs, is hashed in one ``eval_batch`` call on its bit planes.
-    Members and spares are both filtered by f(x) == 0, so the inherited
-    ``depends_on_hash_zero_set`` holds.
+
+    ``_banding`` is the honest one with each true band i relabeled
+    i + shift, the band its mass is claimed at, so the honest
+    ``_choose_sets`` gives, per active band of the claimed histogram, the
+    true members that hash to zero. Per active band in order, this class
+    drops the members an earlier set took, cuts the set to the largest
+    size in check (b)'s window of the verifier's compiled challenge
+    (``_challenges``), and pads it up to the smallest from the spare pool:
+    the inputs of [0, 2**n) that hash to zero, in ascending order, hashed
+    when a set first needs padding. Members and spares are both filtered
+    by f(x) == 0, so the inherited ``depends_on_hash_zero_set`` holds and
+    the inherited ``produce_sets`` answers once per zero set.
     """
 
     def __init__(self, dist: ExplicitDistribution, shift: int, params: ProtocolParams):
@@ -156,24 +156,12 @@ class InflatingProver(HonestProver):
         return BitPlanes.of(range(1 << self.params.n), self.params.n)
 
     @functools.cached_property
-    def _plans(self) -> dict[tuple[int, int], tuple]:
-        """(s, k) -> per active band of that challenge, in order: the true
-        members claimed there with their planes, cut from the honest
-        banding, and the smallest and largest set sizes inside its check
-        (b) window."""
-        bands, offsets, support = self._banding
-        true = {
-            i: (support[lo:hi], self._planes.slice(lo, hi))
-            for i, lo, hi in zip(bands, offsets, offsets[1:])
-        }
-        empty = ([], BitPlanes.of([], self.params.n))
-        return {
-            key: tuple(
-                (i, true.get(i - self.shift, empty), max(0, math.ceil(lo)), math.floor(hi))
-                for i, (lo, hi) in zip(ctx.active, ctx.windows)
-            )
-            for key, ctx in self._challenges.items()
-        }
+    def _banding(self) -> tuple:
+        """The honest banding with each true band i relabeled i + shift, the
+        band it is claimed at; the support, and so its planes, stay as they
+        are."""
+        bands, offsets, support = HonestProver._banding.func(self)
+        return [i + self.shift for i in bands], offsets, support
 
     def produce_histogram(self):
         return self.claimed_weights
@@ -184,12 +172,16 @@ class InflatingProver(HonestProver):
     produce_sets = HonestProver.produce_sets
 
     def _choose_sets(self, s, k, f, g, m):
+        members = super()._choose_sets(s, k, f, g, m)
+        if not members:
+            return members
+        ctx = self._challenges[s, k]
         pool = None
         used: set[int] = set()
         out = {}
-        for i, (bucket, planes), want_lo, want_hi in self._plans.get((s, k), ()):
-            members = select(bucket, f.eval_batch(planes))
-            chosen = [x for x in members if x not in used][: max(want_hi, want_lo)]
+        for i, (lo, hi) in zip(ctx.active, ctx.windows):
+            want_lo = max(0, math.ceil(lo))
+            chosen = [x for x in members[i] if x not in used][: max(math.floor(hi), want_lo)]
             if len(chosen) < want_lo:
                 if pool is None:
                     # Spare pool: everything hashing to the zero target, used

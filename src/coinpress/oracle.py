@@ -32,9 +32,10 @@ types), counts equal snapshots per zero set, and checks every distinct one
 in full: per (a, b) when m > 0, and once per sweep at m = 0, where every
 member's zero set is the whole domain. Tests fail the build if they
 disagree. Both read set elements by the one rule of
-``protocol.exact_ints``; the flat one keeps its zero sets from scalar
-``eval``, so check (a)'s ``HashFunction.zero_on`` kernel is checked
-against an independent path.
+``protocol.exact_ints``, and histogram entries, claims and table entries
+by that of ``protocol.exact_number``; the flat one keeps its zero sets
+from scalar ``eval``, so check (a)'s ``HashFunction.zero_on`` kernel is
+checked against an independent path.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from coinpress.protocol import (
     check_sets,
     compute_live_bands,
     exact_ints,
+    exact_number,
     finalize,
     parse_sets,
     parse_table,
@@ -439,19 +441,15 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
                 pairs = [tuple(item) for item in entries]
             except TypeError:
                 pairs = None
-            ok = pairs is not None and all(
-                len(pair) == 2
-                and isinstance(pair[0], int)
-                and isinstance(pair[1], (int, Fraction))
-                for pair in pairs
-            )
+            ok = pairs is not None and all(len(pair) == 2 for pair in pairs)
             if ok:
-                table = [(x, Fraction(p)) for x, p in pairs]
+                # numbers by their exact values, as the verifier reads them
+                exact = [(exact_number(x), exact_number(p)) for x, p in pairs]
+                ok = all(isinstance(x, int) and p is not None for x, p in exact)
+            if ok:
+                table = [(x, Fraction(p)) for x, p in exact]
                 ok = (
-                    all(
-                        isinstance(x, int) and 0 <= x < (1 << params.n) and 0 < p <= 1
-                        for x, p in table
-                    )
+                    all(0 <= x < (1 << params.n) and 0 < p <= 1 for x, p in table)
                     and len({x for x, _ in table}) == len(table)
                     and sum((p for _, p in table), Fraction(0)) == 1
                 )
@@ -469,9 +467,10 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
         except TypeError:
             bad = True
         if not bad:
-            bad = any(not isinstance(w, (int, Fraction)) for w in raw)
+            h = [exact_number(w) for w in raw]
+            bad = None in h
         if not bad:
-            h = [Fraction(w) for w in raw]
+            h = [Fraction(w) for w in h]
             total = sum(h, Fraction(0))
             bad = any(w < 0 for w in h) or not (1 - Fraction(1, 2**params.n)) <= total <= 1
         if bad:
@@ -714,8 +713,9 @@ def _flat_final(j, p_msg, params):
     # Inline band classification: scan every band for the one holding p,
     # then accept the claim only if that band is j.
     in_band = False
-    if isinstance(p_msg, (int, Fraction)):
-        p = Fraction(p_msg)
+    p = exact_number(p_msg)
+    if p is not None:
+        p = Fraction(p)
         if 0 < p <= 1:
             lg = math.log2(p.numerator) - math.log2(p.denominator)
             for i in range(params.t + 1):
@@ -723,7 +723,7 @@ def _flat_final(j, p_msg, params):
                     in_band = i == j
                     break
     if in_band:
-        return Fraction(p_msg)
+        return p
     expo = j * params.eps
     if expo == int(expo):
         return Fraction(1, 2 ** int(expo))

@@ -404,10 +404,12 @@ def _message_json(msg: tuple):
 
 
 def _weight_json(w):
-    # A malformed histogram may list floats, strings or junk; keep only their type.
-    if isinstance(w, (int, Fraction)):
-        return fraction_to_str(Fraction(w))
-    return {"malformed": type(w).__name__}
+    # A malformed histogram may list floats, strings or junk; keep only their
+    # type. A number is rendered by its exact value.
+    value = exact_number(w)
+    if value is None:
+        return {"malformed": type(w).__name__}
+    return fraction_to_str(Fraction(value))
 
 
 def _element_json(x, n: int):
@@ -420,13 +422,14 @@ def _element_json(x, n: int):
 
 def _claim_json(p):
     # A malformed probability message may be a string or junk, or an int
-    # too large for a float; keep only its type.
-    if isinstance(p, (int, float, Fraction)):
-        try:
-            return probability_json(p)
-        except OverflowError:
-            pass
-    return {"malformed": type(p).__name__}
+    # too large for a float; keep only its type. A number is rendered by its
+    # exact value: a float subclass by ``float.__float__``, which copies it
+    # without calling any method the subclass defines.
+    value = exact_number(p)
+    try:
+        return probability_json(float.__float__(p) if value is None else value)
+    except (TypeError, OverflowError):
+        return {"malformed": type(p).__name__}
 
 
 def _outcome_json(outcome: Outcome):
@@ -516,8 +519,10 @@ class HonestProver(ProverStrategy):
     kept as one ``marshal`` blob (see ``produce_sets``). At m = 0 the rows
     are ``()`` for every hash and the batch keeps every input, so that is
     once per challenge. The cheating provers in ``adversaries`` that start
-    from honest play subclass this one, override only what they change
-    (``_choose_sets`` for the sets) and inherit the memo.
+    from honest play subclass this one, edit the sets of its
+    ``_choose_sets`` and inherit the memo; the inflating prover also
+    relabels the bands of ``_banding``, so the plans follow its claimed
+    histogram.
     """
 
     depends_on_hash_zero_set = True
@@ -673,11 +678,12 @@ def validate_histogram_message(weights, params: ProtocolParams):
     """Round 1: (tables, None) for a well-formed histogram message, else
     (None, reject reason).
 
-    The message must be a sized iterable of t+1 int or Fraction entries;
-    ``bool`` is an ``int``, so True and False are the weights 1 and 0.
-    Everything else is compiled by ``verifier_tables``. A tuple of exact
-    int and Fraction entries is compiled once per params: sent again with
-    equal params, the same tuple skips the per-entry pass and the compile.
+    The message must be a sized iterable of t+1 int or Fraction entries,
+    each read by its exact value (``exact_number``); ``bool`` is an
+    ``int``, so True and False are the weights 1 and 0. Everything else is
+    compiled by ``verifier_tables``. A tuple of exact int and Fraction
+    entries is compiled once per params: sent again with equal params, the
+    same tuple skips the per-entry pass and the compile.
     """
     weights = _histogram_record(weights)
     known = _compiled.get(id(weights))
@@ -689,9 +695,10 @@ def validate_histogram_message(weights, params: ProtocolParams):
             return None, REJECT_MALFORMED_HISTOGRAM
         # map() keeps the per-entry work in C.
         exact = _EXACT_ENTRY_TYPES.issuperset(map(type, weights))
-        if not exact and not all(map(isinstance, weights, itertools.repeat((int, Fraction)))):
+        values = weights if exact else tuple(map(exact_number, weights))
+        if not exact and None in values:
             return None, REJECT_MALFORMED_HISTOGRAM
-        tables = verifier_tables(params, tuple(map(Fraction, weights)))
+        tables = verifier_tables(params, tuple(map(Fraction, values)))
         if exact:
             _compiled.pop(id(weights), None)
             if len(_compiled) >= TABLES_CACHE_SIZE:
@@ -871,6 +878,28 @@ def exact_ints(xs):
         return None
 
 
+def exact_number(v):
+    """A number a prover sent, by its exact value, read without running any
+    method its class defines: v itself when its type is exactly int, bool
+    or Fraction, another int subclass by ``int.__index__``, and another
+    Fraction subclass as the Fraction of the base class's numerator and
+    denominator slots. None when v is neither an int nor a Fraction."""
+    t = type(v)
+    if t is int or t is Fraction or t is bool:
+        return v
+    try:
+        return int.__index__(v)
+    except TypeError:
+        pass
+    try:
+        return Fraction(
+            int.__index__(Fraction._numerator.__get__(v)),
+            int.__index__(Fraction._denominator.__get__(v)),
+        )
+    except (TypeError, AttributeError, ZeroDivisionError):
+        return None
+
+
 def check_sets(sets, f: HashFunction, ctx: ChallengeContext, params: ProtocolParams):
     """Validate the sets message as ``parse_sets`` records it, under the
     drawn hash f; returns (normalized sets, reject reason).
@@ -936,13 +965,17 @@ def choose_element(ctx: ChallengeContext, sets, coins: CoinSource):
 def finalize(j: int, x: int, p_msg, params: ProtocolParams) -> Outcome:
     """Accept the claimed probability if it lies in band j, else substitute.
 
-    The substitute is the band's upper endpoint ``pow2(-j*eps)``: an exact
-    rational when j*eps is an integer and a tagged real otherwise.
+    The claim is read by its exact value (``exact_number``), and an
+    accepted claim is output as that exact Fraction. The substitute is the
+    band's upper endpoint ``pow2(-j*eps)``: an exact rational when j*eps is
+    an integer and a tagged real otherwise.
     """
-    if isinstance(p_msg, int):
-        p_msg = Fraction(p_msg)
-    if isinstance(p_msg, Fraction) and bucket_of(p_msg, params.eps, params.t) == j:
-        return Outcome.output(x, p_msg, j)
+    p = exact_number(p_msg)
+    if p is not None:
+        if type(p) is not Fraction:
+            p = Fraction(p)
+        if bucket_of(p, params.eps, params.t) == j:
+            return Outcome.output(x, p, j)
     return Outcome.output(x, pow2(-j * params.eps), j)
 
 
@@ -1044,16 +1077,22 @@ def _finish(params, messages, coins, outcome, trial) -> Transcript:
 
 def parse_table(entries) -> Optional[list[tuple[int, Fraction]]]:
     """The fallback table as (element, Fraction) pairs, or None unless it is
-    an iterable of (int, int or Fraction) pairs. Types are checked before
-    anything is converted, so a float or string probability is refused."""
+    an iterable of (int, int or Fraction) pairs. Each number is read by its
+    exact value (``exact_number``), so no prover code runs and a float or
+    string probability is refused."""
     try:
         pairs = [tuple(item) for item in entries]
     except TypeError:
         return None
+    table = []
     for pair in pairs:
-        if len(pair) != 2 or not isinstance(pair[0], int) or not isinstance(pair[1], (int, Fraction)):
+        if len(pair) != 2:
             return None
-    return [(x, Fraction(p)) for x, p in pairs]
+        x, p = exact_number(pair[0]), exact_number(pair[1])
+        if not isinstance(x, int) or p is None:
+            return None
+        table.append((x, Fraction(p)))
+    return table
 
 
 def validate_table(table, params: ProtocolParams) -> Optional[str]:

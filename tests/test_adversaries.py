@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from coinpress.adversaries import (
     ScriptedProver,
 )
 from coinpress.cli import make_prover_factory
-from coinpress.dist import ExplicitDistribution
+from coinpress.dist import ExplicitDistribution, buckets
 from coinpress.oracle import (
     ExactConfig,
     OracleRun,
@@ -301,6 +302,63 @@ class TestInflatingProver:
         exact = OracleRun(ExactConfig(params=params, prover=infl)).distribution
         assert exact.reject_mass == 1
         assert exact.reject_by_reason == {"histogram-sum": Fraction(1)}
+
+    @pytest.mark.parametrize(
+        "n, size, eps, t, sampling_gap, hashes",
+        [(8, 60, 0.5, 24, 1.0, 8), (16, 300, 0.5, 32, 0.0, 6)],
+    )
+    def test_sets_match_reference(self, n, size, eps, t, sampling_gap, hashes):
+        """Every answer at each challenge the verifier can draw with m <= n,
+        under seeded hashes and shifts 1 to 3, equals one built from scratch
+        (``reference_inflating_sets``); the configs reach padded and cut
+        sets, and intervals with more than one active band."""
+        support = random.Random(n).sample(range(1 << n), size)
+        heavy, light = Fraction(1, 2 * (size // 3)), Fraction(1, 2 * (size - size // 3))
+        dist = ExplicitDistribution(
+            n=n, mass={x: heavy if pos < size // 3 else light for pos, x in enumerate(support)}
+        )
+        params = ProtocolParams.raw(n=n, eps=eps, delta=0.5, t=t, sampling_gap=sampling_gap)
+        rng = random.Random(1)
+        padded = cut = multi = 0
+        for shift in (1, 2, 3):
+            infl = inflating_prover(dist, shift, params)
+            tables, reason = validate_histogram_message(infl.produce_histogram(), params)
+            assert reason is None
+            for (s, k), ctx in sorted(tables.challenges.items()):
+                if ctx.m > n:
+                    continue
+                multi += len(ctx.active) > 1
+                for _ in range(hashes):
+                    a, b, c = (rng.randrange(1 << n) for _ in range(3))
+                    f = HashFunction(n=n, m=ctx.m, a=a, b=b, c=c)
+                    sets = infl.produce_sets(s, k, f, ctx.g, ctx.m)
+                    want, trimmed = reference_inflating_sets(dist, params, shift, ctx, f)
+                    assert list(sets.items()) == list(want.items()), (shift, s, k, a, b, c)
+                    padded += any(x not in dist.mass for xs in want.values() for x in xs)
+                    cut += trimmed
+        assert padded and cut and multi
+
+
+def reference_inflating_sets(dist, params, shift, ctx, f):
+    """The inflating prover's answer built from its definition, and whether
+    a set was cut: per active band i in order, the members of true band
+    i - shift with f(x) == 0 (scalar ``eval``) that no earlier set took,
+    cut to the largest size in check (b)'s window (or its smallest, when no
+    integer lies inside), then padded in ascending order with inputs of
+    [0, 2**n) with f(x) == 0 that no set holds, up to that smallest size."""
+    true = buckets(dist, params.eps, params.t)
+    used, out, trimmed = set(), {}, False
+    for i, (lo, hi) in zip(ctx.active, ctx.windows):
+        want_lo = max(0, math.ceil(lo))
+        chosen = [x for x in sorted(true.get(i - shift, ())) if f.eval(x) == 0 and x not in used]
+        keep = max(math.floor(hi), want_lo)
+        trimmed |= len(chosen) > keep
+        del chosen[keep:]
+        spares = (x for x in range(1 << params.n) if f.eval(x) == 0 and x not in used and x not in chosen)
+        chosen += itertools.islice(spares, max(0, want_lo - len(chosen)))
+        out[i] = sorted(chosen)
+        used.update(chosen)
+    return out, trimmed
 
 
 class Unmemoized(HashFunction):

@@ -1702,6 +1702,100 @@ class TestIntSubclassSets:
         assert exact.reject_by_reason["malformed-sets"] > 0
 
 
+def _refuse(self, *args):
+    raise AssertionError("the verifier ran a method of a prover's number")
+
+
+# The methods a verifier could run on a number: comparisons, hashing,
+# arithmetic, conversions, formatting and the rational parts.
+_NUMBER_METHODS = (
+    "__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__ne__", "__hash__", "__bool__",
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__neg__", "__abs__",
+    "__rshift__", "__and__", "__index__", "__int__", "__float__", "__format__",
+    "__repr__", "__str__",
+)
+
+
+def _hostile(base):
+    body = {name: _refuse for name in _NUMBER_METHODS}
+    body["numerator"] = body["denominator"] = body["real"] = property(_refuse)
+    return type(f"Hostile{base.__name__.title()}", (base,), body)
+
+
+HostileInt, HostileFraction, HostileFloat = _hostile(int), _hostile(Fraction), _hostile(float)
+
+
+def hostile(p):
+    """p handed over as a number whose every method raises: a Fraction as a
+    ``HostileFraction``, an integral one as a ``HostileInt``."""
+    p = Fraction(p)
+    if p.denominator == 1:
+        return HostileInt(p.numerator)
+    return HostileFraction(p.numerator, p.denominator)
+
+
+class NumbersProver(HonestProver):
+    """Honest play, with the numbers of one message (``histogram``,
+    ``probability`` or ``table``) passed through ``wrap``; a table's
+    elements become ``HostileInt``s when wrap is ``hostile``."""
+
+    def __init__(self, dist, params, message, wrap):
+        super().__init__(dist, params)
+        self.message, self.wrap = message, wrap
+
+    def produce_histogram(self):
+        weights = super().produce_histogram()
+        return [self.wrap(w) for w in weights] if self.message == "histogram" else weights
+
+    def produce_probability(self, j, x):
+        p = super().produce_probability(j, x)
+        return self.wrap(p) if self.message == "probability" else p
+
+    def produce_table(self):
+        table = super().produce_table()
+        if self.message != "table":
+            return table
+        element = HostileInt if self.wrap is hostile else int
+        return [(element(x), self.wrap(p)) for x, p in table]
+
+
+def _identity(p):
+    return p
+
+
+class TestHostileNumbers:
+    """A number a prover sends, an int or Fraction subclass whose every
+    method raises, is read by its exact value: no prover code runs, the run
+    and its transcript are those of the exact number, and both oracles
+    agree."""
+
+    def check(self, params, dist, message, wrap=hostile, plain=_identity):
+        prover = NumbersProver(dist, params, message, wrap)
+        reference = NumbersProver(dist, params, message, plain)
+        for seed in range(4):
+            tr = run_protocol(params, prover, rng=random.Random(seed))
+            assert tr.to_json() == run_protocol(params, reference, rng=random.Random(seed)).to_json()
+            assert replay(params, prover, tr).to_json() == tr.to_json()
+        exact = assert_oracles_agree(params, prover)
+        assert exact.outputs == OracleRun(ExactConfig(params=params, prover=reference)).distribution.outputs
+
+    def test_histogram_entries(self):
+        self.check(SETS_FUZZ_PARAMS, skewed_dist(), "histogram")
+
+    @pytest.mark.parametrize("wrap, plain", [(hostile, _identity), (HostileFloat, float)])
+    def test_probability_claims(self, wrap, plain):
+        """A claim is worth its exact value; a float subclass claim, which is
+        substituted, renders as the exact float does."""
+        self.check(SETS_FUZZ_PARAMS, skewed_dist(), "probability", wrap, plain)
+
+    def test_fallback_table(self):
+        params = derive_params(2, 0.9, 0.9)
+        assert params.mode == MODE_TRIVIAL
+        dist = ExplicitDistribution(n=2, mass={0: Fraction(1, 2), 1: Fraction(1, 4), 3: Fraction(1, 4)})
+        self.check(params, dist, "table")
+
+
 # Set sizes at the edges of check (b)'s window [lo, hi]: just outside it and
 # on the first and last integer inside it, before TAU widening.
 CHECK_B_EDGES = {

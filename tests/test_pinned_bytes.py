@@ -4,13 +4,14 @@ At eps = 0.5 every odd band edge 2**(-j/2) is irrational, so these pins
 cover the float branch of the band-edge rule (exact 2**e for an integer e,
 else the double) in `finalize`, the inflating prover's claims, the
 default soundness floor and the oracle's enclosures, as well as
-`derive_params` and the `params`, `sample`, `soundness-sum`, `oracle` and
-`transform` subcommands. The digests were recorded before these rules got
-one shared owner.
+`derive_params` and the `params`, `sample`, `estimate`, `soundness-sum`,
+`oracle` and `transform` subcommands. The digests were recorded before
+these rules got one shared owner.
 """
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -156,3 +157,22 @@ def test_cli_bytes(capsys, half_eps, name, argv):
     argv = [str(half_eps / a) if a.endswith(".json") else a for a in argv]
     stdout, out = run_cli(capsys, argv, half_eps / "report.out")
     assert {"stdout": sha(stdout), "out": sha(out)} == CLI_DIGESTS[name]
+
+
+def test_estimate_inflating_n16_bytes(capsys, tmp_path):
+    """``estimate`` with ``inflating:1`` at n = 16: 300 elements in two
+    bands; every trial hashes at width 5, and 27 of the 50 trials pad a
+    set from the spare pool; the digests were recorded before the
+    inflating prover's sets were built on the honest plan."""
+    support = random.Random(16).sample(range(1 << 16), 300)
+    mass = {format(x, "04x"): "1/200" if pos % 3 == 0 else "1/400" for pos, x in enumerate(support)}
+    (tmp_path / "dist.json").write_text(json.dumps({"n": 16, "mass": mass}))
+    params = {"mode": "raw", "n": 16, "eps": 0.5, "delta": 0.5, "t": 32, "sampling_gap": 3.0}
+    cfg = {"distribution": "dist.json", "params": params, "prover": "inflating:1"}
+    (tmp_path / "inflating.json").write_text(json.dumps(cfg))
+    argv = ["estimate", "--config", str(tmp_path / "inflating.json"), "--trials", "50", "--seed", "5"]
+    stdout, out = run_cli(capsys, argv, tmp_path / "report.out")
+    assert {"stdout": sha(stdout), "out": sha(out)} == {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "9f81d3e2fbdd5ec10aad3a197ceda3bad416df7811037bcc890f412bc206486c",
+    }
