@@ -98,22 +98,6 @@ def gf2n_mul(a: int, b: int, n: int) -> int:
     return acc
 
 
-def gf2n_pow(a: int, e: int, n: int) -> int:
-    r = 1
-    while e:
-        if e & 1:
-            r = gf2n_mul(r, a, n)
-        a = gf2n_mul(a, a, n)
-        e >>= 1
-    return r
-
-
-def gf2n_inv(a: int, n: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("0 has no inverse in GF(2^n)")
-    return gf2n_pow(a, 2**n - 2, n)
-
-
 def _packed_rows(n: int, a: int, b: int) -> int:
     """All n row masks of x -> a*x^2 + b*x packed into one int, row r at
     bits r*n .. r*n + n - 1. Builds the ``row_masks`` tables."""

@@ -24,25 +24,27 @@ public output distribution is the support-weighted mixture.
 
 Two enumerators are kept deliberately separate: a structured one that
 reuses the protocol engine's own tables (``VerifierTables``), check and
-finalize code, and a flat one that re-derives every step inline. The flat
-one asks about every hash function whatever the prover declares, sweeping
-the family once per hash width for all challenges of that width. It
-snapshots each answer as it is returned (``marshal``, which keeps exact
+finalize code, and a flat one that re-derives every check inline. The
+flat one asks about every hash function whatever the prover declares,
+sweeping the family once per hash width for all challenges of that width.
+It snapshots each answer as it is returned (``marshal``, which keeps exact
 types), counts equal snapshots per zero set, and checks every distinct one
 in full: per (a, b) when m > 0, and once per sweep at m = 0, where every
 member's zero set is the whole domain. Tests fail the build if they
-disagree. Both read set elements by the one rule of
-``protocol.exact_ints``, and histogram entries, claims and table entries
-by that of ``protocol.exact_number``; the flat one keeps its zero sets
-from scalar ``eval``, so check (a)'s ``HashFunction.zero_on`` kernel is
-checked against an independent path.
+disagree. Both decode each message with the verifier's own decoders
+(``protocol.parse_histogram``, ``parse_sets`` and ``parse_table``), and
+read set elements by the rule of ``protocol.exact_ints`` and histogram
+entries, claims and table entries by that of ``protocol.exact_number``:
+what a message says is decided once, and whether it passes is decided
+twice. The flat one keeps its zero sets from scalar ``eval``, so check
+(a)'s ``HashFunction.zero_on`` kernel is checked against an independent
+path.
 """
 
 from __future__ import annotations
 
 import marshal
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -66,6 +68,7 @@ from coinpress.protocol import (
     exact_ints,
     exact_number,
     finalize,
+    parse_histogram,
     parse_sets,
     parse_table,
     probability_bin_key,
@@ -136,10 +139,9 @@ OutputKey = tuple  # (x, band, p)
 @dataclass
 class ShiftTables:
     # per interval index: (m, g, active bands, band-mass sum, rows); rows is
-    # None for a hash-width rejection, else [(count, reason, sets)] with one
-    # row per zero-set pattern (count the members sharing it) or, for
-    # provers that read more of f, one row per hash function with count 1.
-    # reason is None when the set checks pass.
+    # None for a hash-width rejection, else the count of each row asked: one
+    # row per zero-set pattern (counting the members sharing it) or, for
+    # provers that read more of f, one row per hash function (count 1).
     challenges: dict[int, tuple]
     # per interval index with rows: {(x, band): number of hash functions
     # whose checked sets place x in that band}
@@ -287,7 +289,7 @@ def _build_component(
             for f, count in source:
                 record = parse_sets(strat.produce_sets(s, k, f, g, m))
                 sets, why = check_sets(record, f, pending, params)
-                rows.append((count, why, sets))
+                rows.append(count)
                 tally[why] = tally.get(why, 0) + count
                 if why is not None:
                     continue
@@ -415,9 +417,14 @@ def exact_output_distribution(cfg: ExactConfig) -> ExactDistribution:
 def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrategy):
     """Independent re-derivation of the output distribution, written flat.
 
-    Shares nothing with the engine beyond the layout and the hash
-    primitive: histogram validation, liveness, challenge arithmetic, the
-    set checks, and probability substitution are re-implemented inline.
+    Shares with the engine only the layout, the hash primitive and the
+    readers of a prover's messages: the decoders ``parse_histogram``,
+    ``parse_sets`` and ``parse_table``, and ``exact_number`` and
+    ``exact_ints`` for the values in them. Every check is re-implemented
+    inline: the histogram's length, signs and sum, liveness, challenge
+    arithmetic, the set checks (keys, ranges, duplicates, size, (a), (b)
+    and (c)), the table's range, distinctness and sum, and probability
+    substitution.
     Each challenge's constants are worked out first. The challenges are
     then grouped by hash width m, and the family is swept once per group:
     each hash function is built once and the prover is asked about it for
@@ -436,38 +443,22 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
             continue
         q = Fraction(q)
         if params.mode == MODE_TRIVIAL:
-            entries = strat.produce_table()
-            try:
-                pairs = [tuple(item) for item in entries]
-            except TypeError:
-                pairs = None
-            ok = pairs is not None and all(len(pair) == 2 for pair in pairs)
-            if ok:
-                # numbers by their exact values, as the verifier reads them
-                exact = [(exact_number(x), exact_number(p)) for x, p in pairs]
-                ok = all(isinstance(x, int) and p is not None for x, p in exact)
-            if ok:
-                table = [(x, Fraction(p)) for x, p in exact]
-                ok = (
-                    all(0 <= x < (1 << params.n) and 0 < p <= 1 for x, p in table)
-                    and len({x for x, _ in table}) == len(table)
-                    and sum((p for _, p in table), Fraction(0)) == 1
-                )
+            table = parse_table(strat.produce_table())
+            ok = table is not None and (
+                all(0 <= x < (1 << params.n) and 0 < p <= 1 for x, p in table)
+                and len({x for x, _ in table}) == len(table)
+                and sum((p for _, p in table), Fraction(0)) == 1
+            )
             if not ok:
                 reject += q
             else:
                 for x, p in table:
                     _accumulate(outputs, (x, None, p), q * p)
             continue
-        raw = strat.produce_histogram()
-        try:
-            len(raw)
-            raw = tuple(raw)
-            bad = len(raw) != params.t + 1
-        except TypeError:
-            bad = True
+        h = parse_histogram(strat.produce_histogram())
+        bad = h is None or len(h) != params.t + 1
         if not bad:
-            h = [exact_number(w) for w in raw]
+            h = [exact_number(w) for w in h]
             bad = None in h
         if not bad:
             h = [Fraction(w) for w in h]
@@ -583,9 +574,9 @@ def _flat_sweep(strat, n, m, group, set_cap):
     bytes mean the same answer down to its types. Each challenge's
     (s, k, g) is unpacked once per sweep, beside one snapshot -> count dict
     per c & low, so a call adds one count keyed by its snapshot alone.
-    Each distinct snapshot is loaded back, read (``_flat_read``) and
-    checked in full (``_flat_check``) once per zero set: after each (a, b)
-    when m > 0, and once after the whole sweep at m = 0. Marshal writes any
+    Each distinct snapshot is loaded back and checked in full
+    (``_flat_outcome``) once per zero set: after each (a, b) when m > 0,
+    and once after the whole sweep at m = 0. Marshal writes any
     buffer object (a bytearray, a memoryview, an array) as plain bytes,
     under type code ``s``, so a snapshot holding that byte anywhere
     (``MARSHAL_BYTES``) is not trusted. Such an answer, and one marshal
@@ -649,46 +640,20 @@ def _flat_flush(asks, size, zero_sets, set_cap):
             seen.clear()
 
 
-def _flat_outcome(sets, active, active_set, windows, size, zeros, set_cap):
-    """``_flat_check`` of ``_flat_read``: the checked sets, or None."""
-    read = _flat_read(sets, active, active_set)
-    return None if read is None else _flat_check(read, windows, size, zeros, set_cap)
-
-
-def _flat_read(sets, active, active_set):
-    """The entries of the active bands in order, each read once into a
-    tuple; None unless ``sets`` is a mapping keyed by exactly the active
-    bands, each once, whose entries are iterable. Keys are compared by
-    their exact values (``exact_ints``), so no method of a key's int
-    subclass runs."""
-    # dict first: the Mapping ABC check costs several times a type test
-    if type(sets) is not dict and not isinstance(sets, Mapping):
+def _flat_outcome(answer, active, active_set, windows, size, zeros, set_cap):
+    """The sets of the active bands in order, each sorted, when the answer
+    as ``parse_sets`` records it is keyed by exactly the active bands and
+    every check passes; else None. ``windows`` holds check (b)'s widened
+    bounds per active band, elements are read as the verifier reads them
+    (``exact_ints``) and must lie below ``size``, and check (a) asks that
+    they all lie in ``zeros``, the hash function's zero set."""
+    record = parse_sets(answer)
+    if record is None or record.keys() != active_set:
         return None
-    try:
-        pairs = list(sets.items())
-    except TypeError:
-        return None
-    keys = exact_ints([i for i, _ in pairs])
-    if keys is None or len(keys) != len(active) or set(keys) != active_set:
-        return None
-    entries = dict(zip(keys, [xs for _, xs in pairs]))
-    try:
-        return tuple([tuple(entries[i]) for i in active])
-    except TypeError:
-        return None
-
-
-def _flat_check(read, windows, size, zeros, set_cap):
-    """The sets of the active bands in order, each sorted, when every check
-    passes on ``read`` (``_flat_read``'s tuple); else None. ``windows``
-    holds check (b)'s widened bounds per active band, elements are read as
-    the verifier reads them (``exact_ints``) and must lie below ``size``,
-    and check (a) asks that they all lie in ``zeros``, the hash function's
-    zero set."""
     norm = []
     total = 0
-    for xs in read:
-        xs = exact_ints(xs)
+    for i in active:
+        xs = exact_ints(record[i])
         if xs is None:
             return None
         xs = sorted(xs)

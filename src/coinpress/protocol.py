@@ -23,9 +23,11 @@ import itertools
 import json
 import marshal
 import math
+from abc import ABCMeta
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import is_
 from typing import Optional, Sequence, Union
 
 from coinpress.dist import (
@@ -403,21 +405,27 @@ def _message_json(msg: tuple):
     raise ValueError(f"unknown message kind {kind}")
 
 
+# The name of a class, read from its slot: no ``__name__`` a metaclass
+# defines runs.
+_type_name = type.__dict__["__name__"].__get__
+
+
 def _weight_json(w):
     # A malformed histogram may list floats, strings or junk; keep only their
     # type. A number is rendered by its exact value.
     value = exact_number(w)
     if value is None:
-        return {"malformed": type(w).__name__}
+        return {"malformed": _type_name(type(w))}
     return fraction_to_str(Fraction(value))
 
 
 def _element_json(x, n: int):
     # A malformed sets message may list non-integers; keep only their type.
     # An int is rendered by its exact value (a bool renders as its int).
-    if isinstance(x, int):
+    try:
         return element_to_hex(int.__index__(x), n)
-    return {"malformed": type(x).__name__}
+    except TypeError:
+        return {"malformed": _type_name(type(x))}
 
 
 def _claim_json(p):
@@ -429,7 +437,7 @@ def _claim_json(p):
     try:
         return probability_json(float.__float__(p) if value is None else value)
     except (TypeError, OverflowError):
-        return {"malformed": type(p).__name__}
+        return {"malformed": _type_name(type(p))}
 
 
 def _outcome_json(outcome: Outcome):
@@ -451,6 +459,16 @@ class ProverStrategy:
     ``randomness_support``; a trial draws one strategy up front with
     ``reseeded(seed)``. The verifier checks the sets as recorded
     (``parse_sets``), so set entries may be any iterables.
+
+    The verifier is total: whatever a prover returns, the run ends in an
+    ``Outcome``. One decoder per message, ``parse_histogram``,
+    ``parse_sets`` and ``parse_table``, turns it into a record, or into
+    None, a typed reject, when it is malformed or any of its objects
+    raises. Past the decoders no method of a value the prover sent runs:
+    numbers are read by ``exact_number``, elements and bands by
+    ``exact_ints``, types are compared by identity, and the transcript
+    renders a value by its exact number or its type's name slot. Both
+    oracles read messages through the same decoders.
     """
 
     # True when ``produce_sets`` reads the hash f only through its zero set
@@ -657,8 +675,6 @@ def honest_prover(dist: ExplicitDistribution, params: ProtocolParams) -> HonestP
 # Verifier rounds
 
 
-_EXACT_ENTRY_TYPES = frozenset((int, Fraction))
-
 # Compiled histogram records, by identity: id(record) -> (record, params,
 # tables). Holding the record keeps it alive, so its id cannot be reused
 # while it is here. Only records whose entries are exactly int or Fraction
@@ -685,7 +701,7 @@ def validate_histogram_message(weights, params: ProtocolParams):
     entries is compiled once per params: sent again with equal params, the
     same tuple skips the per-entry pass and the compile.
     """
-    weights = _histogram_record(weights)
+    weights = parse_histogram(weights)
     known = _compiled.get(id(weights))
     if known is not None and (known[1] is params or known[1] == params):
         # checked and compiled under equal params, so of the same length t+1
@@ -693,8 +709,7 @@ def validate_histogram_message(weights, params: ProtocolParams):
     else:
         if weights is None or len(weights) != params.t + 1:
             return None, REJECT_MALFORMED_HISTOGRAM
-        # map() keeps the per-entry work in C.
-        exact = _EXACT_ENTRY_TYPES.issuperset(map(type, weights))
+        exact = all(t is Fraction or t is int for t in map(type, weights))
         values = weights if exact else tuple(map(exact_number, weights))
         if not exact and None in values:
             return None, REJECT_MALFORMED_HISTOGRAM
@@ -858,19 +873,22 @@ def check_b_window(i: int, w_f: float, m: int, g: float, z: float, eps: float) -
     return lo, hi
 
 
-# Element types whose comparisons, hashing and bit operations are int's own:
-# bool cannot be subclassed, so no prover code runs in them.
-_EXACT_INT_TYPES = frozenset((int, bool))
+# int, endlessly: ``all(map(is_, map(type, xs), _INTS))`` tells that every
+# element of xs is exactly an int by comparing types by identity, so not
+# even a metaclass's ``__hash__`` runs. A repeat keeps no position, so one
+# serves every call, which saves building one per call on small sets.
+_INTS = itertools.repeat(int)
 
 
 def exact_ints(xs):
     """The elements of a sets entry, or the bands of a sets message, as the
-    verifier reads them: xs itself when every element is an int or a bool,
-    else a list with each other int subclass replaced by its exact int
-    value. The value is read by ``int.__index__``, which copies the int
-    without calling any method the subclass defines. None when an element
-    is not an int."""
-    if set(map(type, xs)) <= _EXACT_INT_TYPES:
+    verifier reads them: xs itself when every element is exactly an int,
+    else a list keeping each bool and replacing each other int subclass by
+    its exact int value. The value is read by ``int.__index__``, which
+    copies the int without calling any method the subclass defines. None
+    when an element is not an int."""
+    # map() keeps the per-element work in C.
+    if all(map(is_, map(type, xs), _INTS)):
         return xs
     try:
         return [x if type(x) is bool else int.__index__(x) for x in xs]
@@ -1000,7 +1018,7 @@ def run_protocol(
     coins = CoinSource(rng=rng, replay=replay_coins)
     messages: list = []
 
-    weights = _histogram_record(prover.produce_histogram())
+    weights = parse_histogram(prover.produce_histogram())
     messages.append(("histogram", weights))
     tables, reason = validate_histogram_message(weights, params)
     if reason is not None:
@@ -1029,13 +1047,15 @@ def run_protocol(
     return _finish(params, messages, coins, outcome, trial)
 
 
-def _histogram_record(raw):
-    """The histogram message as a transcript keeps it: a tuple of its
-    entries, or None when it is not a sized iterable."""
+def parse_histogram(raw):
+    """The histogram message as a transcript keeps it and round 1 reads it:
+    a tuple of its entries, or None unless it is a sized iterable. Like
+    every decoder of a prover's message, it is total: any exception the
+    prover's objects raise while it reads them gives None."""
     try:
         len(raw)
         return tuple(raw)
-    except TypeError:
+    except Exception:
         return None
 
 
@@ -1044,25 +1064,27 @@ def parse_sets(raw_sets):
     it: {band: tuple of elements}, or None unless a mapping from int bands
     to iterables. Each entry is iterated once. Bands are read by their
     exact value (``exact_ints``), so no method of a key's int subclass
-    runs, and two bands of one value are malformed."""
-    if type(raw_sets) is dict and _EXACT_INT_TYPES.issuperset(map(type, raw_sets)):
-        # The exact bands of a dict are distinct values, and hashing them
-        # runs no prover code, so the entries are read in one pass.
-        try:
-            return {i: tuple(xs) for i, xs in raw_sets.items()}
-        except TypeError:
-            return None
-    if not isinstance(raw_sets, Mapping):
-        return None
+    runs, and two bands of one value are malformed. A mapping is told by
+    its type, never by ``isinstance``, which would read the message's
+    ``__class__``; only a type whose metaclass is ``type`` or ``ABCMeta``
+    is asked whether it is a ``Mapping``, since the ABC's caches hash it.
+    Total, as ``parse_histogram``."""
     try:
+        cls = type(raw_sets)
+        if cls is dict and all(map(is_, map(type, raw_sets), _INTS)):
+            # The exact int bands of a dict are distinct values, and hashing
+            # them runs no prover code, so the entries are read in one pass.
+            return {i: tuple(xs) for i, xs in raw_sets.items()}
+        if not (type(cls) is type or type(cls) is ABCMeta) or not issubclass(cls, Mapping):
+            return None
         entries = [(i, tuple(xs)) for i, xs in raw_sets.items()]
-    except TypeError:
+        bands = exact_ints([i for i, _ in entries])
+        if bands is None:
+            return None
+        record = dict(zip(bands, [xs for _, xs in entries]))
+        return record if len(record) == len(entries) else None
+    except Exception:
         return None
-    bands = exact_ints([i for i, _ in entries])
-    if bands is None:
-        return None
-    record = dict(zip(bands, [xs for _, xs in entries]))
-    return record if len(record) == len(entries) else None
 
 
 def _finish(params, messages, coins, outcome, trial) -> Transcript:
@@ -1079,17 +1101,17 @@ def parse_table(entries) -> Optional[list[tuple[int, Fraction]]]:
     """The fallback table as (element, Fraction) pairs, or None unless it is
     an iterable of (int, int or Fraction) pairs. Each number is read by its
     exact value (``exact_number``), so no prover code runs and a float or
-    string probability is refused."""
+    string probability is refused. Total, as ``parse_histogram``."""
     try:
         pairs = [tuple(item) for item in entries]
-    except TypeError:
+    except Exception:
         return None
     table = []
     for pair in pairs:
         if len(pair) != 2:
             return None
         x, p = exact_number(pair[0]), exact_number(pair[1])
-        if not isinstance(x, int) or p is None:
+        if x is None or type(x) is Fraction or p is None:
             return None
         table.append((x, Fraction(p)))
     return table

@@ -15,7 +15,6 @@ from coinpress.hashing import (
     HashFunction,
     WidthError,
     family,
-    gf2n_inv,
     gf2n_mul,
     members_sharing_rows,
     mixing_experiment,
@@ -131,9 +130,12 @@ class TestFieldArithmetic:
         assert gf2n_mul(a, b ^ c, n) == gf2n_mul(a, b, n) ^ gf2n_mul(a, c, n)
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_inverses_exhaustive(self, n):
-        for a in range(1, 1 << n):
-            assert gf2n_mul(a, gf2n_inv(a, n), n) == 1
+    def test_nonzero_multiples_permute_exhaustive(self, n):
+        """x -> a*x permutes GF(2^n) for every nonzero a, so every nonzero
+        element has an inverse."""
+        size = 1 << n
+        for a in range(1, size):
+            assert sorted(gf2n_mul(a, x, n) for x in range(size)) == list(range(size))
 
 
 class TestHashFunction:

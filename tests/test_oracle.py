@@ -42,6 +42,7 @@ from coinpress.protocol import (
     Outcome,
     ProtocolParams,
     ProverStrategy,
+    Transcript,
     check_sets,
     compute_live_bands,
     derive_params,
@@ -1794,6 +1795,186 @@ class TestHostileNumbers:
         assert params.mode == MODE_TRIVIAL
         dist = ExplicitDistribution(n=2, mass={0: Fraction(1, 2), 1: Fraction(1, 4), 3: Fraction(1, 4)})
         self.check(params, dist, "table")
+
+
+# Hooks no reader of a prover's message may run. While armed (``_ARMED``
+# non-empty) a hook counts its call and raises; otherwise it acts as the
+# builtin it replaces, so a failure report can render the objects.
+HOOK_CALLS = Counter()
+_ARMED = []
+
+
+def _hook(name, otherwise):
+    def hook(*args):
+        if not _ARMED:
+            return otherwise(*args)
+        HOOK_CALLS[name] += 1
+        raise RuntimeError(f"the verifier ran {name} of a prover's value")
+    return hook
+
+
+def _raise(*args):
+    raise RuntimeError("a prover's container raised")
+
+
+class _HookedMeta(type):
+    """A metaclass whose hashing, equality and name run hooks."""
+
+    __hash__ = _hook("__hash__", type.__hash__)
+    __eq__ = _hook("__eq__", type.__eq__)
+    __name__ = property(_hook("__name__", type.__dict__["__name__"].__get__))
+
+
+class MetaHookedInt(int, metaclass=_HookedMeta):
+    """An int whose class cannot be hashed, compared or named."""
+
+
+# A junk object; one of the same name whose __len__ and __iter__ raise; and
+# one of the same name whose __class__ and metaclass run hooks.
+Junk = type("Junk", (), {})
+RaisingJunk = type("Junk", (), {"__len__": _raise, "__iter__": _raise})
+HookedJunk = _HookedMeta("Junk", (), {"__class__": property(_hook("__class__", type))})
+_CLASS_HOOKED = {}
+
+
+def class_hooked(value):
+    """value as an instance of a subclass of its type whose ``__class__``
+    runs a hook."""
+    base = type(value)
+    if base not in _CLASS_HOOKED:
+        hooked = {"__class__": property(_hook("__class__", type))}
+        _CLASS_HOOKED[base] = type(f"ClassHooked{base.__name__}", (base,), hooked)
+    return _CLASS_HOOKED[base](value)
+
+
+def _int_or_zero(value):
+    return value if type(value) is int else 0
+
+
+# Hostile objects, each as (hostile, plain): the hostile one stands in for
+# the value honest play sends, the plain one is the same message by exact
+# values.
+HOSTILE_OBJECTS = {
+    "raising-len-iter": (lambda v: RaisingJunk(), lambda v: Junk()),
+    "class-property": (class_hooked, _identity),
+    "hooked-junk": (lambda v: HookedJunk(), lambda v: Junk()),
+    "metaclass-hooks": (lambda v: MetaHookedInt(_int_or_zero(v)), _int_or_zero),
+}
+
+HOSTILE_POSITIONS = [
+    "histogram container", "histogram entry", "sets mapping", "band key", "sets entry",
+    "set element", "claim", "table container", "table pair",
+]
+
+
+class OnePositionProver(HonestProver):
+    """Honest play, with the value at one position of one message passed
+    through ``swap``."""
+
+    def __init__(self, dist, params, position, swap):
+        super().__init__(dist, params)
+        self.position, self.swap = position, swap
+
+    def produce_histogram(self):
+        weights = list(super().produce_histogram())
+        if self.position == "histogram container":
+            return self.swap(weights)
+        if self.position == "histogram entry":
+            zero = weights.index(0)
+            weights[zero] = self.swap(weights[zero])
+        return weights
+
+    def produce_sets(self, s, k, f, g, m):
+        sets = super().produce_sets(s, k, f, g, m)
+        if self.position == "sets mapping":
+            return self.swap(sets)
+        if not sets:
+            return sets
+        band = min(sets)
+        if self.position == "band key":
+            return {self.swap(i) if i == band else i: xs for i, xs in sets.items()}
+        if self.position == "sets entry":
+            sets[band] = self.swap(sets[band])
+        if self.position == "set element":
+            for xs in sets.values():
+                if xs:
+                    xs[0] = self.swap(xs[0])
+                    break
+        return sets
+
+    def produce_probability(self, j, x):
+        p = super().produce_probability(j, x)
+        return self.swap(p) if self.position == "claim" else p
+
+    def produce_table(self):
+        table = super().produce_table()
+        if self.position == "table container":
+            return self.swap(table)
+        if self.position == "table pair":
+            table[0] = self.swap(table[0])
+        return table
+
+
+class TestHostileMessages:
+    """Each position of each message, handed over as an object whose
+    container methods raise, one whose ``__class__`` runs a hook, an int
+    whose metaclass's hashing, equality and name run hooks, or junk with
+    both kinds of hook: every run ends in the outcome, and renders the
+    transcript, of the same message by exact values (a typed reject when it
+    is malformed), both oracles agree, and no hook runs."""
+
+    @pytest.mark.parametrize("kind", sorted(HOSTILE_OBJECTS))
+    @pytest.mark.parametrize("position", HOSTILE_POSITIONS)
+    def test_message_ends_in_an_outcome(self, position, kind):
+        hostile, plain = HOSTILE_OBJECTS[kind]
+        if position.startswith("table"):
+            params = derive_params(2, 0.9, 0.9)
+            dist = ExplicitDistribution(n=2, mass={0: Fraction(1, 2), 1: Fraction(1, 4), 3: Fraction(1, 4)})
+        else:
+            params, dist = SETS_FUZZ_PARAMS, skewed_dist()
+        prover = OnePositionProver(dist, params, position, hostile)
+        reference = OnePositionProver(dist, params, position, plain)
+        HOOK_CALLS.clear()
+        _ARMED.append(True)
+        try:
+            runs = [run_protocol(params, prover, rng=random.Random(seed)) for seed in range(4)]
+            rendered = [tr.to_json() for tr in runs]
+            replayed = [replay(params, prover, tr).to_json() for tr in runs]
+            exact = OracleRun(ExactConfig(params=params, prover=prover)).distribution
+            flat_outputs, flat_reject = exact_output_distribution_flat(params, prover)
+        finally:
+            _ARMED.clear()
+        assert not HOOK_CALLS
+        assert all(isinstance(tr.outcome, Outcome) for tr in runs)
+        assert rendered == replayed == [
+            run_protocol(params, reference, rng=random.Random(seed)).to_json() for seed in range(4)
+        ]
+        assert exact.outputs == flat_outputs
+        assert exact.reject_mass == flat_reject
+        assert exact.total_mass() == 1
+        expected = OracleRun(ExactConfig(params=params, prover=reference)).distribution
+        assert exact.outputs == expected.outputs
+        assert exact.reject_by_reason == expected.reject_by_reason
+
+    def test_transcript_renders_hooked_junk(self):
+        """The renderers name a malformed value's type from its slot and
+        read an element without ``isinstance``, so junk with hooks renders
+        as plain junk, wherever a record can hold it."""
+        def rendered(junk):
+            messages = [
+                ("histogram", (junk,)), ("sets", {0: (junk,)}, 3), ("probability", junk),
+            ]
+            return Transcript("digest", messages, [], Outcome.reject("malformed-sets")).to_json()
+
+        HOOK_CALLS.clear()
+        _ARMED.append(True)
+        try:
+            hooked = rendered(HookedJunk())
+        finally:
+            _ARMED.clear()
+        assert not HOOK_CALLS
+        assert hooked == rendered(Junk())
+        assert hooked.count('{"malformed":"Junk"}') == 3
 
 
 # Set sizes at the edges of check (b)'s window [lo, hi]: just outside it and

@@ -4,8 +4,10 @@ import hashlib
 import math
 import random
 from array import array
+from collections import ChainMap, OrderedDict, UserDict, defaultdict
 from dataclasses import replace
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -783,6 +785,18 @@ class TestIntSubclassBands:
             tr = run_protocol(params, prover, rng=random.Random(seed))
             assert tr.outcome.reason == "malformed-sets"
             assert replay(params, prover, tr).to_json() == tr.to_json()
+
+    @pytest.mark.parametrize(
+        "wrap",
+        [dict, MappingProxyType, UserDict, ChainMap, OrderedDict, lambda d: defaultdict(list, d)],
+        ids=["dict", "mappingproxy", "UserDict", "ChainMap", "OrderedDict", "defaultdict"],
+    )
+    def test_every_mapping_type_is_read(self, wrap):
+        """A sets message is a mapping by its type: a builtin mapping and an
+        ABC-registered or ABC-derived one (metaclass ``type`` or ``ABCMeta``)
+        give the dict's record."""
+        sets = {2: [5, 1], True: iter([3])}
+        assert parse_sets(wrap(sets)) == {2: (5, 1), 1: (3,)}
 
     @pytest.mark.parametrize("seed", range(3))
     def test_transcript_renders_exact_elements(self, seed):
