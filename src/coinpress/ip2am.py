@@ -226,6 +226,7 @@ class ToyMultisetIP:
     spec: PrivateCoinProtocolSpec = field(init=False)
     alphabet: str = field(init=False)
     symbol_bits: int = field(init=False)
+    side0_codes: frozenset[int] = field(init=False)
 
     def __post_init__(self):
         alphabet = "".join(sorted(set(self.instance.s0 + self.instance.s1)))
@@ -241,6 +242,7 @@ class ToyMultisetIP:
             [encode(a) for a in arrangements[0]],
             [encode(a) for a in arrangements[1]],
         )
+        object.__setattr__(self, "side0_codes", frozenset(arr_codes[0]))
         message_bits = symbol_bits * len(self.instance.s0)
         count = max(len(arr_codes[0]), len(arr_codes[1]))
         object.__setattr__(self, "index_bits", max(1, (count - 1).bit_length()))
@@ -270,19 +272,10 @@ class ToyMultisetIP:
             code = (code << self.symbol_bits) | self.alphabet.index(ch)
         return code
 
-    def decode(self, code: int) -> str:
-        length = len(self.instance.s0)
-        out = []
-        for _ in range(length):
-            out.append(self.alphabet[code & ((1 << self.symbol_bits) - 1)])
-            code >>= self.symbol_bits
-        return "".join(reversed(out))
-
     def honest_answer(self, x, i, messages) -> int:
-        seen = sorted(self.decode(messages[-1]))
-        if seen == sorted(self.instance.s0):
-            return 0
-        return 1
+        """0 exactly when the message is an arrangement of side 0, else 1:
+        total on every message, also one no arrangement encodes."""
+        return 0 if messages[-1] in self.side0_codes else 1
 
 
 def toy_protocol(instance: ToyMultisetInstance) -> ToyMultisetIP:

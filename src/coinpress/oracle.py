@@ -138,14 +138,19 @@ OutputKey = tuple  # (x, band, p)
 
 @dataclass
 class ShiftTables:
-    # per interval index: (m, g, active bands, band-mass sum, rows); rows is
-    # None for a hash-width rejection, else the count of each row asked: one
-    # row per zero-set pattern (counting the members sharing it) or, for
-    # provers that read more of f, one row per hash function (count 1).
+    """One shift of a component's enumeration.
+
+    ``challenges``: per interval index of positive mass, (m, g, active
+    bands, band-mass sum, rows); rows is None for a hash-width rejection,
+    else the count of each row asked: one row per zero-set pattern
+    (counting the members sharing it) or, for provers that read more of
+    f, one row per hash function (count 1). ``placements``: per (x, band)
+    that some hash function's checked sets place, its exact placement
+    probability (``ComponentRun.placement_probability``), made once; an
+    absent cell has probability 0."""
+
     challenges: dict[int, tuple]
-    # per interval index with rows: {(x, band): number of hash functions
-    # whose checked sets place x in that band}
-    placements: dict[int, dict[tuple[int, int], int]] = field(default_factory=dict)
+    placements: dict[tuple[int, int], Fraction] = field(default_factory=dict)
 
 
 @dataclass
@@ -153,7 +158,6 @@ class ComponentRun:
     """Enumeration results for one deterministic strategy of the support."""
 
     q: Fraction
-    params: ProtocolParams
     tables: Optional[VerifierTables]  # None when the component rejects in round 1
     reject_reason: Optional[str]
     shift_total: Fraction = Fraction(0)
@@ -169,21 +173,12 @@ class ComponentRun:
     def placement_probability(self, s: int, x: int, j: int) -> Fraction:
         """Probability over the hash draw that all set checks pass and this
         component placed x in the set of band j, conditioned on the shift,
-        the interval holding j, and x hashing to the zero target. Zero when
-        j is in a gap or not live."""
-        if self.reject_reason is not None:
-            return Fraction(0)
-        k = self.params.layout.interval_index_of(s, j)
-        if k is None:
-            return Fraction(0)
-        st = self.shifts[s]
-        hits = st.placements.get(k)
-        if hits is None:
-            return Fraction(0)
-        # For each (a, b) exactly 2**(n - m) values of c send x to zero, so
-        # 8**n / 2**m functions condition on it, whatever x is.
-        m = st.challenges[k][0]
-        return Fraction(hits.get((x, j), 0), (8 ** self.params.n) >> m)
+        the interval holding j, and x hashing to the zero target: a read of
+        shift s's placement table. Zero for a cell no hash function places,
+        so for a band in a gap or not live, and for every cell of a
+        rejecting or fallback component, which keeps no shift tables."""
+        st = self.shifts.get(s)
+        return Fraction(0) if st is None else st.placements.get((x, j), Fraction(0))
 
 
 def _accumulate(bins: dict, key, mass: Fraction):
@@ -250,7 +245,7 @@ def _build_component(
     params: ProtocolParams, q: Fraction, strat: ProverStrategy, hash_family: HashFamily,
 ) -> ComponentRun:
     tables, reason = validate_histogram_message(strat.produce_histogram(), params)
-    comp = ComponentRun(q=q, params=params, tables=tables, reject_reason=reason)
+    comp = ComponentRun(q=q, tables=tables, reject_reason=reason)
     if reason is not None:
         comp.rejects = {reason: Fraction(1)}
         return comp
@@ -313,7 +308,11 @@ def _build_component(
                         p = claims[j, x] = finalize(j, x, strat.produce_probability(j, x), params).p
                     _accumulate(s_outputs, (x, j, p), count * weights[j] * unit / size)
             st.challenges[k] = (m, g, pending.active, pending.band_mass_sum, rows)
-            st.placements[k] = hits
+            # For each (a, b) exactly 2**(n - m) values of c send x to zero, so
+            # 8**n >> m functions condition on it, whatever x is.
+            conditioned = (8 ** params.n) >> m
+            for cell, count in hits.items():
+                st.placements[cell] = Fraction(count, conditioned)
         comp.per_shift[s] = s_outputs
         s_prob = comp.shift_prob(s)
         for key, mass in s_outputs.items():
@@ -324,7 +323,7 @@ def _build_component(
 
 
 def _build_trivial_component(params: ProtocolParams, q: Fraction, strat: ProverStrategy) -> ComponentRun:
-    comp = ComponentRun(q=q, params=params, tables=None, reject_reason=None)
+    comp = ComponentRun(q=q, tables=None, reject_reason=None)
     table = parse_table(strat.produce_table())
     reason = validate_table(table, params)
     if reason is not None:
@@ -711,85 +710,78 @@ class StructuralReport:
 
 
 def verify_band_sandwich(run: OracleRun) -> StructuralReport:
-    """For every component, shift, element, and band: the conditional output
-    mass of the band lies within [2**(-2 eps), 2**eps] times
-    placement / (shift weight * 2**(band * eps)).
+    """For every component, shift of positive weight, element x and band j:
+    the conditional output mass of cell (x, j) lies within [2**(-2 eps),
+    2**eps] times placement / (shift weight * 2**(j * eps)).
 
     Irrational factors enter through outward-rounded rational enclosures,
     so every reported violation is rigorous; comparisons falling inside an
-    enclosure are reported as indeterminate rather than passed. The
-    enclosure of each band's 2**(band * eps) is taken once per band, and
-    the four bound factors, enclosure endpoint over shift weight times
-    band enclosure endpoint, once per (shift, band); each cell multiplies
-    them by its placement probability, and a cell of placement 0 has all
-    four bounds 0. A fallback run places nothing, and its report is empty.
+    enclosure are reported as indeterminate rather than passed. A cell of
+    placement 0 has all four bounds 0, so it passes exactly when its mass
+    is 0. The walk therefore visits, in sorted order, only the cells with a
+    placement or an output mass, and counts every other cell of the shift
+    as checked; the enclosure of 2**(j * eps) is taken once, when a placed
+    cell of band j first occurs. A rejecting or fallback component has no
+    shift of positive weight, so it adds nothing to the report.
     """
     params = run.params
-    if params.mode == MODE_TRIVIAL:  # before any per-band work: t may exceed 10**9
-        return StructuralReport(checked=0, violations=[], indeterminate=[])
     eps = params.eps
     lo_factor = pow2_bounds(-2 * eps)
     hi_factor = pow2_bounds(eps)
-    band_bounds = [pow2_bounds(j * eps) for j in range(params.t + 1)]
+    band_bounds: dict[int, tuple[Fraction, Fraction]] = {}
     zero = Fraction(0)
     violations = []
     indeterminate = []
     checked = 0
     for ci, comp in enumerate(run.components):
         for s, cond in comp.per_shift.items():
+            placements = comp.shifts[s].placements
             w_s = comp.tables.shift_weights[s]
-            mass_by_band: dict[tuple[int, int], Fraction] = {}
+            mass_by_cell: dict[tuple[int, int], Fraction] = {}
             for (x, j, _p), massv in cond.items():
-                mass_by_band[(x, j)] = mass_by_band.get((x, j), Fraction(0)) + massv
-            factors = [
-                (
-                    lo_factor[0] / (w_s * band_hi),
-                    lo_factor[1] / (w_s * band_lo),
-                    hi_factor[0] / (w_s * band_hi),
-                    hi_factor[1] / (w_s * band_lo),
-                )
-                for band_lo, band_hi in band_bounds
-            ]
-            for x in range(1 << params.n):
-                for j in range(params.t + 1):
-                    checked += 1
-                    mass = mass_by_band.get((x, j), zero)
-                    r = comp.placement_probability(s, x, j)
-                    if r == 0:
-                        if mass != 0:
-                            violations.append((ci, s, x, j, mass, zero, zero))
-                        continue
-                    lower_lo, lower_hi, upper_lo, upper_hi = (r * f for f in factors[j])
-                    if mass < lower_lo or mass > upper_hi:
-                        violations.append((ci, s, x, j, mass, lower_lo, upper_hi))
-                    elif mass < lower_hi or mass > upper_lo:
-                        indeterminate.append((ci, s, x, j, mass, lower_hi, upper_lo))
+                mass_by_cell[x, j] = mass_by_cell.get((x, j), zero) + massv
+            checked += (params.t + 1) << params.n
+            for x, j in sorted(placements.keys() | mass_by_cell.keys()):
+                mass = mass_by_cell.get((x, j), zero)
+                r = placements.get((x, j), zero)
+                if r == 0:
+                    if mass != 0:
+                        violations.append((ci, s, x, j, mass, zero, zero))
+                    continue
+                if j not in band_bounds:
+                    band_bounds[j] = pow2_bounds(j * eps)
+                band_lo, band_hi = band_bounds[j]
+                low, high = r / (w_s * band_hi), r / (w_s * band_lo)
+                lower_lo, lower_hi = lo_factor[0] * low, lo_factor[1] * high
+                upper_lo, upper_hi = hi_factor[0] * low, hi_factor[1] * high
+                if mass < lower_lo or mass > upper_hi:
+                    violations.append((ci, s, x, j, mass, lower_lo, upper_hi))
+                elif mass < lower_hi or mass > upper_lo:
+                    indeterminate.append((ci, s, x, j, mass, lower_hi, upper_lo))
     return StructuralReport(checked=checked, violations=violations, indeterminate=indeterminate)
 
 
 def verify_band_sums(run: OracleRun) -> StructuralReport:
-    """Placement probabilities over each interval sum to at most 1, exactly.
-    A fallback run places nothing, and its report is empty."""
+    """For every component, shift, interval and element x: the placement
+    probabilities of x over the bands of the interval sum to at most 1,
+    exactly. Only the cells in each shift's placement table are summed, per
+    (interval, x) in sorted order; every other (interval, x) sums to 0 and
+    is counted as checked. A rejecting or fallback component has no shift
+    tables, so it adds nothing to the report."""
     params = run.params
-    if params.mode == MODE_TRIVIAL:  # before params.layout: t may exceed 10**9
-        return StructuralReport(checked=0, violations=[], indeterminate=[])
-    layout = params.layout
     violations = []
     checked = 0
     for ci, comp in enumerate(run.components):
-        if comp.reject_reason is not None:
-            continue
-        for s in layout.shifts:
-            for k in layout.index_range:
-                interval = layout.interval(s, k)
-                for x in range(1 << params.n):
-                    checked += 1
-                    total = sum(
-                        (comp.placement_probability(s, x, j) for j in interval),
-                        Fraction(0),
-                    )
-                    if total > 1:
-                        violations.append((ci, s, k, x, total))
+        for s, st in comp.shifts.items():
+            layout = params.layout  # read only here: a fallback run's t may be past MAX_BANDS
+            checked += len(layout.index_range) << params.n
+            totals: dict[tuple[int, int], Fraction] = {}
+            for (x, j), r in st.placements.items():
+                key = layout.interval_index_of(s, j), x
+                totals[key] = totals.get(key, 0) + r
+            for (k, x), total in sorted(totals.items()):
+                if total > 1:
+                    violations.append((ci, s, k, x, total))
     return StructuralReport(checked=checked, violations=violations, indeterminate=[])
 
 

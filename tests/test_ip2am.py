@@ -121,10 +121,16 @@ class TestToyProtocol:
         wrong = (m0 + 1) % (1 << spec.message_bits)
         assert not accepts(spec, None, r, [wrong], [good_answer])
 
-    def test_encode_decode_round_trip(self):
-        toy = toy_protocol(MEMBER)
-        for arrangement in ("aab", "aba", "baa"):
-            assert toy.decode(toy.encode(arrangement)) == arrangement
+    def test_honest_answer_is_total(self):
+        """Every 6-bit message gets an answer, also one whose symbol index
+        is past the 3-symbol alphabet: 0 exactly for the arrangements of
+        side 0, 1 for every other code."""
+        toy = toy_protocol(ToyMultisetInstance(s0="aab", s1="abc"))
+        assert toy.spec.message_bits == 6
+        for code in range(64):
+            symbols = [(code >> shift) & 3 for shift in (4, 2, 0)]
+            side0 = sorted(symbols) == [0, 0, 1]  # "a", "a", "b"
+            assert toy.honest_answer(None, 0, (code,)) == (0 if side0 else 1), code
 
 
 class TestTransformRun:

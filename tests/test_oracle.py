@@ -145,14 +145,19 @@ class TestExactDistribution:
 
     def test_structural_checks_on_a_fallback_run(self):
         """A fallback component places nothing, so both checks report
-        nothing checked and no violation, and read no per-band table."""
-        params = derive_params(2, 0.9, 0.9)
-        assert params.t == 40000
-        dist = ExplicitDistribution(n=2, mass={0: Fraction(1, 2), 3: Fraction(1, 2)})
-        run = OracleRun(ExactConfig(params=params, prover=honest_prover(dist, params)))
-        for check in (verify_band_sandwich, verify_band_sums):
-            report = check(run)
-            assert report.ok and report_fields(report) == (0, [], [])
+        nothing checked and no violation, and every placement reads 0,
+        without a per-band table: at t = 1,440,000 the t + 1 bands are past
+        ``MAX_BANDS``, so any read of the layout raises."""
+        for n, eps, t in [(2, 0.9, 40000), (8, 0.1, 1_440_000)]:
+            params = derive_params(n, eps, eps)
+            assert params.mode == MODE_TRIVIAL and params.t == t
+            dist = ExplicitDistribution(n=n, mass={0: Fraction(1, 2), 3: Fraction(1, 2)})
+            run = OracleRun(ExactConfig(params=params, prover=honest_prover(dist, params)))
+            for check in (verify_band_sandwich, verify_band_sums):
+                report = check(run)
+                assert report.ok and report_fields(report) == (0, [], [])
+            for s, x, j in [(-1, 0, 0), (0, 3, 1), (1, 0, t)]:
+                assert run.components[0].placement_probability(s, x, j) == 0
 
     def test_budget_guard(self):
         # 8001 intervals x 8^6 hash functions: about 2.1e9 branches
@@ -302,6 +307,27 @@ def sandwich_reference(run):
     return checked, violations, indeterminate
 
 
+def sums_reference(run):
+    """``verify_band_sums`` as a dense walk: for every shift, interval and
+    x of each component that passes round 1, the placement probabilities
+    of x summed over the interval."""
+    params = run.params
+    layout = params.layout
+    violations = []
+    checked = 0
+    for ci, comp in enumerate(run.components):
+        if comp.reject_reason is not None:
+            continue
+        for s in layout.shifts:
+            for k in layout.index_range:
+                for x in range(1 << params.n):
+                    checked += 1
+                    total = sum((comp.placement_probability(s, x, j) for j in layout.interval(s, k)), Fraction(0))
+                    if total > 1:
+                        violations.append((ci, s, k, x, total))
+    return checked, violations, []
+
+
 def report_fields(report):
     return report.checked, report.violations, report.indeterminate
 
@@ -367,6 +393,26 @@ class TestStructuralChecks:
             assert len(report.violations) == 2, name
             # the enclosure of 2**eps has slack only when eps is fractional
             assert len(report.indeterminate) == (eps != int(eps)), name
+
+    @pytest.mark.parametrize("cfg", CONFIGS + ["fractional-eps"])
+    def test_sums_equal_dense_walk(self, cfg):
+        """The sums over placed cells give the dense walk's report, on the
+        runs as built and after one placed cell of one shift is set to 2."""
+        if cfg == "fractional-eps":
+            params, provers = FRACTIONAL_EPS_PARAMS, {"honest": FRACTIONAL_EPS_HONEST}
+        else:
+            params = raw_params(**cfg)
+            provers = provers_for(skewed_dist(), params)
+        for name, prover in provers.items():
+            run = OracleRun(ExactConfig(params=params, prover=prover))
+            assert report_fields(verify_band_sums(run)) == sums_reference(run), name
+            placements = next(
+                tables.placements for comp in run.components for tables in comp.shifts.values() if tables.placements
+            )
+            placements[max(placements)] = Fraction(2)
+            report = verify_band_sums(run)
+            assert report_fields(report) == sums_reference(run), name
+            assert len(report.violations) == 1, name
 
     def test_pow2_bounds_enclose(self):
         # rigorous check via integer powers: lo^10 < 2^17 < hi^10
