@@ -69,6 +69,11 @@ def fraction_from_str(s: str) -> Fraction:
     return Fraction(int(num), int(den))
 
 
+# The probability of every element outside a support: Fractions are
+# immutable, so one serves every call.
+_ZERO = Fraction(0)
+
+
 @dataclass(frozen=True)
 class ExplicitDistribution:
     """A sparse distribution over n-bit strings with exact rational masses.
@@ -98,7 +103,7 @@ class ExplicitDistribution:
 
     def prob(self, x: int) -> Fraction:
         """Probability of x, zero for elements outside the support."""
-        return self.mass.get(x, Fraction(0))
+        return self.mass.get(x, _ZERO)
 
     def support(self) -> list[int]:
         return sorted(self.mass)

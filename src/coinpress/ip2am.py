@@ -418,14 +418,22 @@ def transform_run(
             records.append(RoundRecord(message=outcome.x, probability=outcome.p, answer=answers[-1]))
     r_star, p_final = outcome.x, outcome.p
     check_verdict = accepts(spec, x, r_star, messages, answers)
-    check_product = (
-        all(isinstance(p, Fraction) for p in probs)
-        and math.prod(probs) == Fraction(1, 1 << spec.coin_bits)
-    )
+    check_product = product_check(probs, spec.coin_bits)
     return AmTranscript(
         rounds=records, coin_string=r_star, final_probability=p_final,
         sampling_reject_round=None, check_verdict=check_verdict,
         check_product=check_product, accept=check_verdict and check_product,
+    )
+
+
+def product_check(probs: Sequence, coin_bits: int) -> bool:
+    """True when every probability is an exact Fraction and their product is
+    exactly 2**-coin_bits; a tagged real (a float) fails. The product is
+    compared as prod(denominators) == prod(numerators) * 2**coin_bits, in
+    ints, which holds exactly when the Fractions' product is 2**-coin_bits."""
+    return all(type(p) is Fraction for p in probs) and (
+        math.prod(p.denominator for p in probs)
+        == math.prod(p.numerator for p in probs) << coin_bits
     )
 
 

@@ -36,7 +36,6 @@ from coinpress.dist import (
     ExplicitDistribution,
     Histogram,
     IntervalLayout,
-    bucket_of,
     buckets,
     build_histogram,
     element_to_hex,
@@ -259,28 +258,41 @@ def pick_by_offset(scaled: Sequence[int], u: int) -> int:
 
 
 class CoinSource:
-    """Elementary integer coins for one protocol run, recorded for replay."""
+    """Elementary integer coins for one protocol run, recorded for replay.
+
+    A live source draws each coin below ``size`` from its rng's
+    ``getrandbits`` alone, by the rejection sampler that
+    ``random.Random.randrange(size)`` runs for an int bound (Python 3.10
+    and 3.11): k = size.bit_length(), then ``getrandbits(k)`` redrawn until
+    it is below size. So over a ``random.Random`` the coins are exactly
+    those of ``rng.randrange``, drawn in one frame. A replaying source
+    hands back the recorded coins in order, each checked against its size.
+    """
 
     def __init__(self, rng=None, replay: Optional[Sequence[int]] = None):
         if (rng is None) == (replay is None):
             raise ValueError("provide exactly one of rng, replay")
-        self._rng = rng
+        self._getrandbits = rng.getrandbits if rng is not None else None
         self._replay = list(replay) if replay is not None else None
         self._pos = 0
         self.record: list[int] = []
 
-    def _emit(self, value: int) -> int:
-        self.record.append(value)
-        return value
-
     def randrange(self, size: int) -> int:
-        if self._replay is not None:
+        getrandbits = self._getrandbits
+        if getrandbits is None:
             value = self._replay[self._pos]
             self._pos += 1
             if not 0 <= value < size:
                 raise ValueError("replayed coin out of range")
-            return self._emit(value)
-        return self._emit(self._rng.randrange(size))
+        else:
+            if size < 1:
+                raise ValueError("empty range for a coin")
+            k = size.bit_length()
+            value = getrandbits(k)
+            while value >= size:
+                value = getrandbits(k)
+        self.record.append(value)
+        return value
 
     def weighted_index(self, weights: Sequence[Fraction]) -> int:
         """Index i chosen with probability weights[i] / sum(weights)."""
@@ -532,12 +544,13 @@ class HonestProver(ProverStrategy):
     the plans are built on first read: a fallback run reads only
     ``produce_table``, and its t can reach millions of bands.
 
-    ``produce_sets`` memoizes: ``_choose_sets`` works out each answer once
-    per challenge and zero set of the current hash rows, and the answer is
-    kept as one ``marshal`` blob (see ``produce_sets``). At m = 0 the rows
-    are ``()`` for every hash and the batch keeps every input, so that is
-    once per challenge. The cheating provers in ``adversaries`` that start
-    from honest play subclass this one, edit the sets of its
+    ``produce_sets`` memoizes: once the current hash rows are asked about a
+    second time, ``_choose_sets`` works out each answer once per challenge
+    and zero set of those rows, and the answer is kept as one ``marshal``
+    blob (see ``produce_sets``). At m = 0 the rows are ``()`` for every
+    hash and the batch keeps every input, so that is once per challenge,
+    after the prover's first call. The cheating provers in ``adversaries``
+    that start from honest play subclass this one, edit the sets of its
     ``_choose_sets`` and inherit the memo; the inflating prover also
     relabels the bands of ``_banding``, so the plans follow its claimed
     histogram.
@@ -624,13 +637,16 @@ class HonestProver(ProverStrategy):
         ``()``. Any other f, such as a subclass or a test double, is
         answered directly.
 
-        An answer is kept as ``marshal.dumps(answer, 2)``, and a hit returns
-        ``marshal.loads`` of it: a fresh dict of fresh lists, built in C,
-        with the exact types of the answer worked out. An answer marshal
-        refuses (an int subclass, a non-dict mapping) is returned as worked
-        out and not kept, and so is one whose blob holds marshal's bytes code
-        anywhere (``MARSHAL_BYTES``), since marshal writes any buffer as
-        bytes.
+        The first call under a new rows tuple is answered directly too, and
+        keeps nothing: most tuples are asked about once (a Monte Carlo trial
+        draws fresh rows, and so does each pattern row of the structured
+        oracle). From the second call on, an answer is kept as
+        ``marshal.dumps(answer, 2)``, and a hit returns ``marshal.loads`` of
+        it: a fresh dict of fresh lists, built in C, with the exact types of
+        the answer worked out. An answer marshal refuses (an int subclass, a
+        non-dict mapping) is returned as worked out and not kept, and so is
+        one whose blob holds marshal's bytes code anywhere
+        (``MARSHAL_BYTES``), since marshal writes any buffer as bytes.
         """
         if type(f) is HashFunction:
             if f.rows is self._rows:
@@ -639,6 +655,7 @@ class HonestProver(ProverStrategy):
                     return marshal.loads(blob)
             else:
                 self._rows, self._answers = f.rows, {}
+                return self._choose_sets(s, k, f, g, m)
             answer = self._choose_sets(s, k, f, g, m)
             try:
                 blob = marshal.dumps(answer, 2)
@@ -706,6 +723,10 @@ def validate_histogram_message(weights, params: ProtocolParams):
     if known is not None and (known[1] is params or known[1] == params):
         # checked and compiled under equal params, so of the same length t+1
         tables = known[2]
+        if known[1] is not params:
+            # Rebound to these params, in place (eviction order is kept), so
+            # that the next hit under them is by identity.
+            _compiled[id(weights)] = (weights, params, tables)
     else:
         if weights is None or len(weights) != params.t + 1:
             return None, REJECT_MALFORMED_HISTOGRAM
@@ -984,16 +1005,21 @@ def finalize(j: int, x: int, p_msg, params: ProtocolParams) -> Outcome:
     """Accept the claimed probability if it lies in band j, else substitute.
 
     The claim is read by its exact value (``exact_number``), and an
-    accepted claim is output as that exact Fraction. The substitute is the
-    band's upper endpoint ``pow2(-j*eps)``: an exact rational when j*eps is
-    an integer and a tagged real otherwise.
+    accepted claim is output as that exact Fraction. It lies in band j when
+    ``bucket_of`` puts it there, decided as ``bucket_of`` decides it but on
+    the claim's numerator and denominator as ints: 0 < num <= den, and the
+    floor of (TAU - (log2(num) - log2(den))) / eps equals j. The verifier's
+    j is a band in 0..t, so ``bucket_of``'s range check adds nothing. The
+    substitute is the band's upper endpoint ``pow2(-j*eps)``: an exact
+    rational when j*eps is an integer and a tagged real otherwise.
     """
     p = exact_number(p_msg)
     if p is not None:
-        if type(p) is not Fraction:
-            p = Fraction(p)
-        if bucket_of(p, params.eps, params.t) == j:
-            return Outcome.output(x, p, j)
+        num, den = p.numerator, p.denominator
+        if 0 < num <= den and math.floor(
+            (TAU - (math.log2(num) - math.log2(den))) / params.eps
+        ) == j:
+            return Outcome.output(x, p if type(p) is Fraction else Fraction(p), j)
     return Outcome.output(x, pow2(-j * params.eps), j)
 
 
@@ -1091,7 +1117,7 @@ def _finish(params, messages, coins, outcome, trial) -> Transcript:
     return Transcript(
         params_digest=params.digest(),
         messages=messages,
-        coins=list(coins.record),
+        coins=coins.record,
         outcome=outcome,
         trial=trial,
     )

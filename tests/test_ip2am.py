@@ -1,6 +1,7 @@
 """Private-to-public-coin compiler: conditionals, toy protocol, bounds."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from coinpress.ip2am import (
     constant_loss_parameters,
     estimate_acceptance,
     optimal_value,
+    product_check,
     sampling_params_for,
     small_gap_parameters,
     toy_protocol,
@@ -208,6 +210,34 @@ class TestTransformRun:
         base = RandomAnswerTransformProver(toy.spec, None, 0)
         estimate_acceptance(toy.spec, None, base.reseeded, 200, 8, eps=0.02, delta=0.25)
         assert len(compiles) == len(base._by_law) < len(base._cache)
+
+    def test_product_check_matches_the_fraction_product(self):
+        """``product_check`` agrees with the exact product of the claims on
+        exact lists, lists one off in a numerator or a denominator, and
+        lists holding a tagged real."""
+        bits = 3
+        exact = [
+            [Fraction(1, 8)],
+            [Fraction(1, 2), Fraction(1, 4)],
+            [Fraction(2, 3), Fraction(3, 16)],
+            [Fraction(3, 7), Fraction(7, 12), Fraction(1, 2)],
+            [Fraction(1), Fraction(1, 8), Fraction(1)],
+            [Fraction(5, 2**300), Fraction(2**297, 5)],
+        ]
+        cases = []
+        for probs in exact:
+            cases.append(probs)
+            for pos in range(len(probs)):
+                p = probs[pos]
+                for q in (Fraction(p.numerator + 1, p.denominator), Fraction(p.numerator, p.denominator + 1),
+                          Fraction(p.numerator - 1, p.denominator)):
+                    cases.append(probs[:pos] + [q] + probs[pos + 1:])
+                cases.append(probs[:pos] + [float(p)] + probs[pos + 1:])
+        cases += [[], [0.125], [Fraction(0)], [Fraction(1, 16), 2.0]]
+        for probs in cases:
+            want = all(isinstance(p, Fraction) for p in probs) and math.prod(probs) == Fraction(1, 2**bits)
+            assert product_check(probs, bits) == want, probs
+        assert sum(product_check(probs, bits) for probs in cases) == len(exact)
 
     def test_sampling_reject_propagates(self):
         toy = toy_protocol(MEMBER)

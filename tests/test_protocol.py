@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinpress import protocol
-from coinpress.dist import TAU, ExplicitDistribution, buckets, build_histogram
+from coinpress import ip2am, protocol
+from coinpress.dist import TAU, ExplicitDistribution, bucket_of, buckets, build_histogram, pow2
 from coinpress.hashing import HashFunction, members_sharing_rows, sample_hash
 from coinpress.protocol import (
     MODE_RAW,
@@ -32,6 +32,7 @@ from coinpress.protocol import (
     compute_live_bands,
     cumulative_weights,
     derive_params,
+    exact_number,
     finalize,
     honest_prover,
     parse_sets,
@@ -159,6 +160,50 @@ class TestWeightedChoice:
         picks = [live.weighted_index([Fraction(1), Fraction(3)]) for _ in range(10)]
         replayed = CoinSource(replay=live.record)
         assert [replayed.weighted_index([Fraction(1), Fraction(3)]) for _ in range(10)] == picks
+
+
+def toy_shift_draw_total():
+    """The shift draw's coin bound on compile-toy's first round: the honest
+    member histogram at t = 300."""
+    toy = ip2am.toy_protocol(ip2am.ToyMultisetInstance(s0="aab", s1="abb"))
+    params, _ = ip2am.sampling_params_for(toy.spec, eps=0.02, delta=0.25)
+    assert params.t == 300
+    dist = ip2am.conditional_message_distribution(toy.spec, None, 0, [], [])
+    return tables_for(HonestProver(dist, params).produce_histogram(), params).shift_draw[-1]
+
+
+class TestCoinStream:
+    """A live ``CoinSource`` draws from ``getrandbits`` alone, and its coins
+    are those of ``random.Random.randrange``."""
+
+    SIZES = (1, 2, 3, 7, 8, 9, 2**16, 2**64 + 1)
+
+    def test_coins_equal_random_randrange(self):
+        sizes = self.SIZES + (toy_shift_draw_total(),)
+        for seed in range(200):
+            coins = CoinSource(rng=random.Random(seed))
+            rng = random.Random(seed)
+            drawn = [coins.randrange(size) for size in sizes * 3]
+            assert drawn == [rng.randrange(size) for size in sizes * 3], seed
+            assert coins.record == drawn
+
+    @pytest.mark.parametrize("size", [0, -1, -(2**64)])
+    def test_empty_range_raises(self, size):
+        coins = CoinSource(rng=random.Random(0))
+        with pytest.raises(ValueError):
+            coins.randrange(size)
+        assert coins.record == []
+
+    def test_replay_reproduces_the_record(self):
+        sizes = self.SIZES + (toy_shift_draw_total(),)
+        for seed in range(20):
+            live = CoinSource(rng=random.Random(seed))
+            drawn = [live.randrange(size) for size in sizes]
+            replayed = CoinSource(replay=live.record)
+            assert [replayed.randrange(size) for size in sizes] == drawn
+            assert replayed.record == live.record
+        with pytest.raises(ValueError):
+            CoinSource(replay=[3]).randrange(3)
 
 
 class TestVerifierTables:
@@ -299,6 +344,24 @@ class TestHistogramKeyMemo:
         message = build_histogram(tiny_dist(), params.eps, params.t).weights
         assert tables_for(message, params) is tables_for(message, equal)
         assert len(compiles) == 1
+
+    def test_equal_params_hit_rebinds_the_entry(self, compiles):
+        """A hit under equal params that are another object rebinds the
+        entry to them, in place: the same tables come back, the next hit is
+        by identity, and the entry keeps its place in eviction order."""
+        params, equal = tiny_params(), tiny_params()
+        message = build_histogram(tiny_dist(), params.eps, params.t).weights
+        others = [tuple([0, 0, 1, 0, 0, 0, 0]) for _ in range(3)]
+        tables = tables_for(message, params)
+        for other in others:
+            tables_for(other, params)
+        order = list(protocol._compiled)
+        assert protocol._compiled[id(message)][1] is params
+        assert tables_for(message, equal) is tables
+        assert protocol._compiled[id(message)][1] is equal
+        assert list(protocol._compiled) == order
+        assert tables_for(message, equal) is tables
+        assert len(compiles) == 1 + len(others)
 
     def test_memo_is_bounded(self, compiles):
         params = tiny_params()
@@ -867,6 +930,77 @@ class TestFinalize:
         assert out.p == pytest.approx(2 ** -1.5)
 
 
+class ClaimFraction(Fraction):
+    """A Fraction subclass a prover may send as its claim."""
+
+
+def finalize_by_bucket_of(j, x, p_msg, params):
+    """``finalize`` as it read a claim before it compared ints: the claim
+    as a Fraction, banded by ``bucket_of``."""
+    p = exact_number(p_msg)
+    if p is not None:
+        p = Fraction(p)
+        if bucket_of(p, params.eps, params.t) == j:
+            return protocol.Outcome.output(x, p, j)
+    return protocol.Outcome.output(x, pow2(-j * params.eps), j)
+
+
+class TestFinalizeAgainstBucketOf:
+    """``finalize`` accepts exactly the claims ``bucket_of`` puts in band j."""
+
+    @staticmethod
+    def edges(eps, t):
+        """Every band edge 2**(-i*eps), i in 0..t+1, as the Fraction of its
+        double (exact at eps 1), and the edge with its numerator one lower
+        and one higher."""
+        for i in range(t + 2):
+            edge = Fraction(2.0 ** (-i * eps))
+            for num in (edge.numerator - 1, edge.numerator, edge.numerator + 1):
+                yield Fraction(num, edge.denominator)
+
+    @staticmethod
+    def check(claim, params):
+        """finalize == the reference, with the claim's type, in band 0, band
+        t, and the claim's band and its neighbours."""
+        value = exact_number(claim)
+        band = None if value is None else bucket_of(Fraction(value), params.eps, params.t)
+        bands = {0, params.t}
+        if band is not None:
+            bands |= {b for b in (band - 1, band, band + 1) if 0 <= b <= params.t}
+        for j in sorted(bands):
+            got = finalize(j, 5, claim, params)
+            want = finalize_by_bucket_of(j, 5, claim, params)
+            assert got == want, (claim, j)
+            assert type(got.p) is type(want.p)
+
+    @pytest.mark.parametrize("eps,t", [(1.0, 64), (0.5, 128), (0.02, 300)])
+    def test_band_edges(self, eps, t):
+        params = ProtocolParams.raw(n=3, eps=eps, delta=0.5, t=t, gap_size=1, interval_size=2)
+        for claim in self.edges(eps, t):
+            self.check(claim, params)
+
+    @pytest.mark.parametrize("eps", [1.0, 0.5, 0.02])
+    def test_odd_claims(self, eps):
+        params = ProtocolParams.raw(n=3, eps=eps, delta=0.5, t=300, gap_size=1, interval_size=2)
+        claims = [
+            Fraction(0), 0, -1, Fraction(-1, 4), Fraction(3, 2), 2, Fraction(1), 1, True, False,
+            ClaimFraction(1, 4), ClaimFraction(1), 0.25, "1/4", None,
+        ]
+        for claim in claims:
+            self.check(claim, params)
+        for claim in (True, 1, ClaimFraction(1)):
+            out = finalize(0, 5, claim, params)
+            assert out.p == 1 and type(out.p) is Fraction
+
+    def test_huge_denominator(self):
+        params = ProtocolParams.raw(n=3, eps=1.0, delta=0.5, t=6000, gap_size=1, interval_size=2)
+        for claim in (Fraction(1, 2**5000), Fraction(2**4999 + 1, 2**5000), Fraction(3, 2**5000 + 1)):
+            self.check(claim, params)
+        assert finalize(5000, 5, Fraction(1, 2**5000), params).p == Fraction(1, 2**5000)
+        narrow = ProtocolParams.raw(n=3, eps=1.0, delta=0.5, t=64, gap_size=1, interval_size=2)
+        self.check(Fraction(1, 2**5000), narrow)
+
+
 class TestRunProtocol:
     def test_honest_outputs_exact_probability(self):
         params = tiny_params()
@@ -979,14 +1113,16 @@ class TestZeroSetMemo:
 
     def test_a_new_rows_tuple_clears_the_memo(self):
         """Rows are compared by identity: an equal tuple that is another
-        object is planned afresh, and so is the first tuple after it."""
+        object is planned afresh, and so is the first tuple after it. The
+        first two calls under a tuple are planned (the first keeps
+        nothing), and the third is a hit."""
         prover = PlannerProver()
         f = HashFunction(n=4, m=2, a=3, b=5, c=1)
         twin = with_rows(f, tuple(list(f.rows)))
         assert twin.rows == f.rows and twin.rows is not f.rows
-        for h in (f, f, twin, twin, f):
+        for h in (f, f, f, twin, twin, twin, f):
             prover.produce_sets(0, 1, h, 1.0, 2)
-        assert prover.planned == [(0, 1, 1)] * 3
+        assert prover.planned == [(0, 1, 1)] * 5
 
     def test_a_freed_rows_tuple_cannot_alias_the_next(self):
         """The memo holds the rows tuple it keys by, so a tuple freed by
@@ -1003,13 +1139,16 @@ class TestZeroSetMemo:
             assert prover.produce_sets(0, 1, h, 1.0, 2) == prover._choose_sets(0, 1, h, 1.0, 2)
 
     def test_every_call_returns_fresh_lists(self):
+        """The first call keeps nothing, the second keeps its answer, and
+        the third loads it: no call hands out what the memo holds."""
         prover = PlannerProver()
         f = HashFunction(n=4, m=0, a=0, b=0, c=0)
-        first = prover.produce_sets(0, 1, f, 1.0, 0)
-        first[1].append(99)
-        first[7] = [1]
+        for _ in range(2):
+            got = prover.produce_sets(0, 1, f, 1.0, 0)
+            got[1].append(99)
+            got[7] = [1]
         assert prover.produce_sets(0, 1, f, 1.0, 0) == {1: list(range(16))}
-        assert len(prover.planned) == 1
+        assert len(prover.planned) == 2
 
     def test_other_hash_types_are_answered_directly(self):
         class Subclass(HashFunction):
@@ -1034,7 +1173,7 @@ class TestZeroSetMemo:
         f = HashFunction(n=4, m=0, a=0, b=0, c=0)
         want = prover._choose_sets(0, 1, f, 1.0, 0)
         answers = [prover.produce_sets(0, 1, f, 1.0, 0) for _ in range(3)]
-        assert len(prover.planned) == 2  # the direct answer and the first call
+        assert len(prover.planned) == 3  # the direct answer and the first two calls
         for got in answers:
             assert repr(got) == repr(want)
             assert [type(xs) for xs in got.values()] == [list, tuple]
