@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from coinpress import adversaries, harness, hashing, ip2am, oracle
 from coinpress.dist import (
+    MAX_BANDS,
     ExplicitDistribution,
     element_to_hex,
     fraction_from_str,
@@ -83,6 +84,13 @@ class RunConfig:
             self.trials = int(obj.get("trials", 1000))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid config {path}: {exc}")
+        # A run would refuse such a t only inside the prover's histogram,
+        # where a raise is an unreadable message, so it is refused here.
+        if self.params.mode != MODE_TRIVIAL and self.params.t + 1 > MAX_BANDS:
+            raise ConfigError(
+                f"invalid config {path}: t is too large: its t + 1 bands "
+                f"cannot be indexed within MAX_BANDS = {MAX_BANDS}"
+            )
         self.base_dir = base_dir
 
     def prover_factory(self):

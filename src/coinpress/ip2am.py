@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -401,28 +400,25 @@ def transform_run(
     answers: list[int] = []
     records: list[RoundRecord] = []
     # Stages 0..rounds-1 sample the messages; stage ``rounds`` the coins.
+    # The records are built from positional arguments, in field order,
+    # which the dataclass ``__init__`` binds faster than keywords.
     for i in range(spec.rounds + 1):
         params = message_params if i < spec.rounds else coin_params
         strategy = prover.sampling_strategy(i, messages, probs, answers, params)
         outcome = run_protocol(params, strategy, rng=rng).outcome
         if outcome.kind == "reject":
-            return AmTranscript(
-                rounds=records, coin_string=None, final_probability=None,
-                sampling_reject_round=i, check_verdict=None, check_product=None,
-                accept=False,
-            )
+            return AmTranscript(records, None, None, i, None, None, False)
         probs.append(outcome.p)
         if i < spec.rounds:
             messages.append(outcome.x)
             answers.append(prover.answer(i, messages, probs, answers))
-            records.append(RoundRecord(message=outcome.x, probability=outcome.p, answer=answers[-1]))
+            records.append(RoundRecord(outcome.x, outcome.p, answers[-1]))
     r_star, p_final = outcome.x, outcome.p
     check_verdict = accepts(spec, x, r_star, messages, answers)
     check_product = product_check(probs, spec.coin_bits)
     return AmTranscript(
-        rounds=records, coin_string=r_star, final_probability=p_final,
-        sampling_reject_round=None, check_verdict=check_verdict,
-        check_product=check_product, accept=check_verdict and check_product,
+        records, r_star, p_final, None, check_verdict, check_product,
+        check_verdict and check_product,
     )
 
 
@@ -430,11 +426,15 @@ def product_check(probs: Sequence, coin_bits: int) -> bool:
     """True when every probability is an exact Fraction and their product is
     exactly 2**-coin_bits; a tagged real (a float) fails. The product is
     compared as prod(denominators) == prod(numerators) * 2**coin_bits, in
-    ints, which holds exactly when the Fractions' product is 2**-coin_bits."""
-    return all(type(p) is Fraction for p in probs) and (
-        math.prod(p.denominator for p in probs)
-        == math.prod(p.numerator for p in probs) << coin_bits
-    )
+    ints, which holds exactly when the Fractions' product is 2**-coin_bits.
+    Both products are taken in one pass over probs."""
+    num = den = 1
+    for p in probs:
+        if type(p) is not Fraction:
+            return False
+        num *= p.numerator
+        den *= p.denominator
+    return den == num << coin_bits
 
 
 def sampling_params_for(spec: PrivateCoinProtocolSpec, eps: float, delta: float) -> tuple[ProtocolParams, ProtocolParams]:

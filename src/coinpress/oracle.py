@@ -63,6 +63,7 @@ from coinpress.protocol import (
     ProtocolParams,
     ProverStrategy,
     VerifierTables,
+    ask,
     check_sets,
     compute_live_bands,
     exact_ints,
@@ -244,7 +245,7 @@ class HashFamily:
 def _build_component(
     params: ProtocolParams, q: Fraction, strat: ProverStrategy, hash_family: HashFamily,
 ) -> ComponentRun:
-    tables, reason = validate_histogram_message(strat.produce_histogram(), params)
+    tables, reason = validate_histogram_message(ask(strat.produce_histogram), params)
     comp = ComponentRun(q=q, tables=tables, reject_reason=reason)
     if reason is not None:
         comp.rejects = {reason: Fraction(1)}
@@ -282,7 +283,7 @@ def _build_component(
             rows = []
             tally: dict = {}
             for f, count in source:
-                record = parse_sets(strat.produce_sets(s, k, f, g, m))
+                record = parse_sets(ask(strat.produce_sets, s, k, f, g, m))
                 sets, why = check_sets(record, f, pending, params)
                 rows.append(count)
                 tally[why] = tally.get(why, 0) + count
@@ -305,7 +306,7 @@ def _build_component(
                     hits[x, j] = hits.get((x, j), 0) + count
                     p = claims.get((j, x))
                     if p is None:
-                        p = claims[j, x] = finalize(j, x, strat.produce_probability(j, x), params).p
+                        p = claims[j, x] = finalize(j, x, ask(strat.produce_probability, j, x), params).p
                     _accumulate(s_outputs, (x, j, p), count * weights[j] * unit / size)
             st.challenges[k] = (m, g, pending.active, pending.band_mass_sum, rows)
             # For each (a, b) exactly 2**(n - m) values of c send x to zero, so
@@ -324,7 +325,7 @@ def _build_component(
 
 def _build_trivial_component(params: ProtocolParams, q: Fraction, strat: ProverStrategy) -> ComponentRun:
     comp = ComponentRun(q=q, tables=None, reject_reason=None)
-    table = parse_table(strat.produce_table())
+    table = parse_table(ask(strat.produce_table))
     reason = validate_table(table, params)
     if reason is not None:
         comp.reject_reason = reason
@@ -417,10 +418,11 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
     """Independent re-derivation of the output distribution, written flat.
 
     Shares with the engine only the layout, the hash primitive and the
-    readers of a prover's messages: the decoders ``parse_histogram``,
-    ``parse_sets`` and ``parse_table``, and ``exact_number`` and
-    ``exact_ints`` for the values in them. Every check is re-implemented
-    inline: the histogram's length, signs and sum, liveness, challenge
+    readers of a prover's messages: ``ask``, which turns a ``produce_*``
+    call that raises into an unreadable message, the decoders
+    ``parse_histogram``, ``parse_sets`` and ``parse_table``, and
+    ``exact_number`` and ``exact_ints`` for the values in them. Every
+    check is re-implemented inline: the histogram's length, signs and sum, liveness, challenge
     arithmetic, the set checks (keys, ranges, duplicates, size, (a), (b)
     and (c)), the table's range, distinctness and sum, and probability
     substitution.
@@ -442,7 +444,7 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
             continue
         q = Fraction(q)
         if params.mode == MODE_TRIVIAL:
-            table = parse_table(strat.produce_table())
+            table = parse_table(ask(strat.produce_table))
             ok = table is not None and (
                 all(0 <= x < (1 << params.n) and 0 < p <= 1 for x, p in table)
                 and len({x for x, _ in table}) == len(table)
@@ -454,7 +456,7 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
                 for x, p in table:
                     _accumulate(outputs, (x, None, p), q * p)
             continue
-        h = parse_histogram(strat.produce_histogram())
+        h = parse_histogram(ask(strat.produce_histogram))
         bad = h is None or len(h) != params.t + 1
         if not bad:
             h = [exact_number(w) for w in h]
@@ -553,7 +555,7 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
                         reject += pr_j
                         continue
                     for x in norm[j]:
-                        p_msg = strat.produce_probability(j, x)
+                        p_msg = ask(strat.produce_probability, j, x)
                         pv = _flat_final(j, p_msg, params)
                         _accumulate(outputs, (x, j, pv), pr_j / len(norm[j]))
     return outputs, reject
@@ -591,7 +593,7 @@ def _flat_sweep(strat, n, m, group, set_cap):
     size = 1 << n
     low = (1 << m) - 1
     inputs = range(size)
-    ask, dumps = strat.produce_sets, marshal.dumps
+    produce, dumps = strat.produce_sets, marshal.dumps
     zero_sets = [frozenset(inputs)]  # at m = 0 every input hashes to zero
     # per challenge: (s, k, g), its snapshot -> count dict per c & low, and
     # its whole row of ``group`` for the checks
@@ -610,7 +612,10 @@ def _flat_sweep(strat, n, m, group, set_cap):
             for c, f in enumerate(members):
                 target = c & low
                 for s, k, g, counts, row in asks:
-                    answer = ask(s, k, f, g, m)
+                    try:  # ``ask``, inline in this hot loop
+                        answer = produce(s, k, f, g, m)
+                    except Exception:
+                        answer = None
                     try:
                         snapshot = dumps(answer, 2)
                     except ValueError:

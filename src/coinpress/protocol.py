@@ -333,13 +333,25 @@ class Outcome:
     band: Optional[int] = None
     reason: Optional[str] = None
 
+    # Both builders fill the five fields in directly, as ``hashing._members``
+    # builds hash functions, instead of through the frozen dataclass
+    # constructor: the outcome equals, hashes and shows as the one
+    # ``Outcome(kind=..., ...)`` builds.
+
     @classmethod
     def output(cls, x: int, p: ProbabilityValue, band: Optional[int]) -> "Outcome":
-        return cls(kind="output", x=x, p=p, band=band)
+        out = _new(cls)
+        out.__dict__.update(kind="output", x=x, p=p, band=band, reason=None)
+        return out
 
     @classmethod
     def reject(cls, reason: str) -> "Outcome":
-        return cls(kind="reject", reason=reason)
+        out = _new(cls)
+        out.__dict__.update(kind="reject", x=None, p=None, band=None, reason=reason)
+        return out
+
+
+_new = object.__new__
 
 
 @dataclass
@@ -473,11 +485,12 @@ class ProverStrategy:
     (``parse_sets``), so set entries may be any iterables.
 
     The verifier is total: whatever a prover returns, the run ends in an
-    ``Outcome``. One decoder per message, ``parse_histogram``,
-    ``parse_sets`` and ``parse_table``, turns it into a record, or into
-    None, a typed reject, when it is malformed or any of its objects
-    raises. Past the decoders no method of a value the prover sent runs:
-    numbers are read by ``exact_number``, elements and bands by
+    ``Outcome``. A ``produce_*`` call that raises an ``Exception`` sends an
+    unreadable message (``ask``). One decoder per message,
+    ``parse_histogram``, ``parse_sets`` and ``parse_table``, turns it into
+    a record, or into None, a typed reject, when it is malformed or any of
+    its objects raises. Past the decoders no method of a value the prover
+    sent runs: numbers are read by ``exact_number``, elements and bands by
     ``exact_ints``, types are compared by identity, and the transcript
     renders a value by its exact number or its type's name slot. Both
     oracles read messages through the same decoders.
@@ -544,12 +557,12 @@ class HonestProver(ProverStrategy):
     the plans are built on first read: a fallback run reads only
     ``produce_table``, and its t can reach millions of bands.
 
-    ``produce_sets`` memoizes: once the current hash rows are asked about a
-    second time, ``_choose_sets`` works out each answer once per challenge
-    and zero set of those rows, and the answer is kept as one ``marshal``
-    blob (see ``produce_sets``). At m = 0 the rows are ``()`` for every
-    hash and the batch keeps every input, so that is once per challenge,
-    after the prover's first call. The cheating provers in ``adversaries``
+    ``produce_sets`` memoizes: once the hash rows are asked about a second
+    time, ``_choose_sets`` works out each answer once per challenge and
+    zero set of those rows, and the answer is kept as one ``marshal`` blob
+    (see ``produce_sets``). At m = 0 the rows are ``()`` for every hash
+    and the batch keeps every input, so that is once per challenge, after
+    the first call under those rows. The cheating provers in ``adversaries``
     that start from honest play subclass this one, edit the sets of its
     ``_choose_sets`` and inherit the memo; the inflating prover also
     relabels the bands of ``_banding``, so the plans follow its claimed
@@ -564,9 +577,11 @@ class HonestProver(ProverStrategy):
         self.dist = dist
         self.params = params
         # The memo: the rows tuple its answers belong to, held so that its
-        # id cannot be reused, and (s, k, c_low) -> the answer's blob.
+        # id cannot be reused, (s, k, c_low) -> the answer's blob, and
+        # whether a later call under that tuple missed.
         self._rows = None
         self._answers: dict[tuple[int, int, int], bytes] = {}
+        self._missed = False
 
     @functools.cached_property
     def histogram(self) -> Histogram:
@@ -638,9 +653,16 @@ class HonestProver(ProverStrategy):
         answered directly.
 
         The first call under a new rows tuple is answered directly too, and
-        keeps nothing: most tuples are asked about once (a Monte Carlo trial
-        draws fresh rows, and so does each pattern row of the structured
-        oracle). From the second call on, an answer is kept as
+        keeps nothing, unless a later call under the tuple before it missed.
+        Most tuples are asked about once: a Monte Carlo trial draws fresh
+        rows, and so does each pattern row of the structured oracle. A sweep
+        that asks about each tuple many times, such as the flat cross-check
+        over the members of each (a, b), misses on each new zero set, so it
+        keeps the first answer of the next tuple too, which the member
+        c = 2**m, of the same zero set, reads back. Only a miss sets the
+        flag, so a hit stores nothing: a store on every hit cost about 45 ns
+        a hit, 3% of an oracle-n4 cycle (Python 3.11.7). From the second
+        call on, and on such a first call, an answer is kept as
         ``marshal.dumps(answer, 2)``, and a hit returns ``marshal.loads`` of
         it: a fresh dict of fresh lists, built in C, with the exact types of
         the answer worked out. An answer marshal refuses (an int subclass, a
@@ -653,9 +675,12 @@ class HonestProver(ProverStrategy):
                 blob = self._answers.get((s, k, f.c_low))
                 if blob is not None:
                     return marshal.loads(blob)
+                self._missed = True
             else:
-                self._rows, self._answers = f.rows, {}
-                return self._choose_sets(s, k, f, g, m)
+                keep = self._missed
+                self._rows, self._answers, self._missed = f.rows, {}, False
+                if not keep:
+                    return self._choose_sets(s, k, f, g, m)
             answer = self._choose_sets(s, k, f, g, m)
             try:
                 blob = marshal.dumps(answer, 2)
@@ -750,16 +775,22 @@ class ChallengeContext:
     """Every constant of challenge (s, k) before the hash is drawn, compiled
     once per histogram by ``verifier_tables``; the verifier and the honest
     and inflating provers read it. ``windows`` holds check (b)'s window
-    (lo, hi) per active band before TAU widening, none when m > n."""
+    (lo, hi) per active band before TAU widening, none when m > n; the
+    provers read it. ``bounds`` holds the same windows widened by TAU,
+    (lo * (1.0 - TAU), hi * (1.0 + TAU)), the float products check (b)
+    compares set sizes with, and ``active_set`` the active bands, the keys
+    a sets message must have; the verifier reads these two."""
 
     s: int
     k: int
     interval: tuple[int, ...]
     active: tuple[int, ...]  # live bands of the chosen interval, sorted
+    active_set: frozenset[int]
     g: float
     m: int
     band_mass_sum: float  # sum of 2**(i*eps) * h_i over the interval; inf on overflow
     windows: tuple[tuple[float, float], ...]  # in the order of active
+    bounds: tuple[tuple[float, float], ...]  # windows widened by TAU
     band_draw: tuple[int, ...]  # cumulative_weights over the interval
 
 
@@ -810,8 +841,9 @@ def verifier_tables(params: ProtocolParams, weights: tuple[Fraction, ...]) -> Ve
                 check_b_window(i, floats[i], m, g, z, params.eps) for i in active
             )
             challenges[(s, k)] = ChallengeContext(
-                s=s, k=k, interval=interval, active=active, g=g, m=m,
-                band_mass_sum=z, windows=windows,
+                s=s, k=k, interval=interval, active=active, active_set=frozenset(active),
+                g=g, m=m, band_mass_sum=z, windows=windows,
+                bounds=tuple((lo * (1.0 - TAU), hi * (1.0 + TAU)) for lo, hi in windows),
                 band_draw=cumulative_weights([weights[i] for i in interval]),
             )
     return VerifierTables(
@@ -943,25 +975,26 @@ def check_sets(sets, f: HashFunction, ctx: ChallengeContext, params: ProtocolPar
     """Validate the sets message as ``parse_sets`` records it, under the
     drawn hash f; returns (normalized sets, reject reason).
 
-    The verifier checks, in order: message shape, the total-size guard,
-    (a) every listed element hashes to the all-zero target, (b) every
-    set's size lies in its ``ctx.windows`` entry, and (c) the sets are
-    pairwise disjoint. Real-valued bounds in (b) are widened by TAU.
+    The verifier checks, in order: message shape (its keys are
+    ``ctx.active_set``), the total-size guard, (a) every listed element
+    hashes to the all-zero target, (b) every set's size lies in its
+    ``ctx.bounds`` entry, the ``ctx.windows`` entry widened by TAU, and (c)
+    the sets are pairwise disjoint.
 
     Each entry is read once through ``exact_ints``, so no method of a
     prover's int subclass runs, and sorted; an exact value outside
-    [0, 2**n), found on the sorted ends, is malformed. Then one set is
-    built over every listed element: when its size equals the total, no
-    set holds a duplicate and check (c) passes. Only when it falls short
-    are the sets looked at one by one: a duplicate inside one is
-    malformed, else the overlap fails check (c) after (a) and (b). Check
-    (a) is one ``HashFunction.zero_on`` call over the elements of every
-    active band, and evaluates nothing at m = 0.
+    [0, 2**n), found on the sorted ends, is malformed. The sorted entries
+    are listed as they are read, and one set is built over that list: when
+    its size equals the total, no set holds a duplicate and check (c)
+    passes. Only when it falls short are the sets looked at one by one: a
+    duplicate inside one is malformed, else the overlap fails check (c)
+    after (a) and (b). Check (a) is one ``HashFunction.zero_on`` call over
+    that list, and evaluates nothing at m = 0.
     """
-    if sets is None or sets.keys() != set(ctx.active):
+    if sets is None or sets.keys() != ctx.active_set:
         return None, REJECT_MALFORMED_SETS
     normalized = {}
-    total = 0
+    listed = []
     for i in ctx.active:
         xs = exact_ints(sets[i])
         if xs is None:
@@ -970,8 +1003,8 @@ def check_sets(sets, f: HashFunction, ctx: ChallengeContext, params: ProtocolPar
         if xs and (xs[0] < 0 or xs[-1] >> params.n):
             return None, REJECT_MALFORMED_SETS
         normalized[i] = tuple(xs)
-        total += len(xs)
-    listed = list(itertools.chain.from_iterable(normalized.values()))
+        listed += xs
+    total = len(listed)
     overlap = len(set(listed)) != total
     if overlap and any(len(set(xs)) != len(xs) for xs in normalized.values()):
         return None, REJECT_MALFORMED_SETS
@@ -980,8 +1013,8 @@ def check_sets(sets, f: HashFunction, ctx: ChallengeContext, params: ProtocolPar
     # with no rows (m = 0) every input hashes to the zero target
     if f.rows and not f.zero_on(listed):
         return None, REJECT_CHECK_A
-    for i, (lo, hi) in zip(ctx.active, ctx.windows):
-        if not (lo * (1.0 - TAU) <= len(normalized[i]) <= hi * (1.0 + TAU)):
+    for xs, (lo, hi) in zip(normalized.values(), ctx.bounds):
+        if not lo <= len(xs) <= hi:
             return None, REJECT_CHECK_B
     if overlap:
         return None, REJECT_CHECK_C
@@ -992,7 +1025,7 @@ def choose_element(ctx: ChallengeContext, sets, coins: CoinSource):
     """Draw the band and element; returns ((band, element), reject reason)."""
     # The interval was drawn by its mass, so its band draw is not degenerate.
     j = ctx.interval[coins.pick(ctx.band_draw)]
-    if j not in ctx.active:
+    if j not in ctx.active_set:
         return None, REJECT_BAND_NOT_LIVE
     members = sets[j]
     if not members:
@@ -1044,7 +1077,12 @@ def run_protocol(
     coins = CoinSource(rng=rng, replay=replay_coins)
     messages: list = []
 
-    weights = parse_histogram(prover.produce_histogram())
+    # Each message is read as ``ask`` reads it, inline on this per-run path.
+    try:
+        weights = prover.produce_histogram()
+    except Exception:
+        weights = None
+    weights = parse_histogram(weights)
     messages.append(("histogram", weights))
     tables, reason = validate_histogram_message(weights, params)
     if reason is not None:
@@ -1055,7 +1093,11 @@ def run_protocol(
         return _finish(params, messages, coins, Outcome.reject(reason), trial)
     messages.append(("challenge", ctx.s, ctx.k, f))
 
-    record = parse_sets(prover.produce_sets(ctx.s, ctx.k, f, ctx.g, ctx.m))
+    try:
+        record = prover.produce_sets(ctx.s, ctx.k, f, ctx.g, ctx.m)
+    except Exception:
+        record = None
+    record = parse_sets(record)
     messages.append(("sets", record, params.n))
     sets, reason = check_sets(record, f, ctx, params)
     if reason is not None:
@@ -1067,10 +1109,29 @@ def run_protocol(
     j, x = picked
     messages.append(("element", j, x, params.n))
 
-    p_msg = prover.produce_probability(j, x)
+    try:
+        p_msg = prover.produce_probability(j, x)
+    except Exception:
+        p_msg = None
     messages.append(("probability", p_msg))
     outcome = finalize(j, x, p_msg, params)
     return _finish(params, messages, coins, outcome, trial)
+
+
+def ask(produce, *args):
+    """A prover's message: what ``produce(*args)``, one of its ``produce_*``
+    methods, returns, or None when it raises an ``Exception``. None is an
+    unreadable message of that round: a malformed histogram, sets or table,
+    or a claim that ``finalize`` substitutes. A ``BaseException`` that is
+    not an ``Exception``, such as ``KeyboardInterrupt``, propagates. The
+    verifier and both oracles read every prover message this way.
+    ``run_protocol`` and the flat oracle's sweep inline it on their per-run
+    and per-hash paths, where its frame would cost about 0.1 us a message
+    (Python 3.11)."""
+    try:
+        return produce(*args)
+    except Exception:
+        return None
 
 
 def parse_histogram(raw):
@@ -1114,13 +1175,8 @@ def parse_sets(raw_sets):
 
 
 def _finish(params, messages, coins, outcome, trial) -> Transcript:
-    return Transcript(
-        params_digest=params.digest(),
-        messages=messages,
-        coins=coins.record,
-        outcome=outcome,
-        trial=trial,
-    )
+    # positional: the dataclass ``__init__`` binds these faster than keywords
+    return Transcript(params.digest(), messages, coins.record, outcome, trial)
 
 
 def parse_table(entries) -> Optional[list[tuple[int, Fraction]]]:
@@ -1174,7 +1230,7 @@ def trivial_protocol(
     """
     coins = CoinSource(rng=rng, replay=replay_coins)
     messages: list = []
-    table = parse_table(prover.produce_table())
+    table = parse_table(ask(prover.produce_table))
     messages.append(("table", table, params.n))
     reason = validate_table(table, params)
     if reason is not None:

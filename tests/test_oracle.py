@@ -21,7 +21,7 @@ from coinpress.adversaries import (
     inflating_prover,
     overlapping_sets_prover,
 )
-from coinpress.dist import ExplicitDistribution
+from coinpress.dist import ExplicitDistribution, pow2
 from coinpress.hashing import HashFunction, family
 from coinpress.oracle import (
     EnumerationBudgetError,
@@ -2303,3 +2303,105 @@ class TestTableIntakeFuzz:
             else:
                 assert out.kind == "reject"
                 assert exact.reject_by_reason.get(out.reason, 0) > 0
+
+
+# ---------------------------------------------------------------------------
+# A prover whose own produce_* call raises sends an unreadable message
+
+
+def raises(*args):
+    raise RuntimeError("the prover's own fault")
+
+
+def sends_none(*args):
+    return None
+
+
+class Halt(BaseException):
+    """Not an ``Exception``: the verifier lets it propagate."""
+
+
+def halts(*args):
+    raise Halt
+
+
+# What a message of each round that cannot be read ends in; an unreadable
+# claim is substituted instead.
+UNREADABLE = {"histogram": "malformed-histogram", "sets": "malformed-sets", "table": "malformed-table"}
+FAULT_PARAMS = {"raw": SETS_FUZZ_PARAMS, "fallback": TABLE_FUZZ_PARAMS}
+# The rounds each mode asks a prover about.
+ASKED = {"raw": ("histogram", "sets", "probability"), "fallback": ("table",)}
+
+
+def faulty_prover(config, position, fault):
+    """The honest prover's messages on the skewed n=3 distribution, as a
+    ScriptedProver whose ``position`` slot is ``fault``."""
+    params = FAULT_PARAMS[config]
+    honest = honest_prover(skewed_dist(), params)
+    if config == "raw":
+        responses = {
+            "histogram": honest.produce_histogram(),
+            "sets": honest.produce_sets,
+            "probability": honest.produce_probability,
+        }
+    else:
+        responses = {"table": honest.produce_table()}
+    responses[position] = fault
+    return params, ScriptedProver(responses)
+
+
+class TestProverFaults:
+    @pytest.mark.parametrize("position", ["histogram", "sets", "probability", "table"])
+    @pytest.mark.parametrize("config", sorted(FAULT_PARAMS))
+    def test_a_raise_is_an_unreadable_message(self, config, position):
+        """A ``produce_*`` call that raises RuntimeError is read as the
+        message None: runs, replays and both oracles treat the prover
+        exactly as one that sends None there (a zero claim, for the
+        probability). A histogram, sets or table that raises is malformed;
+        a claim that raises is substituted."""
+        params, prover = faulty_prover(config, position, raises)
+        _, silent = faulty_prover(config, position, sends_none)
+        exact = assert_oracles_agree(params, prover)
+        quiet = assert_oracles_agree(params, silent)
+        assert exact.outputs == quiet.outputs
+        assert exact.reject_by_reason == quiet.reject_by_reason
+        for seed in range(6):
+            tr = run_protocol(params, prover, rng=random.Random(seed))
+            assert replay(params, prover, tr).to_json() == tr.to_json()
+            twin = run_protocol(params, silent, rng=random.Random(seed))
+            if position == "probability":
+                # ScriptedProver sends a None claim as Fraction(0), also substituted
+                assert (tr.coins, tr.outcome) == (twin.coins, twin.outcome)
+            else:
+                assert tr.to_json() == twin.to_json()
+            out = tr.outcome
+            if out.kind == "output":
+                assert exact.outputs.get((out.x, out.band, out.p), 0) > 0
+                if position == "probability" and config == "raw":
+                    shown = json.loads(tr.to_json())["messages"][-1]
+                    assert shown == {"kind": "probability", "p": {"malformed": "NoneType"}}
+            else:
+                assert exact.reject_by_reason.get(out.reason, 0) > 0
+        if position not in ASKED[config]:
+            honest = assert_oracles_agree(*faulty_prover(config, "unused", None))
+            assert exact.outputs == honest.outputs and exact.reject_mass == honest.reject_mass
+        elif position in UNREADABLE:
+            assert exact.outputs == {}
+            assert exact.reject_by_reason[UNREADABLE[position]] > 0
+            assert set(exact.reject_by_reason) <= {UNREADABLE[position], "hash-width"}
+        else:
+            assert exact.outputs
+            assert all(p == pow2(-j * params.eps) for _, j, p in exact.outputs)
+
+    @pytest.mark.parametrize(
+        "config, position", [(config, position) for config in sorted(ASKED) for position in ASKED[config]]
+    )
+    def test_a_base_exception_propagates(self, config, position):
+        params, prover = faulty_prover(config, position, halts)
+        with pytest.raises(Halt):
+            for seed in range(40):
+                run_protocol(params, prover, rng=random.Random(seed))
+        with pytest.raises(Halt):
+            OracleRun(ExactConfig(params=params, prover=prover))
+        with pytest.raises(Halt):
+            exact_output_distribution_flat(params, prover)

@@ -1,5 +1,6 @@
 """Parameter derivation, verifier rounds, full runs, replay, and fallback."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -22,6 +23,7 @@ from coinpress.protocol import (
     CoinSource,
     DegenerateChoiceError,
     HonestProver,
+    Outcome,
     ProtocolParams,
     ProverStrategy,
     band_mass_sum,
@@ -711,6 +713,99 @@ class TestCheckSetsAgainstScalarReference:
         assert verdicts >= {None, "malformed-sets", "check-a", "check-b", "check-c"}
 
 
+def toy_tables():
+    """The verifier's compiled tables of every conditional law the
+    compile-toy benchmark's honest transform prover sends: per toy
+    instance (member aab/abb, non-member aab/aba), the message law at its
+    message params and the coin law of each message at its coin params,
+    both at eps 0.02 and delta 0.25 (t = 300)."""
+    out = []
+    for s1 in ("abb", "aba"):
+        toy = ip2am.toy_protocol(ip2am.ToyMultisetInstance(s0="aab", s1=s1))
+        spec = toy.spec
+        message_params, coin_params = ip2am.sampling_params_for(spec, 0.02, 0.25)
+        law = ip2am.conditional_message_distribution(spec, None, 0, [], [])
+        out.append((message_params, law))
+        for message in law.support():
+            answer = toy.honest_answer(None, 0, (message,))
+            coin_law = ip2am.conditional_randomness_distribution(spec, None, [message], [answer])
+            out.append((coin_params, coin_law))
+    return [
+        (params, tables_for(honest_prover(law, params).produce_histogram(), params))
+        for params, law in out
+    ]
+
+
+def check_b_by_windows(size, lo, hi):
+    """Check (b)'s verdict as the verifier once computed it, from the
+    unwidened window on every call."""
+    return lo * (1.0 - TAU) <= size <= hi * (1.0 + TAU)
+
+
+class TestCheckBBounds:
+    """``ChallengeContext.bounds`` and ``active_set`` are compiled once per
+    histogram; every verdict read from them is the one the windows give."""
+
+    @staticmethod
+    def cases():
+        wide, wide_params = WIDE_INSTANCES[16]
+        overflow = ProtocolParams.raw(n=3, eps=1.0, delta=0.5, t=1100, sampling_gap=1100.0)
+        return [
+            *toy_tables(),
+            (wide_params, tables_for(wide.produce_histogram(), wide_params)),
+            # the top band's window is (inf, inf): a power of two overflows
+            (overflow, tables_for((0,) * 1100 + (1,), overflow)),
+        ]
+
+    def test_same_check_b_verdict_as_the_windows(self):
+        """Per challenge and active band: sizes 0 through
+        ceil(hi * (1 + TAU)) + 2, and the TAU fringe, each widened bound, the
+        doubles next to it and the unwidened edges, get the same verdict."""
+        checked = infinite = fringe = 0
+        for params, tables in self.cases():
+            for ctx in tables.challenges.values():
+                if ctx.m > params.n:
+                    assert ctx.windows == ctx.bounds == ()
+                    continue
+                assert ctx.active_set == frozenset(ctx.active)
+                assert len(ctx.bounds) == len(ctx.windows) == len(ctx.active)
+                for (lo, hi), (blo, bhi) in zip(ctx.windows, ctx.bounds):
+                    if math.isinf(hi):
+                        infinite += 1
+                        sizes = list(range(8)) + [2**64, math.inf]
+                    else:
+                        sizes = list(range(math.ceil(hi * (1.0 + TAU)) + 3))
+                        for edge in (lo * (1.0 - TAU), hi * (1.0 + TAU)):
+                            sizes += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+                        sizes += [lo, hi]
+                    for size in sizes:
+                        want = check_b_by_windows(size, lo, hi)
+                        assert (blo <= size <= bhi) == want
+                        fringe += want != (lo <= size <= hi)
+                        checked += 1
+        assert infinite >= 1 and fringe >= 1 and checked > 1000
+
+    def test_check_sets_reads_the_bounds(self):
+        """A set size inside the window but outside ``bounds`` fails check
+        (b): the verifier reads the compiled bounds, not the windows."""
+        params = tiny_params()
+        w = build_histogram(tiny_dist(), 1.0, 6).weights
+        ctx = compiled_context(w, params, -1, 1)
+        sets = {1: [0], 2: [3, 5]}
+        assert check_sets(sets, M0_HASH, ctx, params)[1] is None
+        narrowed = replace(ctx, bounds=((0.0, 1.0), (0.0, 1.0)))
+        assert check_sets(sets, M0_HASH, narrowed, params)[1] == "check-b"
+
+    def test_band_draw_reads_the_active_set(self):
+        params = tiny_params()
+        w = [Fraction(0)] * 7
+        w[2] = Fraction(1)
+        ctx = compiled_context(w, params, -1, 1)
+        assert choose_element(ctx, {2: (6,)}, CoinSource(rng=random.Random(0)))[1] is None
+        dropped = replace(ctx, active_set=frozenset())
+        assert choose_element(dropped, {2: (6,)}, CoinSource(rng=random.Random(0)))[1] == "band-not-live"
+
+
 class LyingInt(int):
     """An int subclass whose bit operations lie (``&`` gives a str, ``>>``
     gives 0) and whose comparisons, hashing and conversions raise, so a
@@ -930,6 +1025,43 @@ class TestFinalize:
         assert out.p == pytest.approx(2 ** -1.5)
 
 
+REJECT_REASONS = sorted(v for k, v in vars(protocol).items() if k.startswith("REJECT_"))
+
+
+class TestOutcomeBuilders:
+    """``Outcome.output`` and ``Outcome.reject`` fill the fields in
+    directly; what they build is indistinguishable from the constructor's."""
+
+    CASES = [
+        (Outcome.output, (5, Fraction(1, 4), 2), dict(kind="output", x=5, p=Fraction(1, 4), band=2)),
+        (Outcome.output, (3, 2 ** -1.5, 3), dict(kind="output", x=3, p=2 ** -1.5, band=3)),
+        (Outcome.output, (7, Fraction(1, 8), None), dict(kind="output", x=7, p=Fraction(1, 8), band=None)),
+        *[(Outcome.reject, (reason,), dict(kind="reject", reason=reason)) for reason in REJECT_REASONS],
+    ]
+
+    @pytest.mark.parametrize("build, args, fields", CASES)
+    def test_same_as_the_constructor(self, build, args, fields):
+        got, want = build(*args), Outcome(**fields)
+        assert type(got) is Outcome
+        assert got == want and want == got and not got != want
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want)
+        assert vars(got) == vars(want)
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        assert list(dataclasses.asdict(got)) == ["kind", "x", "p", "band", "reason"]
+
+    @pytest.mark.parametrize("build, args, fields", CASES)
+    def test_frozen(self, build, args, fields):
+        got = build(*args)
+        for name in ("kind", "x", "p", "band", "reason", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(got, name, 1)
+        assert got == Outcome(**fields)
+
+    def test_every_reason_is_covered(self):
+        assert len(REJECT_REASONS) == 12
+
+
 class ClaimFraction(Fraction):
     """A Fraction subclass a prover may send as its claim."""
 
@@ -1114,15 +1246,47 @@ class TestZeroSetMemo:
     def test_a_new_rows_tuple_clears_the_memo(self):
         """Rows are compared by identity: an equal tuple that is another
         object is planned afresh, and so is the first tuple after it. The
-        first two calls under a tuple are planned (the first keeps
-        nothing), and the third is a hit."""
+        first two calls under f's tuple are planned (the first keeps
+        nothing) and the third is a hit. The second missed, so the twin's
+        first call is planned and kept and its next two are hits. Those
+        two did not miss, so the last call is planned and keeps nothing."""
         prover = PlannerProver()
         f = HashFunction(n=4, m=2, a=3, b=5, c=1)
         twin = with_rows(f, tuple(list(f.rows)))
         assert twin.rows == f.rows and twin.rows is not f.rows
         for h in (f, f, f, twin, twin, twin, f):
             prover.produce_sets(0, 1, h, 1.0, 2)
-        assert prover.planned == [(0, 1, 1)] * 5
+        assert prover.planned == [(0, 1, 1)] * 4
+
+    def test_a_tuple_asked_once_keeps_nothing_for_the_next(self):
+        """After a tuple asked about once, as a Monte Carlo trial asks, the
+        next tuple's first call keeps nothing: its second call is planned
+        again, and only the third is a hit."""
+        prover = PlannerProver()
+        f = HashFunction(n=4, m=2, a=3, b=5, c=1)
+        twin = with_rows(f, tuple(list(f.rows)))
+        for h in (f, twin, twin, twin):
+            prover.produce_sets(0, 1, h, 1.0, 2)
+        assert prover.planned == [(0, 1, 1)] * 3
+
+    def test_a_swept_tuple_keeps_the_next_first_answer(self):
+        """As the flat cross-check sweeps the members of each (a, b): after
+        the first (a, b), each one's c = 0 answer is kept, so the member
+        c = 2**m, of the same zero set, is a hit."""
+        prover = PlannerProver()
+        for a, b in ((3, 5), (9, 2), (6, 6)):
+            members = members_sharing_rows(4, 2, a, b)
+            for f in members:
+                assert prover.produce_sets(0, 1, f, 1.0, 2) == prover._choose_sets(0, 1, f, 1.0, 2)
+            del prover.planned[:]
+            for f in members:
+                prover.produce_sets(0, 1, f, 1.0, 2)
+            assert prover.planned == []
+        del prover.planned[:]
+        members = members_sharing_rows(4, 2, 1, 1)
+        for f in members:
+            prover.produce_sets(0, 1, f, 1.0, 2)
+        assert prover.planned == [(0, 1, c) for c in range(4)]
 
     def test_a_freed_rows_tuple_cannot_alias_the_next(self):
         """The memo holds the rows tuple it keys by, so a tuple freed by
