@@ -26,12 +26,12 @@ Two enumerators are kept deliberately separate: a structured one that
 reuses the protocol engine's own tables (``VerifierTables``), check and
 finalize code, and a flat one that re-derives every check inline. The
 flat one asks about every hash function whatever the prover declares,
-sweeping the family once per hash width for all challenges of that width.
-It snapshots each answer as it is returned (``marshal``, which keeps exact
-types), counts equal snapshots per zero set, and checks every distinct one
-in full: per (a, b) when m > 0, and once per sweep at m = 0, where every
-member's zero set is the whole domain. Tests fail the build if they
-disagree. Both decode each message with the verifier's own decoders
+walking the family once per hash width for the challenges of that width
+of every component. It snapshots each answer as it is returned
+(``marshal``, which keeps exact types), counts equal snapshots per
+(challenge, zero set) over the whole walk, and checks every distinct one
+in full once, after the walk. Tests fail the build if they disagree.
+Both decode each message with the verifier's own decoders
 (``protocol.parse_histogram``, ``parse_sets`` and ``parse_table``), and
 read set elements by the rule of ``protocol.exact_ints`` and histogram
 entries, claims and table entries by that of ``protocol.exact_number``:
@@ -88,7 +88,7 @@ DEFAULT_BUDGET = 10**9
 # guards yet: a pass asks about 2**(2n) (a, b) pairs per hash width, and
 # the flat cross-check about all 2**(3n) members per challenge: a prover
 # call and an exact-type snapshot each, with every distinct snapshot per
-# zero set checked in full. The tests' vectorized reference,
+# (challenge, zero set) checked in full. The tests' vectorized reference,
 # ``zero_set_masks``, packs each zero set in one uint64 and stays at
 # n <= 6.
 ZERO_SET_MAX_N = 6
@@ -112,6 +112,35 @@ def pow2_bounds(exponent: float) -> tuple[Fraction, Fraction]:
     return approx * (1 - POW2_SLACK), approx * (1 + POW2_SLACK)
 
 
+def check_enumerable(params: ProtocolParams):
+    """Raise ``EnumerationBudgetError`` unless both oracles can enumerate
+    ``params``: a fallback run always can; a protocol run needs n <=
+    ``ZERO_SET_MAX_N`` and at most ``DEFAULT_BUDGET`` (shift, interval,
+    hash function) branches."""
+    if params.mode == MODE_TRIVIAL:
+        return
+    if params.n > ZERO_SET_MAX_N:
+        raise EnumerationBudgetError(
+            f"n={params.n} exceeds the enumerable width {ZERO_SET_MAX_N}"
+        )
+    layout = params.layout
+    branches = len(layout.shifts) * len(layout.index_range) * (8 ** params.n)
+    if branches > DEFAULT_BUDGET:
+        raise EnumerationBudgetError(
+            f"{branches} branches exceed the budget of {DEFAULT_BUDGET}"
+        )
+
+
+def enumerable_support(prover: ProverStrategy) -> list[tuple[Fraction, ProverStrategy]]:
+    """The (q, strategy) pairs of ``prover.randomness_support()`` with q > 0,
+    q as a Fraction; raises ``ValueError`` unless the q sum to 1."""
+    support = [(Fraction(q), strat) for q, strat in prover.randomness_support() if q != 0]
+    total_q = sum((q for q, _ in support), Fraction(0))
+    if total_q != 1:
+        raise ValueError(f"prover support probabilities sum to {total_q}, expected 1")
+    return support
+
+
 @dataclass(frozen=True)
 class ExactConfig:
     """A tiny instance: raw parameters plus a strategy with enumerable coins."""
@@ -120,18 +149,7 @@ class ExactConfig:
     prover: ProverStrategy
 
     def __post_init__(self):
-        if self.params.mode == MODE_TRIVIAL:
-            return
-        if self.params.n > ZERO_SET_MAX_N:
-            raise EnumerationBudgetError(
-                f"n={self.params.n} exceeds the enumerable width {ZERO_SET_MAX_N}"
-            )
-        layout = self.params.layout
-        branches = len(layout.shifts) * len(layout.index_range) * (8 ** self.params.n)
-        if branches > DEFAULT_BUDGET:
-            raise EnumerationBudgetError(
-                f"{branches} branches exceed the budget of {DEFAULT_BUDGET}"
-            )
+        check_enumerable(self.params)
 
 
 OutputKey = tuple  # (x, band, p)
@@ -380,16 +398,11 @@ class OracleRun:
         self.params = cfg.params
         self.components: list[ComponentRun] = []
         hash_family = HashFamily(cfg.params.n)
-        for q, strat in cfg.prover.randomness_support():
-            if q == 0:
-                continue
+        for q, strat in enumerable_support(cfg.prover):
             if cfg.params.mode == MODE_TRIVIAL:
-                self.components.append(_build_trivial_component(cfg.params, Fraction(q), strat))
+                self.components.append(_build_trivial_component(cfg.params, q, strat))
             else:
-                self.components.append(_build_component(cfg.params, Fraction(q), strat, hash_family))
-        total_q = sum((c.q for c in self.components), Fraction(0))
-        if total_q != 1:
-            raise ValueError(f"prover support probabilities sum to {total_q}, expected 1")
+                self.components.append(_build_component(cfg.params, q, strat, hash_family))
 
     @property
     def distribution(self) -> ExactDistribution:
@@ -417,32 +430,41 @@ def exact_output_distribution(cfg: ExactConfig) -> ExactDistribution:
 def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrategy):
     """Independent re-derivation of the output distribution, written flat.
 
-    Shares with the engine only the layout, the hash primitive and the
-    readers of a prover's messages: ``ask``, which turns a ``produce_*``
-    call that raises into an unreadable message, the decoders
+    Shares with the engine only the layout, the hash primitive, the
+    enumeration budget (``check_enumerable``, applied before the prover is
+    asked anything), the support's sum-to-1 rule (``enumerable_support``)
+    and the readers of a prover's messages: ``ask``, which turns a
+    ``produce_*`` call that raises into an unreadable message, the decoders
     ``parse_histogram``, ``parse_sets`` and ``parse_table``, and
     ``exact_number`` and ``exact_ints`` for the values in them. Every
     check is re-implemented inline: the histogram's length, signs and sum, liveness, challenge
     arithmetic, the set checks (keys, ranges, duplicates, size, (a), (b)
     and (c)), the table's range, distinctness and sum, and probability
     substitution.
-    Each challenge's constants are worked out first. The challenges are
-    then grouped by hash width m, and the family is swept once per group:
-    each hash function is built once and the prover is asked about it for
-    every challenge of the group, whatever the prover declares. Each
-    answer is snapshotted when returned, and every distinct snapshot is
-    checked in full once per zero set: per (a, b) when m > 0, and once per
-    sweep at m = 0, where there is one zero set (see ``_flat_sweep``, which
-    also gives the memory this takes). Within one challenge, identical
-    outcomes are counted first and their masses computed once.
+    Each component's challenge constants are worked out first. The
+    challenges of every component are then grouped by hash width m, and
+    the family is walked once per width for the whole prover: each hash
+    function is built once and every component is asked about it for each
+    of its challenges of that width, components in support order, whatever
+    the prover declares. Each answer is snapshotted when returned, counted
+    per (challenge, zero set, snapshot) over the whole walk, and every
+    distinct one is checked in full once, after the walk (see
+    ``_flat_sweep``, which also gives the memory this takes). Within one
+    challenge, identical outcomes are counted first and their masses
+    computed once.
     Returns (outputs keyed by (x, band, p), total reject mass).
     """
+    check_enumerable(params)
     outputs: dict[OutputKey, Fraction] = {}
     reject = Fraction(0)
-    for q, strat in prover.randomness_support():
-        if q == 0:
-            continue
-        q = Fraction(q)
+    size = 1 << params.n
+    # per component that reaches the set round: (strat, h, challenges), with
+    # one (pr_k, members, wk, act, act_set, tally) per challenge in layout
+    # order; per hash width m, in order of first use: the (produce_sets, s,
+    # k, g, act, act_set, windows, tally) rows that one family walk answers
+    components = []
+    by_width: dict[int, list] = {}
+    for q, strat in enumerable_support(prover):
         if params.mode == MODE_TRIVIAL:
             table = parse_table(ask(strat.produce_table))
             ok = table is not None and (
@@ -479,12 +501,7 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
         if big_w == 0:
             reject += q
             continue
-        size = 1 << params.n
-        # per challenge, in layout order: (pr_k, members, wk, act, act_set,
-        # tally); per hash width m: the (s, k, g, act, act_set, windows,
-        # tally) rows that one family sweep answers
         challenges = []
-        by_width: dict[int, list] = {}
         for s in layout.shifts:
             if shift_w[s] == 0:
                 continue
@@ -537,9 +554,13 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
                 # else the checked sets of the active bands in order
                 tally: dict = {}
                 challenges.append((pr_k, members, wk, act, act_set, tally))
-                by_width.setdefault(m, []).append((s, k, g, act, act_set, windows, tally))
-        for m, group in by_width.items():
-            _flat_sweep(strat, params.n, m, group, params.set_cap)
+                by_width.setdefault(m, []).append(
+                    (strat.produce_sets, s, k, g, act, act_set, windows, tally)
+                )
+        components.append((strat, h, challenges))
+    for m, group in by_width.items():
+        _flat_sweep(params.n, m, group, params.set_cap)
+    for strat, h, challenges in components:
         for pr_k, members, wk, act, act_set, tally in challenges:
             for key, count in tally.items():
                 pr_f = pr_k * count / size**3
@@ -561,57 +582,68 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
     return outputs, reject
 
 
-def _flat_sweep(strat, n, m, group, set_cap):
-    """Ask ``strat`` about every member of the width-n family at hash width
-    m, for each challenge of ``group``, and tally the checked outcomes.
+def _flat_sweep(n, m, group, set_cap):
+    """Walk the width-n family once at hash width m, ask each row of
+    ``group`` (a challenge of some component, with that component's
+    ``produce_sets``) about every member, rows in order within a member,
+    and tally the checked outcomes in each row's tally.
 
     The checks are a pure function of the answer, the zero set and the
-    challenge's constants. Within one (a, b) the zero set depends on
-    c & low alone, and at m = 0 it is the whole domain for every member.
-    So each answer is snapshotted when it is returned, by
-    ``marshal.dumps(answer, 2)``: marshal records the exact type of every
-    part (1, True and 1.0 differ), refuses anything not built from exact
-    builtin types, and at version 2 writes no back-references, so equal
-    bytes mean the same answer down to its types. Each challenge's
-    (s, k, g) is unpacked once per sweep, beside one snapshot -> count dict
-    per c & low, so a call adds one count keyed by its snapshot alone.
-    Each distinct snapshot is loaded back and checked in full
-    (``_flat_outcome``) once per zero set: after each (a, b) when m > 0,
-    and once after the whole sweep at m = 0. Marshal writes any
+    challenge's constants. So each answer is snapshotted when it is
+    returned, by ``marshal.dumps(answer, 2)``: marshal records the exact
+    type of every part (1, True and 1.0 differ), refuses anything not built
+    from exact builtin types, and at version 2 writes no back-references, so
+    equal bytes mean the same answer down to its types. Each row keeps one
+    map for the whole walk: zero set -> snapshot -> count. The zero sets of
+    one (a, b) come from scalar ``eval``: c only flips the low m output
+    bits, so f(x) = 0 exactly when the c = 0 member maps x to c & low, one
+    zero set per c & low (at m = 0, the whole domain for every member).
+    Each distinct (row, zero set, snapshot) is loaded back and checked in
+    full (``_flat_outcome``) once, after the walk. Marshal writes any
     buffer object (a bytearray, a memoryview, an array) as plain bytes,
     under type code ``s``, so a snapshot holding that byte anywhere
     (``MARSHAL_BYTES``) is not trusted. Such an answer, and one marshal
     refuses (an int subclass, a non-dict mapping, an iterator, a
     self-referential list), is read and checked at once, on its own.
 
-    At m = 0 the counts live for the whole sweep, so a prover whose every
-    answer differs keeps one snapshot per call: 8**n per challenge, 32,768
-    at n = 5, about 5.5 MB. At n = 5 with four m = 0 challenges, such a
-    prover (the honest sets plus three elements) peaked at 43.9 MB RSS
-    against 21.7 MB for the honest prover, or for it with a per-(a, b)
-    count (Python 3.11 on x86-64)."""
+    Memory: a row keeps at most one count per distinct (zero set, answer),
+    and never more than one per ask: 8**n per row, for every row of the
+    walk at once. A prover whose every answer differs keeps them all, about
+    4 MB per row at n = 5. Such a prover (the honest sets plus a band -1
+    listing (a, b, c)) peaked at 37.7 MB RSS with four m = 0 rows and at
+    32.8 MB with one m = 0 and three m = 1 rows (25.6 MB when the m > 0
+    counts were dropped after each (a, b)); two such components, walked
+    together at m = 0, peaked at 55.8 MB (37.7 MB one component at a
+    time). The honest prover peaked at 21.7 MB (Python 3.11.7, x86-64)."""
     size = 1 << n
     low = (1 << m) - 1
     inputs = range(size)
-    produce, dumps = strat.produce_sets, marshal.dumps
+    dumps = marshal.dumps
+    # Every row keys its counts by the same zero sets, so the walk numbers
+    # each distinct zero set once (``slots``) and a row keeps one snapshot
+    # -> count dict per number: finding the dicts of an (a, b) costs 2**m
+    # lookups, whatever the number of rows.
+    slots: dict[frozenset, int] = {}
+    counts = [[] for _ in group]  # per row, per zero set number: snapshot -> count
+    # per row: its prover, (s, k, g), its counts and the whole row for the checks
+    asks = [(row[0], row[1], row[2], row[3], seen_by_slot, row) for row, seen_by_slot in zip(group, counts)]
     zero_sets = [frozenset(inputs)]  # at m = 0 every input hashes to zero
-    # per challenge: (s, k, g), its snapshot -> count dict per c & low, and
-    # its whole row of ``group`` for the checks
-    asks = [(row[0], row[1], row[2], [{} for _ in range(low + 1)], row) for row in group]
     for a in range(size):
         for b in range(size):
             members = members_sharing_rows(n, m, a, b)
             if m:
-                # c only flips the low m output bits, so f(x) = 0 exactly
-                # when the c = 0 member maps x to c & low: one zero set per
-                # c & low.
                 values = [members[0].eval(x) for x in inputs]
                 zero_sets = [
                     frozenset(x for x in inputs if values[x] == target) for target in range(low + 1)
                 ]
+            known = len(slots)
+            numbers = [slots.setdefault(z, len(slots)) for z in zero_sets]
+            if len(slots) > known:
+                for seen_by_slot in counts:
+                    seen_by_slot.extend({} for _ in range(len(slots) - known))
             for c, f in enumerate(members):
-                target = c & low
-                for s, k, g, counts, row in asks:
+                slot = numbers[c & low]
+                for produce, s, k, g, seen_by_slot, row in asks:
                     try:  # ``ask``, inline in this hot loop
                         answer = produce(s, k, f, g, m)
                     except Exception:
@@ -621,27 +653,17 @@ def _flat_sweep(strat, n, m, group, set_cap):
                     except ValueError:
                         snapshot = None
                     if snapshot is None or MARSHAL_BYTES in snapshot:
-                        _, _, _, act, act_set, windows, tally = row
-                        key = _flat_outcome(answer, act, act_set, windows, size, zero_sets[target], set_cap)
+                        _, _, _, _, act, act_set, windows, tally = row
+                        key = _flat_outcome(answer, act, act_set, windows, size, zero_sets[c & low], set_cap)
                         tally[key] = tally.get(key, 0) + 1
                     else:
-                        seen = counts[target]
+                        seen = seen_by_slot[slot]
                         seen[snapshot] = seen.get(snapshot, 0) + 1
-            if m:
-                _flat_flush(asks, size, zero_sets, set_cap)
-    if not m:
-        _flat_flush(asks, size, zero_sets, set_cap)
-
-
-def _flat_flush(asks, size, zero_sets, set_cap):
-    """Check each distinct snapshot counted per challenge and c & low once,
-    add its count to the challenge's tally, and empty the counts."""
-    for _, _, _, counts, (_, _, _, act, act_set, windows, tally) in asks:
-        for zeros, seen in zip(zero_sets, counts):
-            for snapshot, count in seen.items():
+    for (_, _, _, _, act, act_set, windows, tally), seen_by_slot in zip(group, counts):
+        for zeros, slot in slots.items():
+            for snapshot, count in seen_by_slot[slot].items():
                 key = _flat_outcome(marshal.loads(snapshot), act, act_set, windows, size, zeros, set_cap)
                 tally[key] = tally.get(key, 0) + count
-            seen.clear()
 
 
 def _flat_outcome(answer, active, active_set, windows, size, zeros, set_cap):

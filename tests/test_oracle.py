@@ -4,6 +4,7 @@ import array
 import dataclasses
 import hashlib
 import json
+import marshal
 import math
 import random
 from collections import Counter
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from coinpress import oracle as oracle_module
 from coinpress.adversaries import (
     MixtureProver,
     ScriptedProver,
@@ -950,6 +952,56 @@ class TestFlatEnumerator:
         assert not sandwich.violations and not sandwich.indeterminate
         assert not verify_band_sums(run).violations
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ProtocolParams.raw(n=7, eps=1.0, delta=0.5, t=14, gap_size=1, interval_size=2),
+            # n = 6 is enumerable, but 3 shifts * 2001 intervals * 8**6 is past the budget
+            ProtocolParams.raw(n=6, eps=1.0, delta=0.5, t=6000, gap_size=1, interval_size=2),
+        ],
+        ids=["width", "budget"],
+    )
+    def test_flat_refuses_what_the_config_refuses(self, params):
+        """The flat enumerator applies ``ExactConfig``'s width and budget
+        rule before it asks the prover anything, its support included."""
+        dist = ExplicitDistribution.point(params.n, 0)
+        asked = []
+        prover = CallLog(honest_prover(dist, params), asked)
+        with pytest.raises(EnumerationBudgetError):
+            ExactConfig(params=params, prover=prover)
+        with pytest.raises(EnumerationBudgetError):
+            exact_output_distribution_flat(params, prover)
+        assert asked == []
+
+    def test_flat_refuses_a_support_that_does_not_sum_to_one(self):
+        """A support of total weight 1/2 is refused by both enumerators."""
+        params = raw_params()
+        prover = HalfSupport(honest_prover(skewed_dist(), params))
+        with pytest.raises(ValueError, match="sum to 1/2"):
+            OracleRun(ExactConfig(params=params, prover=prover))
+        with pytest.raises(ValueError, match="sum to 1/2"):
+            exact_output_distribution_flat(params, prover)
+
+
+class CallLog(FullEnumeration):
+    """Delegates to ``inner`` and logs the name of every method called."""
+
+    def __init__(self, inner: ProverStrategy, log: list):
+        super().__init__(inner)
+        self.log = log
+
+    def __getattribute__(self, name):
+        if name.startswith("produce_") or name == "randomness_support":
+            object.__getattribute__(self, "log").append(name)
+        return object.__getattribute__(self, name)
+
+
+class HalfSupport(FullEnumeration):
+    """Plays ``inner`` but declares itself with probability 1/2 only."""
+
+    def randomness_support(self):
+        return [(Fraction(1, 2), self)]
+
 
 class IntLike(int):
     """An int subclass; every check reads it as the int it equals."""
@@ -969,8 +1021,8 @@ def retyped(sets, kind):
 
 
 class TestFlatAnswerMemo:
-    """The flat enumerator checks each distinct answer once per (a, b) and
-    zero set: equal answers of other element types, and one answer sent
+    """The flat enumerator checks each distinct answer once per challenge
+    and zero set: equal answers of other element types, and one answer sent
     under different zero sets, must each still be checked on their own."""
 
     @pytest.mark.parametrize("sampling_gap", [0.5, -1.0])
@@ -1174,8 +1226,8 @@ def per_ab_reference(params, prover):
 
 
 class TestFlatSweep:
-    """The flat cross-check counts answers across the whole sweep at m = 0,
-    where every member has the one zero set, and per (a, b) when m > 0. It
+    """The flat cross-check counts answers per (challenge, zero set) over
+    one walk of the family per hash width, for every component at once. It
     still asks every pair once, in family order, and snapshots each answer
     when it is returned."""
 
@@ -1223,6 +1275,111 @@ class TestFlatSweep:
         # every variant shows: swapped-in elements, empty sets, overlaps
         assert {x for x, _, _ in outputs} - set(honest.dist.mass)
         assert rejects["check-b"] > 0 and rejects["check-c"] > 0
+
+    @pytest.mark.parametrize("name", ["honest", "inflating"])
+    def test_checks_each_distinct_answer_once(self, name, monkeypatch):
+        """Each distinct (challenge, zero set, answer snapshot) is checked
+        once over the whole walk, at every hash width: the checks run as
+        often as a brute-force walk of the family finds such triples."""
+        params, provers = profile_provers(1.0, sampling_gap=0.0)
+        prover = provers[name]
+        checks = Counter()
+        check = oracle_module._flat_outcome
+
+        def counted(*args):
+            checks["calls"] += 1
+            return check(*args)
+
+        monkeypatch.setattr(oracle_module, "_flat_outcome", counted)
+        assert_oracles_agree(params, prover)
+        n, size = params.n, 1 << params.n
+        tables, _ = validate_histogram_message(prover.produce_histogram(), params)
+        zero_sets = {}
+        triples = set()
+        for (s, k), ctx in tables.challenges.items():
+            if ctx.m > n:
+                continue
+            for a, b, c in family(n):
+                f = HashFunction(n=n, m=ctx.m, a=a, b=b, c=c)
+                if (ctx.m, a, b, c) not in zero_sets:
+                    zero_sets[ctx.m, a, b, c] = frozenset(x for x in range(size) if f.eval(x) == 0)
+                answer = prover.produce_sets(s, k, f, ctx.g, ctx.m)
+                triples.add((s, k, zero_sets[ctx.m, a, b, c], marshal.dumps(answer, 2)))
+        widths = {m for m, _, _, _ in zero_sets}
+        assert 0 in widths and max(widths) > 0
+        assert checks["calls"] == len(triples)
+
+    def test_one_walk_per_width_for_every_component(self, monkeypatch):
+        """A mixture of two honest components (and a rejecting one) whose
+        challenges share hash widths: the family is walked once per width, each member
+        is asked about every component's challenges of that width,
+        components in support order, so each component sees each of its
+        (s, k) asked 8**n times in family order; structured still equals
+        flat."""
+        params, provers = profile_provers(1.0, sampling_gap=0.0)
+        n = params.n
+        log = []
+        prover = LoggedMixture(provers["mixture"], log)
+        exact = OracleRun(ExactConfig(params=params, prover=prover)).distribution
+        log.clear()
+        walks = Counter()
+        walk = oracle_module.members_sharing_rows
+
+        def counted(n, m, a, b):
+            walks[m] += 1
+            return walk(n, m, a, b)
+
+        monkeypatch.setattr(oracle_module, "members_sharing_rows", counted)
+        flat_out, flat_rej = exact_output_distribution_flat(params, prover)
+        assert exact.outputs == flat_out and exact.reject_mass == flat_rej
+        by_width = {}  # width -> (component, s, k), in the flat's order
+        widths_per_component = []
+        for i, (_q, part) in enumerate(prover.randomness_support()):
+            tables, reason = validate_histogram_message(part.produce_histogram(), params)
+            if reason is not None:
+                continue
+            widths = set()
+            for (s, k), ctx in tables.challenges.items():
+                if ctx.m <= n:
+                    by_width.setdefault(ctx.m, []).append((i, s, k))
+                    widths.add(ctx.m)
+            widths_per_component.append(widths)
+        assert len(widths_per_component) == 2
+        assert 0 in by_width and max(by_width) > 0
+        assert sum(map(len, widths_per_component)) > len(by_width)  # a width is shared
+        assert walks == {m: 4**n for m in by_width}
+        assert log == [
+            (i, s, k, m, a, b, c)
+            for m, group in by_width.items()
+            for a, b, c in family(n)
+            for i, s, k in group
+        ]
+        for i, s, k in (row for group in by_width.values() for row in group):
+            asked = [(a, b, c) for j, s2, k2, _m, a, b, c in log if (j, s2, k2) == (i, s, k)]
+            assert asked == list(family(n))
+
+
+class LoggedMixture(ProverStrategy):
+    """The support of ``inner``, each strategy wrapped so that its sets
+    queries land in one shared log as (component, s, k, m, a, b, c)."""
+
+    def __init__(self, inner: ProverStrategy, log: list):
+        self.parts = [
+            (q, LoggedComponent(strat, log, i)) for i, (q, strat) in enumerate(inner.randomness_support())
+        ]
+
+    def randomness_support(self):
+        return self.parts
+
+
+class LoggedComponent(FullEnumeration):
+    def __init__(self, inner: ProverStrategy, log: list, index: int):
+        super().__init__(inner)
+        self.log, self.index = log, index
+
+    def produce_sets(self, s, k, f, g, m):
+        self.log.append((self.index, s, k, m, f.a, f.b, f.c))
+        return super().produce_sets(s, k, f, g, m)
 
 
 # ---------------------------------------------------------------------------
