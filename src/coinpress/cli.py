@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from coinpress import adversaries, harness, hashing, ip2am, oracle
 from coinpress.dist import (
-    MAX_BANDS,
     ExplicitDistribution,
     element_to_hex,
     fraction_from_str,
@@ -74,6 +73,8 @@ def _params_from_obj(obj: dict) -> ProtocolParams:
 
 
 class RunConfig:
+    """A run's config file; ``ProtocolParams`` and the run check its params."""
+
     def __init__(self, path: str):
         obj = _load_json(path)
         base_dir = os.path.dirname(os.path.abspath(path))
@@ -84,13 +85,6 @@ class RunConfig:
             self.trials = int(obj.get("trials", 1000))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid config {path}: {exc}")
-        # A run would refuse such a t only inside the prover's histogram,
-        # where a raise is an unreadable message, so it is refused here.
-        if self.params.mode != MODE_TRIVIAL and self.params.t + 1 > MAX_BANDS:
-            raise ConfigError(
-                f"invalid config {path}: t is too large: its t + 1 bands "
-                f"cannot be indexed within MAX_BANDS = {MAX_BANDS}"
-            )
         self.base_dir = base_dir
 
     def prover_factory(self):
@@ -379,7 +373,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -230,19 +230,6 @@ def default_soundness_floor(dist, params: ProtocolParams) -> Fraction:
     return min(dist.mass.values()) / Fraction(pow2(params.gap_size * params.eps))
 
 
-def write_transcripts_jsonl(
-    params: ProtocolParams,
-    prover_factory: ProverFactory,
-    n_trials: int,
-    master_seed: int,
-    path: str,
-) -> None:
-    """One JSON object per line: {trial, params_digest, coins, messages, outcome}."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for tr in _transcripts(params, prover_factory, n_trials, master_seed):
-            fh.write(tr.to_json() + "\n")
-
-
 def report_to_bytes(report, fmt: str) -> bytes:
     if fmt == "json":
         return (json.dumps(report.to_json_obj(), sort_keys=True, indent=2) + "\n").encode()

@@ -17,6 +17,7 @@ exactly 1/2.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import random
 from collections import Counter
@@ -438,10 +439,17 @@ def product_check(probs: Sequence, coin_bits: int) -> bool:
 
 
 def sampling_params_for(spec: PrivateCoinProtocolSpec, eps: float, delta: float) -> tuple[ProtocolParams, ProtocolParams]:
-    """Raw-mode sampling parameters sized to the message and coin widths."""
+    """Raw-mode sampling parameters sized to the message and coin widths.
+    Equal widths and equal eps and delta of the same types give the
+    identical pair, so the verifier finds its compiled histograms by identity."""
+    return _sampling_params(spec.message_bits, spec.coin_bits, eps, delta)
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _sampling_params(message_bits: int, coin_bits: int, eps: float, delta: float):
     return (
-        ProtocolParams.raw(n=spec.message_bits, eps=eps, delta=delta),
-        ProtocolParams.raw(n=spec.coin_bits, eps=eps, delta=delta),
+        ProtocolParams.raw(n=message_bits, eps=eps, delta=delta),
+        ProtocolParams.raw(n=coin_bits, eps=eps, delta=delta),
     )
 
 

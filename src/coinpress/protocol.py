@@ -64,13 +64,13 @@ class DegenerateChoiceError(ValueError):
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """All derived protocol constants plus the operating mode.
-
-    ``eps`` is the histogram band width, ``t`` the largest band index,
-    ``gap_size``/``interval_size`` the integer tiling constants (their raw
-    real-valued precursors are kept for diagnostics), and ``sampling_gap``
-    centers the hash output width so that surviving sets have roughly
-    2**sampling_gap elements.
+    """The protocol constants a caller chooses, built by ``raw`` or
+    ``derive_params``. ``eps`` is the histogram band width, ``t`` the
+    largest band index, ``gap_size``/``interval_size`` the integer tiling
+    constants, and ``sampling_gap`` centers the hash output width so that
+    surviving sets have roughly 2**sampling_gap elements. The accuracy
+    targets ``eps_prime``/``delta_prime`` are set only by ``derive_params``.
+    ``mode`` and the tiling's real-valued precursors are derived, not stored.
     """
 
     n: int
@@ -80,9 +80,6 @@ class ProtocolParams:
     gap_size: int
     interval_size: int
     sampling_gap: float
-    mode: str
-    gap_size_raw: float
-    interval_size_raw: float
     eps_prime: Optional[float] = None
     delta_prime: Optional[float] = None
     set_cap: int = DEFAULT_SET_CAP
@@ -90,8 +87,6 @@ class ProtocolParams:
     def __post_init__(self):
         if not 1 <= self.n <= MAX_BITS:
             raise ValueError(f"n={self.n} outside 1..{MAX_BITS}")
-        if self.mode not in (MODE_RAW, MODE_TRIVIAL):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode != MODE_TRIVIAL:
             g, iv = self.gap_size, self.interval_size
             if not (0 < self.eps <= 1):
@@ -125,8 +120,7 @@ class ProtocolParams:
             raise ValueError("eps must lie in (0, 1]")
         if not 0 < delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        g_raw = (2.0 / eps) * math.log2(1.0 / eps) if eps < 1 else 1.0
-        i_raw = g_raw / delta
+        g_raw, i_raw = _raw_sizes(eps, delta)
         # Below eps = 2**-64, i_raw >= g_raw >= 2 * n / eps, and above it
         # 2 * n / eps is finite: past this check no formula below overflows.
         if not math.isfinite(i_raw):
@@ -146,9 +140,21 @@ class ProtocolParams:
         return cls(
             n=n, eps=eps, delta=delta, t=t, gap_size=gap_size,
             interval_size=interval_size, sampling_gap=sampling_gap,
-            mode=MODE_RAW, gap_size_raw=g_raw, interval_size_raw=i_raw,
             set_cap=set_cap,
         )
+
+    @property
+    def mode(self) -> str:
+        """``MODE_TRIVIAL`` exactly when the accuracy targets are set."""
+        return MODE_RAW if self.eps_prime is None else MODE_TRIVIAL
+
+    @property
+    def gap_size_raw(self) -> float:
+        return _raw_sizes(self.eps, self.delta)[0]
+
+    @property
+    def interval_size_raw(self) -> float:
+        return _raw_sizes(self.eps, self.delta)[1]
 
     @functools.cached_property
     def layout(self) -> IntervalLayout:
@@ -194,6 +200,12 @@ class ProtocolParams:
         }
 
 
+def _raw_sizes(eps: float, delta: float) -> tuple[float, float]:
+    """The real-valued gap and interval sizes the tiling constants round up."""
+    g_raw = (2.0 / eps) * math.log2(1.0 / eps) if eps < 1 else 1.0
+    return g_raw, g_raw / delta
+
+
 def _sampling_gap(t: int, interval_size_raw: float, eps: float) -> float:
     # log2(t * I' * 2**(2*I'*eps) / eps**4), evaluated in log space because
     # the middle factor overflows floats at calibrated parameters.
@@ -215,15 +227,13 @@ def derive_params(n: int, eps_prime: float, delta_prime: float) -> ProtocolParam
     right side is at most 64/50, so at every width the fallback mode is
     returned, in which the prover simply sends the whole distribution. The
     constants are those of ``ProtocolParams.raw`` at the effective eps and
-    delta, relabelled with the mode and the targets, for inspection.
+    delta, for inspection, with the targets set, which selects that mode.
     """
     if not 0 < eps_prime < 1 or not 0 < delta_prime < 1:
         raise ValueError("accuracy targets must lie in (0, 1)")
-    if not 1 <= n <= MAX_BITS:
-        raise ValueError(f"n outside 1..{MAX_BITS}")
     return replace(
         ProtocolParams.raw(n, eps_prime / 9000.0, delta_prime / 16.0),
-        mode=MODE_TRIVIAL, eps_prime=eps_prime, delta_prime=delta_prime,
+        eps_prime=eps_prime, delta_prime=delta_prime,
     )
 
 
@@ -741,17 +751,16 @@ def validate_histogram_message(weights, params: ProtocolParams):
     ``int``, so True and False are the weights 1 and 0. Everything else is
     compiled by ``verifier_tables``. A tuple of exact int and Fraction
     entries is compiled once per params: sent again with equal params, the
-    same tuple skips the per-entry pass and the compile.
+    same tuple skips the per-entry pass and the compile. Callers pass one
+    params object per parameter set (``ip2am.sampling_params_for`` keeps
+    one pair per set), so the hit is by identity. A t past the band cap
+    raises ``InvalidLayoutError``, which ``run_protocol`` raises first.
     """
     weights = parse_histogram(weights)
     known = _compiled.get(id(weights))
     if known is not None and (known[1] is params or known[1] == params):
         # checked and compiled under equal params, so of the same length t+1
         tables = known[2]
-        if known[1] is not params:
-            # Rebound to these params, in place (eviction order is kept), so
-            # that the next hit under them is by identity.
-            _compiled[id(weights)] = (weights, params, tables)
     else:
         if weights is None or len(weights) != params.t + 1:
             return None, REJECT_MALFORMED_HISTOGRAM
@@ -1070,10 +1079,12 @@ def run_protocol(
     """Execute one full run and return its transcript.
 
     In fallback mode the run delegates to the trivial protocol. Exactly one
-    of ``rng`` and ``replay_coins`` must be provided.
+    of ``rng`` and ``replay_coins`` must be provided. A t past the band cap
+    ``MAX_BANDS`` raises ``InvalidLayoutError`` before the prover is asked.
     """
     if params.mode == MODE_TRIVIAL:
         return trivial_protocol(params, prover, rng=rng, replay_coins=replay_coins, trial=trial)
+    params.layout  # built, or refused at the band cap, before the first message
     coins = CoinSource(rng=rng, replay=replay_coins)
     messages: list = []
 

@@ -361,3 +361,19 @@ def test_t_past_the_band_cap_is_a_config_error(workspace, capsys, command):
     assert main([command, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "MAX_BANDS" in err
+
+
+def test_unknown_params_mode_is_a_config_error(workspace, capsys):
+    path = workspace / "odd-mode.json"
+    path.write_text(json.dumps({"distribution": "dist.json", "params": {"mode": "exact", "n": 3}}))
+    assert main(["sample", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unknown params mode" in err
+
+
+@pytest.mark.parametrize("raw", [[], ["--raw"]], ids=["calibrated", "raw"])
+def test_width_past_a_double_is_an_error(capsys, raw):
+    """n = 10**400 is outside 1..64, and 2 * n / eps overflows before the
+    params check n: an error either way, not a traceback."""
+    assert main(["params", "-n", str(10**400), "--eps", "0.5", "--delta", "0.5", *raw]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

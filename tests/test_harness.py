@@ -17,7 +17,6 @@ from coinpress.harness import (
     report_to_bytes,
     required_samples,
     split_seed,
-    write_transcripts_jsonl,
 )
 from coinpress.oracle import ExactConfig, exact_output_distribution
 from coinpress.protocol import ProtocolParams, honest_prover, run_protocol
@@ -131,7 +130,7 @@ class TestPinnedHarnessBytes:
     }
 
     @pytest.mark.parametrize("prover", ["honest", "mixture"])
-    def test_digests(self, prover, tmp_path):
+    def test_digests(self, prover):
         # sampling gap 0.5 makes some runs reject, so both outcome kinds count
         params, dist, honest = tiny_setup(sampling_gap=0.5)
         if prover == "honest":
@@ -141,13 +140,16 @@ class TestPinnedHarnessBytes:
             factory = MixtureProver(components, 0, params).reseeded
         report = estimate_output_distribution(params, factory, 400, master_seed=17)
         soundness = estimate_soundness_sum(params, factory, 0, 400, 17, Fraction(1, 8))
-        path = tmp_path / "runs.jsonl"
-        write_transcripts_jsonl(params, factory, 40, 17, str(path))
+        # the transcript of each of the first 40 seeded trials, one line each
+        lines = []
+        for idx in range(40):
+            seed = split_seed(17, idx)
+            lines.append(run_protocol(params, factory(seed), rng=random.Random(seed), trial=idx).to_json() + "\n")
         blobs = {
             "json": report_to_bytes(report, "json"),
             "csv": report_to_bytes(report, "csv"),
             "sum": report_to_bytes(soundness, "json"),
-            "jsonl": path.read_bytes(),
+            "jsonl": "".join(lines).encode(),
         }
         digests = {k: hashlib.sha256(b).hexdigest() for k, b in blobs.items()}
         assert digests == self.DIGESTS[prover]
@@ -208,22 +210,3 @@ class TestChernoffSanity:
                     exceed += mean >= p + eps
                 slack = 3 * math.sqrt(bound * (1 - bound) / reps)
                 assert exceed / reps <= bound + slack
-
-
-class TestTranscriptLog:
-    def test_jsonl_replayable_lines(self, tmp_path):
-        import json
-
-        params, dist, factory = tiny_setup()
-        path = tmp_path / "runs.jsonl"
-        write_transcripts_jsonl(params, factory, 20, 9, str(path))
-        lines = path.read_text().splitlines()
-        assert len(lines) == 20
-        for idx, line in enumerate(lines):
-            obj = json.loads(line)
-            assert set(obj) == {"trial", "params_digest", "coins", "messages", "outcome"}
-            assert obj["params_digest"] == params.digest()
-            # trial idx runs on its own split stream
-            seed = split_seed(9, idx)
-            tr = run_protocol(params, factory(seed), rng=random.Random(seed), trial=idx)
-            assert line == tr.to_json()

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -210,6 +211,19 @@ class TestTransformRun:
         base = RandomAnswerTransformProver(toy.spec, None, 0)
         estimate_acceptance(toy.spec, None, base.reseeded, 200, 8, eps=0.02, delta=0.25)
         assert len(compiles) == len(base._by_law) < len(base._cache)
+
+    def test_one_params_pair_per_parameter_set(self, compiles):
+        """Equal arguments give the identical params pair, and an eps of
+        another type its own pair; a second estimate compiles no law."""
+        toy = toy_protocol(NONMEMBER)
+        pair = sampling_params_for(toy.spec, eps=0.02, delta=0.25)
+        assert all(map(operator.is_, pair, sampling_params_for(toy_protocol(NONMEMBER).spec, 0.02, 0.25)))
+        assert [type(sampling_params_for(toy.spec, eps, 0.25)[0].eps) for eps in (1, 1.0)] == [int, float]
+        base = RandomAnswerTransformProver(toy.spec, None, 0)
+        estimate_acceptance(toy.spec, None, base.reseeded, 100, 8, eps=0.02, delta=0.25)
+        first = len(compiles)
+        estimate_acceptance(toy.spec, None, base.reseeded, 100, 8, eps=0.02, delta=0.25)
+        assert len(compiles) == first == len(base._by_law)
 
     def test_product_check_matches_the_fraction_product(self):
         """``product_check`` agrees with the exact product of the claims on

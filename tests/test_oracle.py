@@ -973,6 +973,34 @@ class TestFlatEnumerator:
             exact_output_distribution_flat(params, prover)
         assert asked == []
 
+    def test_substituted_claim_is_a_tagged_real_in_both(self):
+        """Band 3 at eps 1/2 has the upper end 2**-1.5, which no Fraction
+        holds: a claim outside the band is replaced by that double, by the
+        flat reference's own substitution as by ``finalize``."""
+        dist = ExplicitDistribution(n=3, mass={0: Fraction(1, 2), 3: Fraction(3, 10), 5: Fraction(1, 5)})
+        params = ProtocolParams.raw(n=3, eps=0.5, delta=0.5, t=12, gap_size=1, interval_size=2, sampling_gap=1.0)
+        honest = honest_prover(dist, params)
+        prover = ScriptedProver(
+            {"histogram": honest.produce_histogram(), "sets": honest.produce_sets, "probability": Fraction(1)}
+        )
+        exact = assert_oracles_agree(params, prover)
+        assert exact.outputs == {
+            (0, 2, Fraction(1, 2)): Fraction(1, 2),
+            (3, 3, 2.0**-1.5): Fraction(3, 10),
+            (5, 4, Fraction(1, 4)): Fraction(1, 5),
+        }
+
+    def test_sets_past_the_cap_are_oversize_in_both(self):
+        """With a set cap of 1, every challenge whose interval holds both
+        bands 1 and 2 asks for three elements: oversize, by the flat
+        reference's own size check as by the verifier's."""
+        params = ProtocolParams.raw(
+            n=3, eps=1.0, delta=0.5, t=6, gap_size=1, interval_size=2, sampling_gap=4.0, set_cap=1
+        )
+        exact = assert_oracles_agree(params, honest_prover(skewed_dist(), params))
+        assert exact.reject_by_reason == {"oversize": Fraction(3, 4)}
+        assert exact.reject_mass == Fraction(3, 4)
+
     def test_flat_refuses_a_support_that_does_not_sum_to_one(self):
         """A support of total weight 1/2 is refused by both enumerators."""
         params = raw_params()
@@ -1569,6 +1597,36 @@ class TestHashWidthOverflow:
             assert replay(params, prover, tr).to_json() == tr.to_json()
         exact = assert_oracles_agree(params, prover)
         assert exact.reject_by_reason == {"check-b": Fraction(1)}
+
+    def test_live_band_after_an_overflowed_sum_has_an_empty_window(self):
+        """Band 1024 is below the live threshold (1/2060), but its 2**1024
+        overflows the interval's band-mass sum to inf, so live band 1022's
+        check (b) window is (0.0, 0.0): empty sets pass check (b) there and
+        the run rejects empty-set when it draws that band."""
+        params = ProtocolParams.raw(
+            n=3, eps=1.0, delta=0.5, t=1030, gap_size=1, interval_size=4, sampling_gap=1019.0
+        )
+        weights = [Fraction(0)] * 1031
+        weights[1022], weights[1024] = Fraction(1, 2), Fraction(1, 10000)
+        weights[1] = 1 - weights[1022] - weights[1024]
+        weights = tuple(weights)
+        tables, reason = validate_histogram_message(weights, params)
+        assert reason is None
+        prover = ScriptedProver(
+            {
+                "histogram": weights,
+                "sets": lambda s, k, f, g, m: {i: [] for i in tables.challenges[s, k].active},
+                "probability": Fraction(1, 2),
+            }
+        )
+        exact = assert_oracles_agree(params, prover)
+        assert exact.reject_by_reason == {
+            "check-b": Fraction(7499, 10000),
+            "band-not-live": Fraction(1, 10000),
+            "empty-set": Fraction(1, 4),
+        }
+        reasons = Counter(run_protocol(params, prover, rng=random.Random(seed)).outcome.reason for seed in range(200))
+        assert reasons == {"check-b": 153, "empty-set": 47}
 
     @given(
         st.integers(1, 2048).flatmap(

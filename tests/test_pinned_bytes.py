@@ -30,6 +30,9 @@ HALF_EPS_PARAMS = {
     "gap_size": 1, "interval_size": 2, "sampling_gap": 0.0,
 }
 DIST = {"n": 3, "mass": {"0": "1/2", "3": "1/4", "5": "1/4"}}
+# Accuracy targets: the fallback mode, whose transcript carries params
+# digest 4ae28941dc229239; the digest hashes the mode.
+CALIBRATED_PARAMS = {"mode": "calibrated", "n": 3, "eps_prime": 0.1, "delta_prime": 0.1}
 
 
 def sha(blob: bytes) -> str:
@@ -42,6 +45,8 @@ def half_eps(tmp_path):
     for prover in ("honest", "inflating:1"):
         cfg = {"distribution": "dist.json", "params": HALF_EPS_PARAMS, "prover": prover}
         (tmp_path / f"{prover.replace(':', '-')}.json").write_text(json.dumps(cfg))
+    cfg = {"distribution": "dist.json", "params": CALIBRATED_PARAMS, "prover": "honest"}
+    (tmp_path / "calibrated.json").write_text(json.dumps(cfg))
     (tmp_path / "member.json").write_text(json.dumps({"s0": "aab", "s1": "abb"}))
     (tmp_path / "nonmember.json").write_text(json.dumps({"s0": "aab", "s1": "aba"}))
     return tmp_path
@@ -128,6 +133,14 @@ CLI_DIGESTS = {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out": "be47920ed95febc49a192ef117b04e5602b3d8604649db442a27540be90e1b69",
     },
+    "sample-calibrated": {
+        "stdout": "21f11b55ab86ab27d76b5cc07cace6ec40ada3e2ed63c5d98260a3162233ac05",
+        "out": "ac0536b8bdf11f6768390c7ac33d1110512ec41b0aab04498f352d1e460bd5b8",
+    },
+    "oracle-calibrated": {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "0e1e2c359d71973e513a2900fea565f814927a6e73bddb098ee4d42862f3dd29",
+    },
     "transform-member": {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out": "70a6f764058120c23a97c8887f942b65c25aa4e4c03999898354e7c444b4a734",
@@ -151,6 +164,8 @@ CLI_DIGESTS = {
                               "--rounds-trials", "200", "--seed", "2"]),
         ("transform-nonmember", ["transform", "--instance", "nonmember.json",
                                  "--rounds-trials", "200", "--seed", "2"]),
+        ("sample-calibrated", ["sample", "--config", "calibrated.json", "--seed", "3"]),
+        ("oracle-calibrated", ["oracle", "--config", "calibrated.json"]),
     ],
 )
 def test_cli_bytes(capsys, half_eps, name, argv):

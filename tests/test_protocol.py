@@ -15,7 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinpress import ip2am, protocol
-from coinpress.dist import TAU, ExplicitDistribution, bucket_of, buckets, build_histogram, pow2
+from coinpress.dist import (
+    MAX_BANDS,
+    TAU,
+    ExplicitDistribution,
+    InvalidLayoutError,
+    bucket_of,
+    buckets,
+    build_histogram,
+    pow2,
+)
 from coinpress.hashing import HashFunction, members_sharing_rows, sample_hash
 from coinpress.protocol import (
     MODE_RAW,
@@ -104,6 +113,25 @@ class TestDeriveParams:
             derive_params(64, 0.0, 0.5)
         with pytest.raises(ValueError):
             ProtocolParams.raw(n=3, eps=1.0, delta=0.5, gap_size=2, interval_size=3)
+
+    def test_params_store_only_the_chosen_values(self):
+        """The mode and the raw sizes are read-only functions of the fields:
+        clearing a derived params' targets gives the raw params of its
+        effective eps and delta, with the same raw sizes."""
+        names = [f.name for f in dataclasses.fields(ProtocolParams)]
+        assert names == [
+            "n", "eps", "delta", "t", "gap_size", "interval_size", "sampling_gap",
+            "eps_prime", "delta_prime", "set_cap",
+        ]
+        derived = derive_params(8, 0.5, 0.5)
+        raw = replace(derived, eps_prime=None, delta_prime=None)
+        assert (derived.mode, raw.mode) == (MODE_TRIVIAL, MODE_RAW)
+        assert raw == ProtocolParams.raw(8, 0.5 / 9000.0, 0.5 / 16.0)
+        for name in ("gap_size_raw", "interval_size_raw"):
+            assert getattr(derived, name) == getattr(raw, name)
+        for name in ("mode", "gap_size_raw", "interval_size_raw"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(raw, name, None)
 
     def test_digest_stable(self):
         assert tiny_params().digest() == tiny_params().digest()
@@ -346,24 +374,6 @@ class TestHistogramKeyMemo:
         message = build_histogram(tiny_dist(), params.eps, params.t).weights
         assert tables_for(message, params) is tables_for(message, equal)
         assert len(compiles) == 1
-
-    def test_equal_params_hit_rebinds_the_entry(self, compiles):
-        """A hit under equal params that are another object rebinds the
-        entry to them, in place: the same tables come back, the next hit is
-        by identity, and the entry keeps its place in eviction order."""
-        params, equal = tiny_params(), tiny_params()
-        message = build_histogram(tiny_dist(), params.eps, params.t).weights
-        others = [tuple([0, 0, 1, 0, 0, 0, 0]) for _ in range(3)]
-        tables = tables_for(message, params)
-        for other in others:
-            tables_for(other, params)
-        order = list(protocol._compiled)
-        assert protocol._compiled[id(message)][1] is params
-        assert tables_for(message, equal) is tables
-        assert protocol._compiled[id(message)][1] is equal
-        assert list(protocol._compiled) == order
-        assert tables_for(message, equal) is tables
-        assert len(compiles) == 1 + len(others)
 
     def test_memo_is_bounded(self, compiles):
         params = tiny_params()
@@ -1174,6 +1184,26 @@ class TestRunProtocol:
         assert tr.outcome.kind == "reject"
         assert tr.outcome.reason == "malformed-histogram"
         assert len(tr.messages) == 1
+
+    @pytest.mark.parametrize("message", ["full-length", "none", "short"])
+    def test_t_past_the_band_cap_raises_before_the_prover(self, message):
+        """Params whose t + 1 bands pass MAX_BANDS are refused by the run
+        before any prover call, so whether it raises does not depend on the
+        message."""
+        params = ProtocolParams.raw(n=3, eps=1.0, delta=0.5, t=MAX_BANDS)
+        histogram = {
+            "full-length": (Fraction(1),) + (Fraction(0),) * MAX_BANDS, "none": None, "short": (Fraction(1),),
+        }[message]
+        asked = []
+
+        class Recording(ProverStrategy):
+            def produce_histogram(self):
+                asked.append("histogram")
+                return histogram
+
+        with pytest.raises(InvalidLayoutError, match="MAX_BANDS"):
+            run_protocol(params, Recording(), rng=random.Random(0))
+        assert asked == []
 
     def test_seeded_runs_identical(self):
         params = tiny_params()
