@@ -42,6 +42,16 @@ class InvalidLayoutError(ValueError):
     """Raised when interval layout parameters are structurally invalid."""
 
 
+def check_band_count(t: int) -> None:
+    """The rule on t that a histogram and an interval layout share: raise
+    ``InvalidLayoutError`` unless t >= 1 and the t + 1 bands 0..t fit within
+    ``MAX_BANDS``. Both callers check it before they allocate."""
+    if t < 1:
+        raise InvalidLayoutError("t must be at least 1")
+    if t + 1 > MAX_BANDS:
+        raise InvalidLayoutError(f"t is too large: its t + 1 bands cannot be indexed within MAX_BANDS = {MAX_BANDS}")
+
+
 def _hex_width(n: int) -> int:
     return (n + 3) // 4
 
@@ -197,15 +207,12 @@ class Histogram:
 def build_histogram(dist: ExplicitDistribution, eps: float, t: int) -> Histogram:
     """Accumulate the exact band masses of ``dist`` for band width eps.
 
-    Refuses a t whose t + 1 bands exceed ``MAX_BANDS``, before allocating."""
+    Refuses a t that ``check_band_count`` refuses, before allocating."""
     # eps in (0, 1) in calibrated use; eps == 1 is the classic dyadic grid
     # and is accepted for raw-mode experiments.
     if not 0 < eps <= 1:
         raise ValueError(f"eps {eps} outside (0, 1]")
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    if t + 1 > MAX_BANDS:
-        raise ValueError(f"t is too large: its t + 1 bands cannot be indexed within MAX_BANDS = {MAX_BANDS}")
+    check_band_count(t)
     weights = [Fraction(0)] * (t + 1)
     dropped = Fraction(0)
     for x, p in dist.mass.items():
@@ -267,8 +274,8 @@ def interval_layout(t: int, gap_size: int, interval_size: int) -> IntervalLayout
     interval_size % gap_size == 0. Shift s ranges over
     {-1, G-1, 2G-1, ..., I-1} (taking G = gap_size and I = interval_size),
     one shift per gap position inside a period of length G + I; this is
-    what makes the per-shift gaps partition 0..t. Refuses a t whose t + 1
-    bands exceed ``MAX_BANDS``, before allocating.
+    what makes the per-shift gaps partition 0..t. Refuses a t that
+    ``check_band_count`` refuses, before allocating.
     """
     g, iv = gap_size, interval_size
     if g < 1 or iv < g or iv % g != 0:
@@ -276,10 +283,7 @@ def interval_layout(t: int, gap_size: int, interval_size: int) -> IntervalLayout
             f"invalid layout: gap_size={g}, interval_size={iv} "
             "(need gap_size >= 1, interval_size >= gap_size, divisible)"
         )
-    if t < 1:
-        raise InvalidLayoutError("t must be at least 1")
-    if t + 1 > MAX_BANDS:
-        raise InvalidLayoutError(f"t is too large: its t + 1 bands cannot be indexed within MAX_BANDS = {MAX_BANDS}")
+    check_band_count(t)
     shifts = tuple(c * g - 1 for c in range(iv // g + 1))
     k_max = -(-t // (iv + g))  # ceil
     index_range = tuple(range(k_max + 1))

@@ -406,7 +406,7 @@ def transform_run(
     for i in range(spec.rounds + 1):
         params = message_params if i < spec.rounds else coin_params
         strategy = prover.sampling_strategy(i, messages, probs, answers, params)
-        outcome = run_protocol(params, strategy, rng=rng).outcome
+        outcome = run_protocol(params, strategy, rng).outcome
         if outcome.kind == "reject":
             return AmTranscript(records, None, None, i, None, None, False)
         probs.append(outcome.p)
@@ -433,8 +433,9 @@ def product_check(probs: Sequence, coin_bits: int) -> bool:
     for p in probs:
         if type(p) is not Fraction:
             return False
-        num *= p.numerator
-        den *= p.denominator
+        # the slots, which the numerator and denominator properties read
+        num *= p._numerator
+        den *= p._denominator
     return den == num << coin_bits
 
 
@@ -462,15 +463,25 @@ def estimate_acceptance(
     eps: float,
     delta: float,
 ) -> float:
-    """Accept frequency of the compiled protocol over seeded trials."""
+    """Accept frequency of the compiled protocol over seeded trials.
+
+    Trial idx runs on the stream of ``random.Random(split_seed(master_seed,
+    idx))``. One generator serves every trial: it is reseeded by the C
+    ``seed`` of ``random.Random``'s base class, which for an int seed is
+    all that ``random.Random(seed)`` does besides clearing ``gauss_next``,
+    and a run draws no Gaussian, so each trial's generator has exactly the
+    state, under ``getstate()``, of a fresh one. That skips building a
+    generator and its Python-level ``seed`` per trial: 6.1 against 5.3 us
+    (Python 3.11), nearly all of it the C seeding itself."""
     message_params, coin_params = sampling_params_for(spec, eps, delta)
+    rng = random.Random(0)  # reseeded before every trial
+    reseed = super(random.Random, rng).seed
     hits = 0
     for idx in range(n_trials):
         seed = split_seed(master_seed, idx)
         prover = prover_factory(seed)
-        rng = random.Random(seed)
-        tr = transform_run(spec, x, prover, message_params, coin_params, rng)
-        hits += tr.accept
+        reseed(seed)
+        hits += transform_run(spec, x, prover, message_params, coin_params, rng).accept
     return hits / n_trials
 
 

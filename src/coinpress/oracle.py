@@ -53,6 +53,7 @@ from coinpress.dist import TAU, buckets, build_histogram, fraction_to_str, pow2
 from coinpress.hashing import (
     BitPlanes,
     HashFunction,
+    build_member,
     members_sharing_rows,
     output_planes,
     row_masks,
@@ -231,21 +232,26 @@ class HashFamily:
             n, size = self.n, 1 << self.n
             inputs = BitPlanes.of(range(size), n)
             share = 1 << (n - m)
-            first: dict[int, list] = {}  # zero set -> [(a, b, c), count]
+            first: dict[int, list] = {}  # zero set -> [(a, b, c, rows), count]
             for a in range(size):
                 for b in range(size):
+                    masks = row_masks(n, m, a, b)
                     zero_sets = [(1 << size) - 1]  # entry c: the zero set of c
-                    for ones in output_planes(row_masks(n, m, a, b), inputs):
+                    for ones in output_planes(masks, inputs):
                         zero_sets = [z & ~ones for z in zero_sets] + [z & ones for z in zero_sets]
                     for c, zero_set in enumerate(zero_sets):
                         row = first.get(zero_set)
                         if row is None:
-                            first[zero_set] = [(a, b, c), share]
+                            first[zero_set] = [(a, b, c, masks), share]
                         else:
                             row[1] += share
+            # Each row gets a copy of its rows tuple, as the constructor
+            # gives it one (``()`` at m = 0): ``HonestProver.produce_sets``
+            # keeps answers under one tuple, and a fresh tuple per row keeps
+            # every row a first call.
             rows = [
-                (HashFunction(n=n, m=m, a=a, b=b, c=c), count)
-                for (a, b, c), count in first.values()
+                (build_member(n, m, a, b, c, (*masks,)), count)
+                for (a, b, c, masks), count in first.values()
             ]
             self._patterns[m] = rows
         return rows

@@ -1,5 +1,6 @@
 """Field arithmetic, irreducibility table, independence, and mixing tests."""
 
+import dataclasses
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from coinpress.hashing import (
     select,
     verify_kwise_exhaustive,
 )
+from coinpress.oracle import HashFamily
 
 
 # --- independent polynomial oracles (plain shift-and-xor, no reduction tricks)
@@ -227,21 +229,28 @@ class TestHashFunction:
 
     @pytest.mark.parametrize("n", [1, 3, 4])
     def test_members_sharing_rows_equal_constructed_members(self, n):
-        """The members built without the constructor are those of the family
-        in order, and equal, hash and evaluate as constructed ones."""
+        """The members built without the constructor (``build_member``):
+        those of ``members_sharing_rows``, in family order, the draws of
+        ``sample_hash`` and the rows of ``HashFamily.patterns``. Each has the
+        ``vars`` of the constructed member, equals, hashes, shows and
+        evaluates as it, and is still frozen."""
         size = 1 << n
+        rng = random.Random(n)
         for m in range(n + 1):
             built = [
                 f for a in range(size) for b in range(size) for f in members_sharing_rows(n, m, a, b)
             ]
-            for f, (a, b, c) in zip(built, family(n), strict=True):
-                h = HashFunction(n=n, m=m, a=a, b=b, c=c)
+            assert [(f.a, f.b, f.c) for f in built] == list(family(n))
+            built += [sample_hash(n, m, rng) for _ in range(20)]
+            built += [f for f, _count in HashFamily(n).patterns(m)]
+            for f in built:
+                h = HashFunction(n=n, m=m, a=f.a, b=f.b, c=f.c)
                 assert type(f) is HashFunction
+                assert list(vars(f).items()) == list(vars(h).items())
                 assert f == h and hash(f) == hash(h) and repr(f) == repr(h)
-                assert f.rows == h.rows and f.c_low == h.c_low
                 assert [f.eval(x) for x in range(size)] == [h.eval(x) for x in range(size)]
-        with pytest.raises(AttributeError):
-            built[0].c = 1  # still frozen
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    f.c = 1
 
     @pytest.mark.parametrize("n", range(1, 65))
     def test_output_planes_match_per_bit_reference(self, n):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from coinpress import ip2am
 from coinpress.ip2am import (
     HonestTransformProver,
     PrivateCoinProtocolSpec,
@@ -29,6 +30,7 @@ from coinpress.ip2am import (
     transform_run,
     value_with_prover,
 )
+from coinpress.harness import split_seed
 from coinpress.protocol import ProverStrategy
 
 
@@ -203,6 +205,28 @@ class TestTransformRun:
                 for prover in (fresh, base.reseeded(seed))
             ]
             assert runs[0] == runs[1]
+
+    def test_estimate_reseeds_each_trial_as_a_fresh_generator(self, monkeypatch):
+        """Each trial of ``estimate_acceptance`` runs on one reused
+        generator whose state, under ``getstate()``, equals that of
+        ``random.Random(split_seed(master_seed, idx))``, and the accept
+        frequency is that of fresh generators."""
+        toy = toy_protocol(MEMBER)
+        prover = HonestTransformProver(toy.spec, None, toy.honest_answer)
+        mp, cp = sampling_params_for(toy.spec, eps=0.02, delta=0.25)
+        states, accepts = [], []
+
+        def recording_run(spec, x, prover, message_params, coin_params, rng):
+            states.append(rng.getstate())
+            return transform_run(spec, x, prover, message_params, coin_params, rng)
+
+        monkeypatch.setattr(ip2am, "transform_run", recording_run)
+        rate = estimate_acceptance(toy.spec, None, lambda seed: prover, 40, 9, eps=0.02, delta=0.25)
+        for idx, state in enumerate(states):
+            fresh = random.Random(split_seed(9, idx))
+            assert state == fresh.getstate(), idx
+            accepts.append(transform_run(toy.spec, None, prover, mp, cp, fresh).accept)
+        assert len(states) == 40 and rate == sum(accepts) / 40
 
     def test_equal_laws_compile_once(self, compiles):
         # Random answers reach many transcripts whose conditional laws are

@@ -1,5 +1,6 @@
 """Parameter derivation, verifier rounds, full runs, replay, and fallback."""
 
+import bisect
 import dataclasses
 import hashlib
 import math
@@ -234,6 +235,29 @@ class TestCoinStream:
             assert replayed.record == live.record
         with pytest.raises(ValueError):
             CoinSource(replay=[3]).randrange(3)
+
+    def test_pick_equals_bisect_over_randrange(self):
+        """A live ``pick`` draws its coin in its own frame: over the
+        compile-toy tables at t = 300 (every shift, interval and band draw
+        of positive total), it records the coin ``random.Random.randrange(total)`` gives and
+        returns the bisection over it, and replay reproduces both."""
+        draws = []
+        for _params, tables in toy_tables():
+            draws.append(tables.shift_draw)
+            draws += tables.interval_draw.values()
+            draws += [ctx.band_draw for ctx in tables.challenges.values()]
+        draws = [table for table in draws if table[-1] > 0]  # the drawable ones
+        assert len(draws) == 99
+        for seed in range(200):
+            coins = CoinSource(rng=random.Random(seed))
+            rng = random.Random(seed)
+            picked = [coins.pick(table) for table in draws]
+            drawn = [rng.randrange(table[-1]) for table in draws]
+            assert coins.record == drawn, seed
+            assert picked == [bisect.bisect_right(t, u) for t, u in zip(draws, drawn)], seed
+            replayed = CoinSource(replay=coins.record)
+            assert [replayed.pick(table) for table in draws] == picked
+            assert replayed.record == coins.record
 
 
 class TestVerifierTables:
