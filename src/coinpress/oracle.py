@@ -27,10 +27,12 @@ reuses the protocol engine's own tables (``VerifierTables``), check and
 finalize code, and a flat one that re-derives every check inline. The
 flat one asks about every hash function whatever the prover declares,
 walking the family once per hash width for the challenges of that width
-of every component. It snapshots each answer as it is returned
-(``marshal``, which keeps exact types), counts equal snapshots per
-(challenge, zero set) over the whole walk, and checks every distinct one
-in full once, after the walk. Tests fail the build if they disagree.
+of every component: per (a, b) in family order, each challenge in turn
+about the members of one zero set at a time. It snapshots each answer as
+it is returned (``marshal``, which keeps exact types), counts equal
+snapshots per (challenge, zero set) over the whole walk, a run of equal
+answers at once, and checks every distinct one in full once, after the
+walk. Tests fail the build if they disagree.
 Both decode each message with the verifier's own decoders
 (``protocol.parse_histogram``, ``parse_sets`` and ``parse_table``), and
 read set elements by the rule of ``protocol.exact_ints`` and histogram
@@ -450,10 +452,11 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
     Each component's challenge constants are worked out first. The
     challenges of every component are then grouped by hash width m, and
     the family is walked once per width for the whole prover: each hash
-    function is built once and every component is asked about it for each
-    of its challenges of that width, components in support order, whatever
-    the prover declares. Each answer is snapshotted when returned, counted
-    per (challenge, zero set, snapshot) over the whole walk, and every
+    function is built once, and per (a, b) every component is asked about
+    each of its challenges of that width, components in support order, one
+    zero set's members at a time, whatever the prover declares. Each answer
+    is snapshotted when returned, counted per (challenge, zero set,
+    snapshot) over the whole walk, runs of equal answers at once, and every
     distinct one is checked in full once, after the walk (see
     ``_flat_sweep``, which also gives the memory this takes). Within one
     challenge, identical outcomes are counted first and their masses
@@ -591,8 +594,11 @@ def exact_output_distribution_flat(params: ProtocolParams, prover: ProverStrateg
 def _flat_sweep(n, m, group, set_cap):
     """Walk the width-n family once at hash width m, ask each row of
     ``group`` (a challenge of some component, with that component's
-    ``produce_sets``) about every member, rows in order within a member,
-    and tally the checked outcomes in each row's tally.
+    ``produce_sets``) about every member, and tally the checked outcomes in
+    each row's tally. The walk takes (a, b) in family order; per (a, b) it
+    asks each row in turn, rows in group order, about the members of one
+    zero set at a time: c = t, t + 2**m, ... for t = 0 .. 2**m - 1 (at
+    m = 0, every c in order). Each (row, member) pair is asked once.
 
     The checks are a pure function of the answer, the zero set and the
     challenge's constants. So each answer is snapshotted when it is
@@ -604,13 +610,17 @@ def _flat_sweep(n, m, group, set_cap):
     one (a, b) come from scalar ``eval``: c only flips the low m output
     bits, so f(x) = 0 exactly when the c = 0 member maps x to c & low, one
     zero set per c & low (at m = 0, the whole domain for every member).
-    Each distinct (row, zero set, snapshot) is loaded back and checked in
-    full (``_flat_outcome``) once, after the walk. Marshal writes any
-    buffer object (a bytearray, a memoryview, an array) as plain bytes,
-    under type code ``s``, so a snapshot holding that byte anywhere
-    (``MARSHAL_BYTES``) is not trusted. Such an answer, and one marshal
-    refuses (an int subclass, a non-dict mapping, an iterator, a
-    self-referential list), is read and checked at once, on its own.
+    Within one block (a row and one zero set's members), an answer whose
+    snapshot equals the block's previous trusted one extends a run, and
+    the map is updated once per run, not once per ask; marshal's bytes
+    code is looked for only when the snapshot changes. Each distinct (row,
+    zero set, snapshot) is loaded back and checked in full
+    (``_flat_outcome``) once, after the walk. Marshal writes any buffer
+    object (a bytearray, a memoryview, an array) as plain bytes, under type
+    code ``s``, so a snapshot holding that byte anywhere (``MARSHAL_BYTES``)
+    is not trusted. Such an answer, and one marshal refuses (an int
+    subclass, a non-dict mapping, an iterator, a self-referential list), is
+    read and checked at once, on its own, and ends the run before it.
 
     Memory: a row keeps at most one count per distinct (zero set, answer),
     and never more than one per ask: 8**n per row, for every row of the
@@ -623,6 +633,7 @@ def _flat_sweep(n, m, group, set_cap):
     time). The honest prover peaked at 21.7 MB (Python 3.11.7, x86-64)."""
     size = 1 << n
     low = (1 << m) - 1
+    step = low + 1
     inputs = range(size)
     dumps = marshal.dumps
     # Every row keys its counts by the same zero sets, so the walk numbers
@@ -631,40 +642,47 @@ def _flat_sweep(n, m, group, set_cap):
     # lookups, whatever the number of rows.
     slots: dict[frozenset, int] = {}
     counts = [[] for _ in group]  # per row, per zero set number: snapshot -> count
-    # per row: its prover, (s, k, g), its counts and the whole row for the checks
-    asks = [(row[0], row[1], row[2], row[3], seen_by_slot, row) for row, seen_by_slot in zip(group, counts)]
     zero_sets = [frozenset(inputs)]  # at m = 0 every input hashes to zero
     for a in range(size):
         for b in range(size):
             members = members_sharing_rows(n, m, a, b)
             if m:
                 values = [members[0].eval(x) for x in inputs]
-                zero_sets = [
-                    frozenset(x for x in inputs if values[x] == target) for target in range(low + 1)
-                ]
+                zero_sets = [frozenset(x for x in inputs if values[x] == target) for target in range(step)]
             known = len(slots)
             numbers = [slots.setdefault(z, len(slots)) for z in zero_sets]
             if len(slots) > known:
                 for seen_by_slot in counts:
                     seen_by_slot.extend({} for _ in range(len(slots) - known))
-            for c, f in enumerate(members):
-                slot = numbers[c & low]
-                for produce, s, k, g, seen_by_slot, row in asks:
-                    try:  # ``ask``, inline in this hot loop
-                        answer = produce(s, k, f, g, m)
-                    except Exception:
-                        answer = None
-                    try:
-                        snapshot = dumps(answer, 2)
-                    except ValueError:
-                        snapshot = None
-                    if snapshot is None or MARSHAL_BYTES in snapshot:
-                        _, _, _, _, act, act_set, windows, tally = row
-                        key = _flat_outcome(answer, act, act_set, windows, size, zero_sets[c & low], set_cap)
-                        tally[key] = tally.get(key, 0) + 1
-                    else:
-                        seen = seen_by_slot[slot]
-                        seen[snapshot] = seen.get(snapshot, 0) + 1
+            for row, seen_by_slot in zip(group, counts):
+                produce, s, k, g = row[:4]
+                for t in range(step):
+                    # one block: this row asked about the members of one zero set
+                    seen = seen_by_slot[numbers[t]]
+                    last, run = b"", 0  # b"" is no snapshot, so no answer joins it
+                    for f in members[t::step]:
+                        try:  # ``ask``, inline in this hot loop
+                            answer = produce(s, k, f, g, m)
+                        except Exception:
+                            answer = None
+                        try:
+                            snapshot = dumps(answer, 2)
+                        except ValueError:
+                            snapshot = None
+                        if snapshot == last:
+                            run += 1
+                            continue
+                        if run:
+                            seen[last] = seen.get(last, 0) + run
+                        if snapshot is None or MARSHAL_BYTES in snapshot:
+                            _, _, _, _, act, act_set, windows, tally = row
+                            key = _flat_outcome(answer, act, act_set, windows, size, zero_sets[t], set_cap)
+                            tally[key] = tally.get(key, 0) + 1
+                            last, run = b"", 0
+                        else:
+                            last, run = snapshot, 1
+                    if run:
+                        seen[last] = seen.get(last, 0) + run
     for (_, _, _, _, act, act_set, windows, tally), seen_by_slot in zip(group, counts):
         for zeros, slot in slots.items():
             for snapshot, count in seen_by_slot[slot].items():

@@ -3,10 +3,12 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from coinpress import harness
 from coinpress.adversaries import MixtureProver
 from coinpress.dist import ExplicitDistribution
 from coinpress.harness import (
@@ -108,6 +110,28 @@ class TestEstimateOutputDistribution:
         b = estimate_output_distribution(params, factory, 500, master_seed=11)
         assert report_to_bytes(a, "json") == report_to_bytes(b, "json")
         assert report_to_bytes(a, "csv") == report_to_bytes(b, "csv")
+
+    def test_reseeds_each_trial_as_a_fresh_generator(self, monkeypatch):
+        """Each trial runs on one reused generator whose state, under
+        ``getstate()``, equals that of ``random.Random(split_seed(master_seed,
+        idx))``, and the report is that of fresh generators."""
+        params, dist, factory = tiny_setup(sampling_gap=0.5)
+        states, outcomes = [], []
+
+        def recording_run(params, prover, rng=None, trial=0):
+            states.append(rng.getstate())
+            return run_protocol(params, prover, rng=rng, trial=trial)
+
+        monkeypatch.setattr(harness, "run_protocol", recording_run)
+        report = estimate_output_distribution(params, factory, 60, master_seed=5)
+        for idx, state in enumerate(states):
+            fresh = random.Random(split_seed(5, idx))
+            assert state == fresh.getstate(), idx
+            outcomes.append(run_protocol(params, factory(idx), rng=fresh, trial=idx).outcome)
+        assert len(states) == 60
+        assert report.rejects == dict(Counter(out.reason for out in outcomes if out.kind == "reject"))
+        assert sum(report.bins.values()) == sum(out.kind == "output" for out in outcomes) > 0
+
 
 class TestPinnedHarnessBytes:
     """SHA-256 of harness output, recorded before the trial loop became one

@@ -45,6 +45,7 @@ from coinpress.protocol import (
     ProtocolParams,
     ProverStrategy,
     Transcript,
+    ask,
     check_sets,
     compute_live_bands,
     derive_params,
@@ -1210,7 +1211,7 @@ def abc_sets_prover(honest, shared):
 
 def per_ab_reference(params, prover):
     """Output masses and reject masses by reason of a deterministic prover,
-    tallied per (a, b): each answer is read (``parse_sets``) when it is
+    tallied per (a, b): each answer is read (``ask``, ``parse_sets``) when it is
     returned and checked by the engine's ``check_sets``, and the outcomes
     of one (a, b) are counted and turned into masses before the next."""
     tables, reason = validate_histogram_message(prover.produce_histogram(), params)
@@ -1229,7 +1230,7 @@ def per_ab_reference(params, prover):
                 tally = Counter()
                 for c in range(size):
                     f = HashFunction(n=n, m=ctx.m, a=a, b=b, c=c)
-                    record = parse_sets(prover.produce_sets(s, k, f, ctx.g, ctx.m))
+                    record = parse_sets(ask(prover.produce_sets, s, k, f, ctx.g, ctx.m))
                     sets, why = check_sets(record, f, ctx, params)
                     tally[why or tuple(sorted(sets.items()))] += 1
                 for key, count in tally.items():
@@ -1256,11 +1257,11 @@ def per_ab_reference(params, prover):
 class TestFlatSweep:
     """The flat cross-check counts answers per (challenge, zero set) over
     one walk of the family per hash width, for every component at once. It
-    still asks every pair once, in family order, and snapshots each answer
-    when it is returned."""
+    still asks every pair once, per (a, b) in family order, one zero set's
+    members at a time, and snapshots each answer when it is returned."""
 
     @pytest.mark.parametrize("sampling_gap", [1.0, 0.0], ids=["m-0", "m-0-and-1"])
-    def test_asks_every_pair_once_in_family_order(self, sampling_gap):
+    def test_asks_every_pair_once_by_zero_set(self, sampling_gap):
         params, provers = profile_provers(1.0, sampling_gap=sampling_gap)
         honest = provers["honest"]
         recording = RecordingProver(honest)
@@ -1273,14 +1274,23 @@ class TestFlatSweep:
         for (s, k), ctx in tables.challenges.items():
             if ctx.m <= params.n:
                 by_width.setdefault(ctx.m, []).append((s, k))
+        size = 1 << params.n
+        # per (a, b): each challenge in turn, about the members c = t, t +
+        # 2**m, ... of one zero set at a time, t = 0 .. 2**m - 1
         expected = [
             (s, k, m, a, b, c)
             for m, group in by_width.items()
-            for a, b, c in family(params.n)
+            for a in range(size)
+            for b in range(size)
             for s, k in group
+            for t in range(1 << m)
+            for c in range(t, size, 1 << m)
         ]
         assert recording.calls == expected
         assert len(expected) == sum(map(len, by_width.values())) * 8**params.n
+        assert Counter(recording.calls) == Counter(
+            (s, k, m, a, b, c) for m, group in by_width.items() for s, k in group for a, b, c in family(params.n)
+        )
         assert (0 in by_width) and (max(by_width) > 0) == (sampling_gap == 0.0)
 
     @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared-dict"])
@@ -1339,11 +1349,11 @@ class TestFlatSweep:
 
     def test_one_walk_per_width_for_every_component(self, monkeypatch):
         """A mixture of two honest components (and a rejecting one) whose
-        challenges share hash widths: the family is walked once per width, each member
-        is asked about every component's challenges of that width,
-        components in support order, so each component sees each of its
-        (s, k) asked 8**n times in family order; structured still equals
-        flat."""
+        challenges share hash widths: the family is walked once per width,
+        each (a, b) is asked about every component's challenges of that width,
+        components in support order, one zero set's members at a time, so
+        each component sees each of its (s, k) asked about every member
+        once; structured still equals flat."""
         params, provers = profile_provers(1.0, sampling_gap=0.0)
         n = params.n
         log = []
@@ -1376,15 +1386,72 @@ class TestFlatSweep:
         assert 0 in by_width and max(by_width) > 0
         assert sum(map(len, widths_per_component)) > len(by_width)  # a width is shared
         assert walks == {m: 4**n for m in by_width}
+        size = 1 << n
         assert log == [
             (i, s, k, m, a, b, c)
             for m, group in by_width.items()
-            for a, b, c in family(n)
+            for a in range(size)
+            for b in range(size)
             for i, s, k in group
+            for t in range(1 << m)
+            for c in range(t, size, 1 << m)
         ]
+        assert len(log) == sum(map(len, by_width.values())) * 8**n
         for i, s, k in (row for group in by_width.values() for row in group):
             asked = [(a, b, c) for j, s2, k2, _m, a, b, c in log if (j, s2, k2) == (i, s, k)]
-            assert asked == list(family(n))
+            assert sorted(asked) == list(family(n))
+
+    @pytest.mark.parametrize("sampling_gap", [1.0, 0.0], ids=["m-0", "m-0-and-1"])
+    @pytest.mark.parametrize("kind", ["alternating", "array-between-equals", "raises-mid-block"])
+    def test_runs_of_equal_answers(self, kind, sampling_gap):
+        """The sweep counts equal answers in a row of one zero set's members
+        as one run. Answers that break the runs: one that alternates with
+        bit m of c (the parity of c at m = 0), so inside every block; the
+        honest sets with the second member of each block listing one band,
+        shortened, as an ``array`` (a snapshot holding ``MARSHAL_BYTES``,
+        checked on its own) between two equal plain answers; and a raise on
+        the middle member of each block. Structured equals flat, and at
+        m = 0 both equal a per-(a, b) tally of the engine's own checks."""
+        params, provers = profile_provers(1.0, sampling_gap=sampling_gap)
+        honest = provers["honest"]
+        prover = block_breaking_prover(honest, kind)
+        exact = assert_oracles_agree(params, prover)
+        tables, _ = validate_histogram_message(honest.produce_histogram(), params)
+        widths = {ctx.m for ctx in tables.challenges.values()}
+        if widths == {0}:
+            outputs, rejects = per_ab_reference(params, prover)
+            assert exact.outputs == outputs
+            assert exact.reject_by_reason == rejects
+        else:
+            assert sampling_gap == 0.0 and max(widths) > 0
+        assert exact != exact_output_distribution(ExactConfig(params=params, prover=honest))
+
+
+def block_breaking_prover(honest, kind):
+    """The honest prover, except on the members that ``kind`` picks within
+    each of the flat sweep's blocks, c = t, t + 2**m, ...: those with bit m
+    of c set (``alternating``: every band emptied), the second
+    (``array-between-equals``: the first nonempty band's set without its
+    last element, as an ``array``), or the middle one (``raises-mid-block``:
+    a RuntimeError)."""
+    n = honest.params.n
+
+    def sets(s, k, f, g, m):
+        answer = honest.produce_sets(s, k, f, g, m)
+        place = f.c >> m  # the member's place in its block
+        if kind == "alternating" and place & 1:
+            return {i: [] for i in answer}
+        if kind == "array-between-equals" and place == 1:
+            band = next((i for i, xs in answer.items() if xs), None)
+            if band is not None:
+                answer[band] = array.array("q", answer[band][:-1])
+        if kind == "raises-mid-block" and place == (1 << (n - m)) // 2:
+            raise RuntimeError("the prover's own fault")
+        return answer
+
+    return ScriptedProver(
+        {"histogram": honest.produce_histogram(), "sets": sets, "probability": honest.produce_probability}
+    )
 
 
 class LoggedMixture(ProverStrategy):
